@@ -41,11 +41,13 @@ from .genmat import (
     RowTrace,
     SparseMatrix,
     closed_form_product,
+    evaluation_key,
     generic_matrix,
     generic_matrix_signed,
     generic_matrix_star,
     row_trace,
     star_omega,
+    word_rows,
 )
 from .gradings import (
     Grading,

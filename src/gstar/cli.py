@@ -23,7 +23,7 @@ from .identities import (
     congruent_mod_neutral,
     derivation_mod_neutral,
     enumerate_monomial_identities,
-    is_monomial_identity,
+    word_is_identity,
     word_monomial,
     word_to_strings,
 )
@@ -169,20 +169,18 @@ def cmd_congruent(cfg, args, out) -> int:
     field = cfg.field
     m1 = _single_monomial(args.first, grading, field)
     m2 = _single_monomial(args.second, grading, field)
-    v1 = is_monomial_identity(m1, grading)
-    v2 = is_monomial_identity(m2, grading)
     payload: dict = {
         "schema": SCHEMA,
         "command": "congruent",
         "first": m1.render(grading.group),
         "second": m2.render(grading.group),
     }
-    if v1.is_identity or v2.is_identity:
+    if any(word_is_identity(m.signed_word(), grading) for m in (m1, m2)):
         payload["congruent"] = None
         payload["note"] = "congruence is only defined for non-identity monomials"
         _emit(payload, cfg, out)
         return EXIT_OK
-    flag = congruent_mod_neutral(m1, m2, grading, field)
+    flag = congruent_mod_neutral(m1, m2, grading)
     payload["congruent"] = flag
     if flag:
         chain = derivation_mod_neutral(m1, m2, grading)
@@ -271,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:  # argparse exits after --help (0) and on usage errors
+        return EXIT_INPUT if err.code else EXIT_OK
     try:
         field = parse_field(args.coeff)
     except GstarError as err:

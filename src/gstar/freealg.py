@@ -24,7 +24,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError, VariableError
-from .genmat import SparseMatrix, generic_matrix, generic_matrix_star
+from .genmat import CMonomial, CPolynomial, SparseMatrix, rows_matrix, word_rows
 from .gradings import Grading, SignedElement
 from .groups import Group
 from .rings import RATIONALS
@@ -213,6 +213,8 @@ def multihomogeneous_components(f: GPolynomial) -> list[GPolynomial]:
 def _check_elements(f: GPolynomial, grading: Grading) -> None:
     order = grading.group.order
     for m in f.terms:
+        if not len(m):
+            raise PreconditionError("cannot evaluate the empty word")
         for v in m:
             if not 0 <= v.element < order:
                 raise VariableError(
@@ -223,27 +225,26 @@ def _check_elements(f: GPolynomial, grading: Grading) -> None:
 
 def evaluate_monomial(mono: GMonomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
     """The product of generic matrices substituted for the word's letters."""
-    acc = None
-    for v in mono:
-        if v.star:
-            m = generic_matrix_star(v.index, v.element, grading, field)
-        else:
-            m = generic_matrix(v.index, v.element, grading, field)
-        acc = m if acc is None else acc @ m
-        if acc.is_zero:
-            return SparseMatrix.zero(grading.n)
-    if acc is None:
+    if not len(mono):
         raise PreconditionError("cannot evaluate the empty word")
-    return acc
+    return rows_matrix(word_rows(mono.letters, grading), grading.n, field.one)
 
 
 def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
     """Generic evaluation of a polynomial; zero exactly for identities."""
     _check_elements(f, grading)
-    acc = SparseMatrix.zero(grading.n)
+    sums: dict = {}  # position -> {monomial: coefficient}, summed in place
     for mono, coeff in f.terms.items():
-        acc = acc + evaluate_monomial(mono, grading, field).scale(coeff)
-    return acc
+        coeff = field.one * coeff
+        for start, end, variables in word_rows(mono.letters, grading):
+            entry = sums.setdefault((start, end), {})
+            m = CMonomial(variables)
+            total = entry[m] + coeff if m in entry else coeff
+            if total:
+                entry[m] = total
+            else:
+                del entry[m]
+    return SparseMatrix(grading.n, {pos: CPolynomial(terms) for pos, terms in sums.items()})
 
 
 # variables tokenize as one unit, so element names may start with 'x' as long
@@ -342,7 +343,7 @@ class _Parser:
         return GMonomial(letters), coeff
 
     def parse_poly(self) -> GPolynomial:
-        acc = GPolynomial.zero()
+        terms: dict = {}  # summed in place; a zero sum drops its word
         sign = 1
         if self.peek()[0] in ("plus", "minus"):
             kind, _, _ = self.take()
@@ -351,10 +352,14 @@ class _Parser:
             mono, coeff = self.parse_term()
             if sign < 0:
                 coeff = -coeff
-            acc = acc + GPolynomial({mono: coeff})
+            total = terms[mono] + coeff if mono in terms else coeff
+            if total:
+                terms[mono] = total
+            else:
+                terms.pop(mono, None)
             kind, _, pos = self.peek()
             if kind is None:
-                return acc
+                return GPolynomial(terms)
             if kind == "plus":
                 sign = 1
             elif kind == "minus":

@@ -4,9 +4,11 @@ The entry variables y[slot,row,col] are commuting indeterminates; a generic
 matrix for (slot, g) places one fresh variable on each position (i, hat(g)(i))
 of the grading's pattern for g.  Its starred companion is the transpose.
 Products of generic matrices are extremely sparse: at most one nonzero entry
-per row, always a single monomial with coefficient one.  That structure has a
-closed form (``closed_form_product``) which this module computes directly and
-which the tests compare against honest matrix multiplication.
+per row, always a single monomial with coefficient one.  The word kernel
+``word_rows`` reads them off the grading's letter tables in one pass, and
+every evaluation goes through it.  Honest multiplication (``__matmul__`` on
+the ``generic_matrix*`` matrices) is kept only as the independent oracle
+that ``selftest`` and the tests compare the kernel against.
 
 (row, col) pairs are 0-based.  Every in-range pair hosts a variable, because
 (row, col) determines the unique group element g_row^{-1} g_col whose pattern
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ShapeError, TraceDomainError, VariableError
+from .errors import GradingError, ShapeError, TraceDomainError, VariableError
 from .gradings import Grading, SignedElement
 from .rings import RATIONALS
 
@@ -183,9 +185,6 @@ class SparseMatrix:
         p = CPolynomial({ONE_MONOMIAL: one})
         return cls(n, {(i, i): p for i in range(n)})
 
-    def get(self, row: int, col: int) -> CPolynomial:
-        return self.entries.get((row, col), CPolynomial.zero())
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
@@ -230,9 +229,6 @@ class SparseMatrix:
                     out.pop(pos, None)
         return SparseMatrix(self.n, out)
 
-    def scale(self, coeff) -> "SparseMatrix":
-        return SparseMatrix(self.n, {pos: p.scale(coeff) for pos, p in self.entries.items()})
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.n, {(c, r): p for (r, c), p in self.entries.items()})
 
@@ -261,11 +257,6 @@ class SparseMatrix:
         return f"SparseMatrix(n={self.n}, nnz={len(self.entries)})"
 
 
-def canonical_element(row: int, col: int, grading: Grading) -> int:
-    """The unique group element whose pattern passes through (row, col)."""
-    return grading.degree_of_unit(row, col)
-
-
 def star_omega(v: EntryVar, grading: Grading) -> EntryVar:
     """The starred companion of an entry variable.
 
@@ -278,7 +269,7 @@ def star_omega(v: EntryVar, grading: Grading) -> EntryVar:
     n = grading.n
     if not (0 <= v.row < n and 0 <= v.col < n):
         raise VariableError(f"{v.render()} is outside a {n}x{n} grading")
-    g = canonical_element(v.row, v.col, grading)
+    g = grading.degree_of_unit(v.row, v.col)
     ginv = grading.group.inv(g)
     new_row = grading.hat(ginv)(v.row)
     if new_row is None:
@@ -319,6 +310,50 @@ def generic_matrix_signed(
     return generic_matrix(slot, letter.element, grading, field)
 
 
+def word_rows(word: Sequence[tuple], grading: Grading) -> list:
+    """The word kernel: walk every start row through a slotted word at once.
+
+    ``word`` holds (slot, element, star) triples, such as a GMonomial's
+    letters; each moves the rows along ``grading.letter_targets``.  Returns
+    (start, end, variables) per surviving start row, in increasing order:
+    the generic product's entry at (start, end) is the monomial of the
+    variables, variables[p] = y[slot, a, b] for factor p stepping from row
+    a to row b (y[slot, b, a] if starred).  Empty exactly for identities.
+    """
+    tables = grading.letter_targets
+    walks = [(row, row, ()) for row in range(grading.n)]
+    for slot, element, star in word:
+        try:
+            step = tables[element, star]
+        except KeyError:
+            raise GradingError(f"element index {element} outside the group") from None
+        walks = [
+            (start, col, (*variables, EntryVar(slot, col, row) if star else EntryVar(slot, row, col)))
+            for start, row, variables in walks
+            if (col := step[row]) is not None
+        ]
+        if not walks:
+            break
+    return walks
+
+
+def rows_matrix(rows: list, n: int, one) -> SparseMatrix:
+    """The sparse matrix of kernel rows: one monic monomial per surviving row."""
+    return SparseMatrix(n, {
+        (start, end): CPolynomial({CMonomial(variables): one}) for start, end, variables in rows
+    })
+
+
+def evaluation_key(word: Sequence[tuple], grading: Grading) -> tuple:
+    """The generic evaluation of a slotted word as a hashable key.
+
+    One (start, end, sorted variables) per kernel row: two words evaluate
+    alike exactly when their keys agree, and the key is empty exactly for
+    identities.  Every entry is monic, so no coefficient field is involved.
+    """
+    return tuple((start, end, tuple(sorted(v))) for start, end, v in word_rows(word, grading))
+
+
 @dataclass(frozen=True)
 class RowTrace:
     """The index bookkeeping of one surviving row of a generic product.
@@ -337,26 +372,14 @@ class RowTrace:
 
 
 def row_trace(start: int, word: Sequence[SignedElement], grading: Grading) -> RowTrace:
-    """Walk one starting row through a signed word; error if the walk dies."""
-    s = [start]
-    t: list[Optional[int]] = []
-    for letter in word:
-        cur = s[-1]
-        nxt = grading.hat_signed(letter)(cur)
-        if nxt is None:
-            raise TraceDomainError(
-                f"row {start} leaves the domain at position {len(t)} "
-                f"({letter.render(grading.group)})"
-            )
-        t.append(grading.hat(letter.element)(cur))
-        s.append(nxt)
-    return RowTrace(start, tuple(s), tuple(t))
-
-
-def slot_variable(slot: int, position: int, trace: RowTrace, starred: bool) -> EntryVar:
-    """The variable the given position contributes along a surviving row."""
-    a, b = trace.s[position], trace.s[position + 1]
-    return EntryVar(slot, b, a) if starred else EntryVar(slot, a, b)
+    """The kernel walk of one starting row through a signed word; error if it dies."""
+    for first, _end, variables in word_rows([(0, *se) for se in word], grading):
+        if first == start:
+            s = (start, *(v.row if se.star else v.col for v, se in zip(variables, word)))
+            plain = [grading.letter_targets[se.element, False] for se in word]
+            return RowTrace(start, s, tuple(h[a] for h, a in zip(plain, s)))
+    letters = " ".join(se.render(grading.group) for se in word)
+    raise TraceDomainError(f"row {start} leaves the domain of the word {letters}")
 
 
 def closed_form_product(
@@ -364,22 +387,8 @@ def closed_form_product(
 ) -> SparseMatrix:
     """Product of generic matrices computed without matrix multiplication.
 
-    ``word`` is a sequence of (slot, letter) pairs, one per factor.  The
-    result has one entry per starting row surviving the composed partial
-    injection; that entry sits at (start, final row) and is the monomial
-    collecting one entry variable from each factor.
+    ``word`` is a sequence of (slot, letter) pairs, one per factor; the
+    entries are the word kernel's rows.
     """
-    n = grading.n
-    one = field.one
-    if not word:
-        return SparseMatrix.identity(n, one)
-    comp = grading.compose_signed([letter for _, letter in word])
-    entries = {}
-    for start in comp.domain():
-        trace = row_trace(start, [letter for _, letter in word], grading)
-        variables = [
-            slot_variable(slot, p, trace, letter.star)
-            for p, (slot, letter) in enumerate(word)
-        ]
-        entries[(start, trace.s[-1])] = CPolynomial({CMonomial(variables): one})
-    return SparseMatrix(n, entries)
+    rows = word_rows([(slot, *se) for slot, se in word], grading)
+    return rows_matrix(rows, grading.n, field.one)

@@ -46,6 +46,13 @@ class PartialInjection:
         self.targets = t
 
     @classmethod
+    def _trusted(cls, targets: tuple[Optional[int], ...]) -> "PartialInjection":
+        """Wrap a target tuple that is injective by construction, unchecked."""
+        pi = object.__new__(cls)
+        pi.targets = targets
+        return pi
+
+    @classmethod
     def identity(cls, n: int) -> "PartialInjection":
         return cls(range(n))
 
@@ -81,16 +88,14 @@ class PartialInjection:
 
     def then(self, other: "PartialInjection") -> "PartialInjection":
         """Composition with ``self`` applied first."""
-        return PartialInjection(
-            other.targets[x] if x is not None else None for x in self.targets
-        )
+        return PartialInjection._trusted(compose_targets(self.targets, other.targets))
 
     def inverse(self) -> "PartialInjection":
         t: list[Optional[int]] = [None] * self.n
         for i, x in enumerate(self.targets):
             if x is not None:
                 t[x] = i
-        return PartialInjection(t)
+        return PartialInjection._trusted(tuple(t))
 
     def as_dict(self) -> dict[int, int]:
         return {i: x for i, x in enumerate(self.targets) if x is not None}
@@ -137,6 +142,13 @@ class Grading:
         self._hats = hats
         self.support = frozenset(hats)
         self._empty = PartialInjection.empty(n)
+        # raw target tuple of every signed letter, keyed (element, star):
+        # hat(g) for g, hat(g^{-1}) for g*
+        self.letter_targets = {
+            (g, star): self.hat(group.inv(g) if star else g).targets
+            for g in group.elements()
+            for star in (False, True)
+        }
 
     def support_sorted(self) -> list[int]:
         return sorted(self.support)
@@ -173,10 +185,14 @@ class Grading:
         """Left-to-right composition: the first letter of the word acts first."""
         if not word:
             raise PreconditionError("compose_signed needs a nonempty word")
-        acc = self.hat_signed(word[0])
-        for letter in word[1:]:
-            acc = acc.then(self.hat_signed(letter))
-        return acc
+        try:
+            steps = [self.letter_targets[letter] for letter in word]
+        except KeyError:
+            raise GradingError(f"a letter of {word} is outside the group") from None
+        acc = steps[0]
+        for step in steps[1:]:
+            acc = compose_targets(acc, step)
+        return PartialInjection(acc)
 
     def signed_alphabet(self) -> list[SignedElement]:
         """All support letters g and g*, in canonical order."""

@@ -20,16 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
-from .freealg import (
-    GMonomial,
-    GPolynomial,
-    GVar,
-    evaluate,
-    evaluate_monomial,
-    subword,
-    variable,
-)
-from .genmat import row_trace
+from .freealg import evaluate_monomial  # noqa: F401  (re-exported for callers)
+from .freealg import GMonomial, GPolynomial, GVar, evaluate, subword, variable
+from .genmat import evaluation_key, word_rows
 from .gradings import Grading, SignedElement, compose_targets
 from .groups import Group
 from .rings import RATIONALS
@@ -97,21 +90,16 @@ def unit_product(units: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
 
 
 def witness_for_word(word: Sequence[SignedElement], grading: Grading) -> Optional[MonomialWitness]:
-    comp = grading.compose_signed(word)
-    if comp.is_empty:
+    """The units of the first surviving kernel row; None for identities."""
+    rows = word_rows([(0, *se) for se in word], grading)
+    if not rows:
         return None
-    start = min(comp.domain())
-    trace = row_trace(start, word, grading)
-    units = []
-    for p, se in enumerate(word):
-        a, b = trace.s[p], trace.s[p + 1]
-        units.append((b, a) if se.star else (a, b))
-    result = unit_product(
-        [(u[1], u[0]) if se.star else u for u, se in zip(units, word)]
-    )
-    if result != (start, trace.s[-1]):
+    start, end, variables = rows[0]
+    units = tuple((v.row, v.col) for v in variables)
+    result = unit_product([(b, a) if se.star else (a, b) for (a, b), se in zip(units, word)])
+    if result != (start, end):
         raise InternalCheckError(f"witness product {result} does not telescope")
-    return MonomialWitness(start, tuple(units), result)
+    return MonomialWitness(start, units, result)
 
 
 @dataclass(frozen=True)
@@ -133,11 +121,9 @@ class IdentityVerdict:
 
 
 def is_monomial_identity(mono: GMonomial, grading: Grading) -> IdentityVerdict:
-    """Monomial identity test via the composed partial injection."""
-    word = mono.signed_word()
-    if word_is_identity(word, grading):
-        return IdentityVerdict(True)
-    return IdentityVerdict(False, witness=witness_for_word(word, grading))
+    """Monomial identity test via the word kernel, with a witness otherwise."""
+    witness = witness_for_word(mono.signed_word(), grading)
+    return IdentityVerdict(witness is None, witness=witness)
 
 
 def is_identity(f: GPolynomial, grading: Grading, field=RATIONALS) -> IdentityVerdict:
@@ -152,22 +138,18 @@ def is_identity(f: GPolynomial, grading: Grading, field=RATIONALS) -> IdentityVe
 # congruence modulo the neutral ideal
 
 
-def congruent_mod_neutral(
-    m1: GMonomial, m2: GMonomial, grading: Grading, field=RATIONALS
-) -> bool:
+def congruent_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> bool:
     """Decide congruence of two non-identity monomials modulo the neutral ideal.
 
     Sharing one nonzero entry at one position already forces the full
-    generic evaluations to coincide; both formulations are computed and
-    cross-checked here.
+    generic evaluations to coincide; both formulations are computed from the
+    evaluation keys and cross-checked here.
     """
-    if is_monomial_identity(m1, grading).is_identity or is_monomial_identity(
-        m2, grading
-    ).is_identity:
+    e1 = evaluation_key(m1.letters, grading)
+    e2 = evaluation_key(m2.letters, grading)
+    if not e1 or not e2:
         raise PreconditionError("congruence is only defined for non-identity monomials")
-    e1 = evaluate_monomial(m1, grading, field)
-    e2 = evaluate_monomial(m2, grading, field)
-    shared = any(e2.entries.get(pos) == p for pos, p in e1.entries.items())
+    shared = not set(e1).isdisjoint(e2)
     if shared != (e1 == e2):
         raise InternalCheckError("shared entry without full evaluation equality")
     return shared
@@ -376,13 +358,16 @@ def subword_identity_certificate(
     """
     if max_len is None:
         max_len = 2 * grading.n - 1
-    word = mono.signed_word()
-    length = len(word)
-    for size in range(1, min(length, max_len) + 1):
-        for start in range(0, length - size + 1):
-            if grading.compose_signed(word[start : start + size]).is_empty:
-                return (start, start + size)
-    return None
+    steps = [grading.letter_targets[se] for se in mono.signed_word()]
+    empty, best = (None,) * grading.n, None
+    for start in range(len(steps)):
+        acc = tuple(range(grading.n))
+        for stop in range(start + 1, min(len(steps), start + max_len) + 1):
+            acc = compose_targets(acc, steps[stop - 1])
+            if acc == empty:  # only strictly shorter subwords can beat it
+                best, max_len = (start, stop), stop - start - 1
+                break
+    return best
 
 
 def block_certificate(
@@ -487,8 +472,9 @@ def basis_reduce(f: GPolynomial, grading: Grading, field=RATIONALS) -> BasisRedu
 
     Monomial identity terms are separated and annotated with a contiguous
     identity subword of degree at most 2n-1 when one exists; the remaining
-    terms are partitioned by generic evaluation, which classifies them up to
-    congruence modulo the neutral ideal.
+    terms are partitioned by generic evaluation (the evaluation key), which
+    classifies them up to congruence modulo the neutral ideal.  The class
+    sums only add coefficients of ``f``, so ``field`` does not enter.
     """
     terms = f.terms_sorted()
     if not terms:
@@ -502,12 +488,12 @@ def basis_reduce(f: GPolynomial, grading: Grading, field=RATIONALS) -> BasisRedu
     identity_terms = []
     buckets: dict[tuple, list] = {}
     for mono, coeff in terms:
-        if is_monomial_identity(mono, grading).is_identity:
+        key = evaluation_key(mono.letters, grading)
+        if key:
+            buckets.setdefault(key, []).append((mono, coeff))
+        else:
             cert = subword_identity_certificate(mono, grading)
             identity_terms.append(IdentityTerm(mono, coeff, cert))
-        else:
-            key = evaluate_monomial(mono, grading, field).canonical_key()
-            buckets.setdefault(key, []).append((mono, coeff))
     classes = []
     for key in sorted(buckets, key=lambda k: buckets[k][0][0].sort_key()):
         members = buckets[key]
@@ -529,7 +515,7 @@ def _word_key(word: Word):
 
 def _empty_state_reachable(grading: Grading, max_degree: int) -> bool:
     """Whether any composition of at most max_degree support letters dies."""
-    letters = [grading.hat_signed(se).targets for se in grading.signed_alphabet()]
+    letters = [grading.letter_targets[se] for se in grading.signed_alphabet()]
     if not letters:
         return False
     empty = (None,) * grading.n
@@ -578,7 +564,7 @@ def enumerate_monomial_identities(
         (SignedElement(g, False),) for g in grading.off_support()
     ]
     alphabet = [
-        (se, grading.hat_signed(se).targets) for se in grading.signed_alphabet()
+        (se, grading.letter_targets[se]) for se in grading.signed_alphabet()
     ]
     if alphabet and _empty_state_reachable(grading, max_degree):
         empty = (None,) * grading.n
@@ -648,7 +634,7 @@ def minimal_identities_up_to(
     if any minimal identity of some length exists, one is returned.
     """
     alphabet = [
-        (se, grading.hat_signed(se).targets) for se in grading.signed_alphabet()
+        (se, grading.letter_targets[se]) for se in grading.signed_alphabet()
     ]
     empty = (None,) * grading.n
     found: list[Word] = [(SignedElement(g, False),) for g in grading.off_support()]

@@ -12,7 +12,8 @@ from typing import Optional
 from .freealg import GMonomial, GPolynomial, GVar
 from .gradings import Grading, SignedElement, build_grading
 from .groups import Group, make_cyclic, make_from_table
-from .identities import _neighbors, is_monomial_identity
+from .genmat import evaluation_key
+from .identities import _neighbors, word_is_identity
 
 
 def klein_group() -> Group:
@@ -176,7 +177,7 @@ def random_multihomogeneous_poly(
         m = shuffled_monomial(rng, base)
         budget -= 1
         sign = one if rng.random() < 0.5 else -one
-        if is_monomial_identity(m, grading).is_identity:
+        if word_is_identity(m.signed_word(), grading):
             add(m, sign)
             continue
         if force_identity or rng.random() < 0.5:
@@ -194,9 +195,7 @@ def random_multihomogeneous_poly(
                 continue
             if force_identity:
                 continue
-        from .freealg import evaluate_monomial
-
-        key = evaluate_monomial(m, grading, field).canonical_key()
+        key = evaluation_key(m.letters, grading)
         if key in singleton_classes:
             continue
         if add(m, sign):

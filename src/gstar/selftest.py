@@ -287,7 +287,7 @@ def _suite_congruence(grading: Grading, rng: random.Random, field, pairs: int) -
         if partner is None:
             continue
         done += 1
-        if not congruent_mod_neutral(mono, partner, grading, field):
+        if not congruent_mod_neutral(mono, partner, grading):
             problems.append(f"engineered congruent pair rejected: {mono!r}")
             continue
         if len(mono) <= 3:

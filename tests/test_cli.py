@@ -1,5 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from gstar.cli import main
 
@@ -280,3 +283,81 @@ def test_check_flags_uncertified_identity(capsys):
     assert payload["fully_certified"] is False
     (component,) = payload["components"]
     assert component["identity_terms"][0]["subword"] is None
+
+
+def test_leading_dash_operand_returns_usage_error(capsys):
+    # argparse reads "-x1:a" as an option; main returns 2 instead of exiting
+    code, out, err = run(["check", "--config", str(CONFIGS / "z2.json"), "-x1:a"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "usage" in err
+
+
+def test_help_returns_zero(capsys):
+    code, out, _ = run(["check", "--help"], capsys)
+    assert code == 0
+    assert "expression" in out
+
+
+# sha256 of the --json stdout of check, eval and congruent over all six
+# configs: (command, config, [flags...], operands...).  Any change to these
+# reports, to their key order or to number formatting shows here.
+GOLDEN_REPORTS = [
+    (["check", "z2.json", "x1:e x2:e - x2:e x1:e"],
+     "bd3ffa6832c4cf15cd4df728c41cb59ad72cbf70ad9e78b1c420049e65c0b31f"),
+    (["check", "z2.json", "x1:a x1:a* - x1:a* x1:a + x2:e - x2:e*"],
+     "ef268771063245a3f87fa23b40b3ee64ed0fc0ad696384eeb476dfd31f9dd669"),
+    (["check", "z4_3tuple.json", "x1:a x2:e x3:e x4:e x5:a x6:a"],
+     "017c60e0ba1271b9bb3faa882c94f6086c92ec088041de2bf4b70d9aea345133"),
+    (["check", "z4_3tuple.json", "x1:a x2:a x3:a - x3:a x2:a x1:a + 2 x1:a2 x2:a2"],
+     "d427a68a0d7b3bf83437b475bfe11351fbcf1948706421b5b1b810673ad9caae"),
+    (["check", "z6_3tuple.json", "x1:a3 + x1:a x2:a x3:a + x1:e x2:a - x2:a x1:e"],
+     "4fdfbbb8bed7922ca17aacd2417d40c7b6b5e1c69041d634a12772fc580bbc7a"),
+    (["check", "z6_3tuple.json", "--coeff", "modp:5", "3 x1:a x2:a4 x3:a - 3 x3:a x2:a4 x1:a + 2 x1:a2 x2:e"],
+     "6d4a5b708b0eef8f190927253597af78b686031ce6c6e0ccfcdd4696e1c6edf5"),
+    (["check", "klein.json", "x1:a x2:b x3:a x4:b - x3:a x2:b x1:a x4:b + 1/2 x1:c"],
+     "56436b040a6bb163d016bacbf0f0cb6bd6872f445725b18bec88326c8c4839e4"),
+    (["check", "s3_mixed.json", "x1:r x2:a x3:r - x1:r x2:a x3:r* + x1:e x2:e"],
+     "a6ffc5f04cf5d0c9fad26e8808d543a65788f4e8fdd50eb7ab80f1f163bb65a0"),
+    (["check", "s3_rot.json", "x1:r x2:rr - x2:rr x1:r + x1:a - x1:e* x2:e"],
+     "8cba87469c31aeacc86876c40e7b6ce6695ed05952d2e7d605f8a8830334774a"),
+    (["check", "klein.json", "--", "-x1:e x2:e + x2:e x1:e"],
+     "80cc77351ae292d16fc366d81d484a096b0101e321b4fde83aadae7f1c9c6a3d"),
+    (["eval", "z2.json", "x1:a x1:a* - x1:a* x1:a"],
+     "a4c9b99d8cc626a1e0e919dea1653f9c07508fc05a034b75507f7423411ec676"),
+    (["eval", "z4_3tuple.json", "x1:a x2:a* x1:a + 2/3 x2:a2 x1:a2*"],
+     "c01f4c0302acfed0eb81152e084fd2536f1a1d70bcf772aafd01586b57723511"),
+    (["eval", "z6_3tuple.json", "--coeff", "modp:5", "x1:a x2:a x3:a + x1:a5 x2:a + 4 x1:e"],
+     "f8c22fb60d1cc5ccd0bd4a794b20ff97c805dc4e35b37ff54f159af4bab87d16"),
+    (["eval", "klein.json", "x1:a x2:b x3:c - x1:e x2:e x3:e*"],
+     "4ba38c5ea5be5ecea3cad225da893b497023650929a1648cd89b1df8c0b6e8ec"),
+    (["eval", "s3_mixed.json", "x1:r x2:a - x2:a x1:rr + x1:b*"],
+     "051bf2fb4b6a704639be3188a5e6a8f1d7f94b8614eefcf8af5cbe0bbb603a18"),
+    (["eval", "s3_rot.json", "x1:r x1:r x1:r + x2:rr* x1:r"],
+     "77f5eac767a8dbe3c086f740126dc63a129295ed1b143c4639050634c9384b37"),
+    (["congruent", "z2.json", "x1:e x2:a x3:e", "x3:e x2:a x1:e"],
+     "d2c218f995ded09b4f278ef94add4dcebae52440ea7af4c308cec652f39b96e9"),
+    (["congruent", "z4_3tuple.json", "x1:a x2:a3 x3:e", "x3:e x1:a x2:a3"],
+     "3020e6d06b486453a13444bb7b8a5e3d64997c62fe61149ef49c0371e7669170"),
+    (["congruent", "z6_3tuple.json", "x1:a x2:a5 x3:a", "x3:a x2:a5 x1:a"],
+     "7a5fc865088a226726333109e4ec6fd78b6bb3bf04e773c1736548ce2cc00304"),
+    (["congruent", "klein.json", "x1:a x2:a", "x2:a x1:a"],
+     "a611492c136e5263ebbb362297a19efba80dfe35672ba4ff5284e291acaf973b"),
+    (["congruent", "s3_mixed.json", "--coeff", "modp:5", "x1:a x2:e x3:e", "x1:a x3:e x2:e"],
+     "79bc189ddb0323691bf6650dd983bc73788933a1c834c94ccee23655f09bd4b3"),
+    (["congruent", "s3_rot.json", "x1:e x2:r", "x2:r x1:e*"],
+     "75453f629f44240eaa68f0420bc4182cd080e34e5205c5fd7d2a7d9c2f1125dd"),
+    (["congruent", "z6_3tuple.json", "x1:a x2:a", "x1:a3"],
+     "cddc11fa936e0c4cbddb370eedc1e8857cda41cba4971ca648c7723b3962f497"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, digest", GOLDEN_REPORTS,
+    ids=[f"{i:02d}-{case[0]}-{case[1][:-5]}" for i, (case, _) in enumerate(GOLDEN_REPORTS)],
+)
+def test_json_report_bytes_pinned(case, digest, capsys):
+    command, config, *rest = case
+    code, out, _ = run([command, "--config", str(CONFIGS / config), "--json", *rest], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,11 +8,16 @@ from gstar import (
     CMonomial,
     CPolynomial,
     EntryVar,
+    GMonomial,
+    GVar,
     SignedElement,
     SparseMatrix,
     TraceDomainError,
     VariableError,
+    basis_reduce,
     closed_form_product,
+    evaluate,
+    evaluate_monomial,
     generic_matrix,
     generic_matrix_signed,
     generic_matrix_star,
@@ -20,8 +25,9 @@ from gstar import (
     star_omega,
 )
 from gstar.errors import ShapeError
+from gstar.genmat import evaluation_key
 from gstar.rings import RATIONALS, PrimeField
-from gstar.sampling import random_grading, random_slotted_word
+from gstar.sampling import random_grading, random_multihomogeneous_poly, random_slotted_word
 
 
 def var_poly(slot, row, col, one=None):
@@ -308,3 +314,57 @@ def test_product_entries_are_homogeneous():
         product = closed_form_product(word, grading)
         for (r, c), _p in product.entries.items():
             assert grading.degree_of_unit(r, c) == deg
+
+
+# ---------------------------------------------------------------------------
+# the word kernel against the honest product
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
+def test_word_kernel_matches_matmul(seed, ring):
+    """evaluate_monomial, closed_form_product and the basis_reduce bucket key
+    agree with honest products, on words with repeated slots and letters
+    off the support, over Q and F_5."""
+    field = RATIONALS if ring == "q" else PrimeField(5)
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=5)
+    length = rng.randint(1, 8)
+    word = [
+        (rng.randint(1, max(1, length // 2)),
+         SignedElement(rng.randrange(grading.group.order), rng.random() < 0.5))
+        for _ in range(length)
+    ]
+    honest = oracle_product(word, grading, field)
+    mono = GMonomial([GVar(slot, se.element, se.star) for slot, se in word])
+    assert closed_form_product(word, grading, field) == honest
+    assert evaluate_monomial(mono, grading, field) == honest
+    key = evaluation_key(mono.letters, grading)
+    assert tuple(((s, e), ((v, field.one),)) for s, e, v in key) == honest.canonical_key()
+
+
+def test_fast_paths_never_multiply_matrices(monkeypatch):
+    """Honest multiplication is the oracle only: evaluation and reduction
+    read the word kernel and never call SparseMatrix.__matmul__."""
+    calls = []
+    matmul = SparseMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    rng = random.Random(8)
+    for _ in range(30):
+        grading = random_grading(rng, max_n=5)
+        field = PrimeField(5) if rng.random() < 0.5 else RATIONALS
+        f = random_multihomogeneous_poly(rng, grading, field)
+        if f is None:
+            continue
+        for mono in f.terms:
+            evaluate_monomial(mono, grading, field)
+        evaluate(f, grading, field)
+        basis_reduce(f, grading, field)
+    assert calls == []
+    oracle_product(random_slotted_word(rng, grading, 3), grading)
+    assert calls, "the counter does not see the oracle"
