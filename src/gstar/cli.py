@@ -9,6 +9,7 @@ canonical: identical inputs and seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -17,15 +18,13 @@ from pathlib import Path
 from .errors import GstarError, InternalCheckError, ParseError, ResourceCapError
 from .freealg import format_poly, multihomogeneous_components, parse_poly
 from .freealg import evaluate as evaluate_poly
-from .gradings import Grading, grading_from_json
+from .gradings import Grading, SignedElement, grading_from_json
 from .identities import (
     basis_reduce,
     congruent_mod_neutral,
     derivation_mod_neutral,
     enumerate_monomial_identities,
     word_is_identity,
-    word_monomial,
-    word_to_strings,
 )
 from .rings import parse_field
 from .selftest import run_selftest
@@ -198,6 +197,15 @@ def cmd_enumerate(cfg, args, out) -> int:
     max_deg = cfg.max_deg if cfg.max_deg is not None else 2 * grading.n - 1
     words = enumerate_monomial_identities(grading, max_deg, minimal_only=cfg.minimal)
     group = grading.group
+    # every letter rendered once: its name, and its token "x<p>:<name>" at each position p
+    names = {
+        SignedElement(g, star): SignedElement(g, star).render(group)
+        for g in group.elements()
+        for star in (False, True)
+    }
+    tokens = [
+        {se: f"x{p}:{name}" for se, name in names.items()} for p in range(1, max_deg + 1)
+    ]
     payload = {
         "schema": SCHEMA,
         "command": "enumerate",
@@ -205,8 +213,8 @@ def cmd_enumerate(cfg, args, out) -> int:
         "minimal_only": cfg.minimal,
         "count": len(words),
         "max_identity_degree": max((len(w) for w in words), default=0),
-        "words": [word_to_strings(w, group) for w in words],
-        "monomials": [word_monomial(w).render(group) for w in words],
+        "words": [[names[se] for se in w] for w in words],
+        "monomials": [" ".join([tokens[p][se] for p, se in enumerate(w)]) for w in words],
     }
     _emit(payload, cfg, out)
     return EXIT_OK
@@ -267,10 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:  # argparse exits after --help (0) and on usage errors
         return EXIT_INPUT if err.code else EXIT_OK
     try:

@@ -15,6 +15,7 @@ injection arithmetic.  Rows and columns are 0-based throughout.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import GradingError, PreconditionError
@@ -29,6 +30,10 @@ class SignedElement(NamedTuple):
 
     def render(self, group: Group) -> str:
         return group.name_of(self.element) + ("*" if self.star else "")
+
+    def degree(self, group: Group) -> int:
+        """The graded degree: g for the letter g, g^{-1} for g*."""
+        return group.inv(self.element) if self.star else self.element
 
 
 class PartialInjection:
@@ -117,10 +122,26 @@ def compose_targets(
     return tuple(then[x] if x is not None else None for x in first)
 
 
+class CompositionGraph(NamedTuple):
+    """The finite monoid of hat-map compositions, each map interned as an int.
+
+    ``states[s]`` is the target tuple of state s; state 0 is the identity
+    map.  ``step[s][g]`` is the state of s followed by hat(g), for every
+    group element g, so a signed letter reads the column of its degree and
+    so does a block of letters.  ``empty`` is the id of the empty map, or
+    None when no composition reaches it.
+    """
+
+    states: tuple[tuple[Optional[int], ...], ...]
+    step: tuple[tuple[int, ...], ...]
+    empty: Optional[int]
+
+
 class Grading:
     """An elementary grading, with support and hat maps precomputed.
 
-    Immutable after construction; share freely.
+    Immutable after construction; share freely.  The composition graph is
+    built on first use and cached.
     """
 
     def __init__(self, group: Group, defining_tuple: tuple[int, ...]):
@@ -145,7 +166,7 @@ class Grading:
         # raw target tuple of every signed letter, keyed (element, star):
         # hat(g) for g, hat(g^{-1}) for g*
         self.letter_targets = {
-            (g, star): self.hat(group.inv(g) if star else g).targets
+            (g, star): self.hat(SignedElement(g, star).degree(group)).targets
             for g in group.elements()
             for star in (False, True)
         }
@@ -193,6 +214,24 @@ class Grading:
         for step in steps[1:]:
             acc = compose_targets(acc, step)
         return PartialInjection(acc)
+
+    @cached_property
+    def composition_graph(self) -> CompositionGraph:
+        """Every composition of hat maps reachable from the identity, built once."""
+        hats = [self.hat(g).targets for g in self.group.elements()]
+        states = [tuple(range(self.n))]
+        ids = {states[0]: 0}
+        step = []
+        for state in states:  # grows while it is walked: breadth-first
+            row = []
+            for hat in hats:
+                target = compose_targets(state, hat)
+                if target not in ids:
+                    ids[target] = len(states)
+                    states.append(target)
+                row.append(ids[target])
+            step.append(tuple(row))
+        return CompositionGraph(tuple(states), tuple(step), ids.get((None,) * self.n))
 
     def signed_alphabet(self) -> list[SignedElement]:
         """All support letters g and g*, in canonical order."""

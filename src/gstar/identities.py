@@ -23,7 +23,7 @@ from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import evaluate_monomial  # noqa: F401  (re-exported for callers)
 from .freealg import GMonomial, GPolynomial, GVar, evaluate, subword, variable
 from .genmat import evaluation_key, word_rows
-from .gradings import Grading, SignedElement, compose_targets
+from .gradings import CompositionGraph, Grading, SignedElement, compose_targets
 from .groups import Group
 from .rings import RATIONALS
 
@@ -50,10 +50,6 @@ def word_monomial(word: Sequence[SignedElement], first_index: int = 1) -> GMonom
     return GMonomial(
         [GVar(first_index + p, se.element, se.star) for p, se in enumerate(word)]
     )
-
-
-def word_to_strings(word: Sequence[SignedElement], group: Group) -> list[str]:
-    return [se.render(group) for se in word]
 
 
 @dataclass(frozen=True)
@@ -387,23 +383,24 @@ def block_certificate(
         max_blocks = 2 * grading.n - 1
     word = mono.signed_word()
     group = grading.group
+    graph = grading.composition_graph
+    step, empty = graph.step, graph.empty
     length = len(word)
-    degrees = [group.inv(se.element) if se.star else se.element for se in word]
-    identity_targets = tuple(range(grading.n))
-    empty = (None,) * grading.n
+    degrees = [se.degree(group) for se in word]
     for start in range(length):
-        # state: (position, composition after the blocks closed so far,
-        #         blocks closed); an open block accumulates a degree
-        frontier = {(start, identity_targets, 0): (start,)}
+        # state: (position, composition state after the blocks closed so
+        #         far, blocks closed); an open block accumulates a degree
+        frontier = {(start, 0, 0): (start,)}
         while frontier:
             nxt: dict = {}
             for (pos, comp, blocks), bounds in frontier.items():
                 if pos == length or blocks == max_blocks:
                     continue
+                row = step[comp]
                 acc = group.identity
                 for end in range(pos + 1, length + 1):
                     acc = group.mul(acc, degrees[end - 1])
-                    new_comp = compose_targets(comp, grading.hat(acc).targets)
+                    new_comp = row[acc]
                     new_bounds = bounds + (end,)
                     if new_comp == empty:
                         return new_bounds
@@ -513,30 +510,66 @@ def _word_key(word: Word):
     return (len(word), tuple((se.element, se.star) for se in word))
 
 
-def _empty_state_reachable(grading: Grading, max_degree: int) -> bool:
-    """Whether any composition of at most max_degree support letters dies."""
-    letters = [grading.letter_targets[se] for se in grading.signed_alphabet()]
-    if not letters:
-        return False
-    empty = (None,) * grading.n
-    frontier = set(letters)
-    seen = set(frontier)
-    if empty in frontier:
-        return True
-    for _ in range(max_degree - 1):
-        nxt = set()
-        for state in frontier:
-            for step in letters:
-                new = compose_targets(state, step)
-                if new == empty:
-                    return True
-                if new not in seen:
-                    seen.add(new)
-                    nxt.add(new)
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
+def _profile_moves(profile: tuple, alphabet: list, graph: CompositionGraph) -> list:
+    """The letters that keep a word free of proper identity factors.
+
+    A profile is (full state, frozenset of the states of the proper
+    suffixes) of an identity-free word; the empty word has suffixes None.
+    Returns (letter, profile of the extended word) for every letter that
+    leaves each proper suffix alive, in alphabet order; a new full state
+    that is empty marks a minimal identity, which extends no further.
+    """
+    full, suffixes = profile
+    step, empty = graph.step, graph.empty
+    if full == empty:
+        return []
+    row, letter_states = step[full], step[0]
+    moves = []
+    for se, col in alphabet:
+        if suffixes is None:
+            new_suffixes = frozenset()
+        else:
+            new_suffixes = frozenset([letter_states[col]] + [step[s][col] for s in suffixes])
+            if empty in new_suffixes:
+                continue
+        moves.append((se, (row[col], new_suffixes)))
+    return moves
+
+
+def _words_by_length(
+    start, moves, accepting, max_degree: int, node_budget: int
+) -> list[list[Word]]:
+    """For k = 1..max_degree, the words of length k that lead from ``start``
+    to an accepting node, in alphabet order.
+
+    The words of length k that lead on from a node are listed once per
+    (node, k) and shared by every prefix reaching that node, so the work is
+    proportional to the lists kept.  Each list costs one node for its entry
+    plus one per word, charged against ``node_budget`` before it is built.
+    """
+    successors: dict = {}
+    memo: dict = {}
+    used = 0
+
+    def tails(node, k: int) -> list:
+        nonlocal used
+        words = memo.get((node, k))
+        if words is None:
+            if k == 0:
+                words = [()] if accepting(node) else []
+            else:
+                out = successors.get(node)
+                if out is None:
+                    out = successors[node] = moves(node)
+                parts = [(se, tails(nxt, k - 1)) for se, nxt in out]
+                used += 1 + sum(len(part) for _, part in parts)
+                if used > node_budget:
+                    raise ResourceCapError(f"enumeration exceeded the node budget {node_budget}")
+                words = [(se,) + tail for se, part in parts for tail in part]
+            memo[node, k] = words
+        return words
+
+    return [tails(start, k) for k in range(1, max_degree + 1)]
 
 
 def enumerate_monomial_identities(
@@ -549,10 +582,18 @@ def enumerate_monomial_identities(
     """All index-free monomial identities up to the given degree.
 
     Words run over the signed support alphabet, plus the plain off-support
-    variables as degree-one identities.  With ``minimal_only`` a word is
-    kept only if no proper contiguous subword is itself an identity; the
-    search prunes every branch that already contains one, since no
-    extension can be minimal.
+    variables as degree-one identities, and come out by length, then in
+    alphabet order (``_word_key`` order).  With ``minimal_only`` a word is
+    kept only if no proper contiguous subword is itself an identity.
+
+    The listing walks the grading's composition graph: a word is an
+    identity exactly when it leads from the identity state to the empty
+    one.  Which continuations of a prefix are listed depends only on the
+    prefix's composition state, or for minimal words on its profile (see
+    ``_profile_moves``), so they are built once per state and length and
+    shared; the time is proportional to the output, not to the search
+    tree.  ``node_budget`` caps the memo: one node per state and length,
+    plus one per suffix kept, charged before each list is built.
     """
     if max_degree < 1:
         raise PreconditionError("max_degree must be at least 1")
@@ -560,66 +601,31 @@ def enumerate_monomial_identities(
         raise ResourceCapError(
             f"max_degree {max_degree} exceeds the configured cap {degree_cap}"
         )
-    found: list[Word] = [
-        (SignedElement(g, False),) for g in grading.off_support()
-    ]
-    alphabet = [
-        (se, grading.letter_targets[se]) for se in grading.signed_alphabet()
-    ]
-    if alphabet and _empty_state_reachable(grading, max_degree):
-        empty = (None,) * grading.n
-        nodes = 0
-
-        def bump() -> None:
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceCapError(f"enumeration exceeded the node budget {node_budget}")
-
-        if minimal_only:
-
-            def rec_min(word: Word, full, suffixes) -> None:
-                if len(word) == max_degree:
-                    return
-                for se, step in alphabet:
-                    bump()
-                    new_suffixes = [compose_targets(s, step) for s in suffixes]
-                    new_suffixes.append(step)
-                    if any(s == empty for s in new_suffixes):
-                        continue
-                    new_full = compose_targets(full, step)
-                    new_word = word + (se,)
-                    if new_full == empty:
-                        found.append(new_word)
-                    else:
-                        rec_min(new_word, new_full, new_suffixes)
-
-            for se, step in alphabet:
-                bump()
-                if step == empty:
-                    found.append((se,))
-                else:
-                    rec_min((se,), step, [])
-        else:
-
-            def rec_all(word: Word, full) -> None:
-                if len(word) == max_degree:
-                    return
-                for se, step in alphabet:
-                    bump()
-                    new_full = compose_targets(full, step)
-                    new_word = word + (se,)
-                    if new_full == empty:
-                        found.append(new_word)
-                    rec_all(new_word, new_full)
-
-            for se, step in alphabet:
-                bump()
-                if step == empty:
-                    found.append((se,))
-                rec_all((se,), step)
-
-    return sorted(found, key=_word_key)
+    graph = grading.composition_graph
+    step, empty = graph.step, graph.empty
+    alphabet = [(se, se.degree(grading.group)) for se in grading.signed_alphabet()]
+    if minimal_only:
+        by_length = _words_by_length(
+            (0, None),
+            lambda profile: _profile_moves(profile, alphabet, graph),
+            lambda profile: profile[0] == empty,
+            max_degree,
+            node_budget,
+        )
+    else:
+        by_length = _words_by_length(
+            0,
+            lambda state: [(se, step[state][col]) for se, col in alphabet],
+            lambda state: state == empty,
+            max_degree,
+            node_budget,
+        )
+    # the off-support letters join the length-1 words in _word_key order
+    off_support = [(SignedElement(g, False),) for g in grading.off_support()]
+    words = sorted(off_support + by_length[0], key=_word_key)
+    for block in by_length[1:]:
+        words += block
+    return words
 
 
 def minimal_identities_up_to(
@@ -627,40 +633,31 @@ def minimal_identities_up_to(
 ) -> list[Word]:
     """One representative minimal identity word per reachable length and shape.
 
-    Works on the quotient of identity-free words by their composition
-    profile (full composition plus the set of proper suffix compositions),
-    which collapses the search space enough to probe degrees the word-level
-    enumeration cannot reach.  Sound and complete at the level of lengths:
-    if any minimal identity of some length exists, one is returned.
+    Breadth-first over the composition graph, one length per round, on the
+    quotient of identity-free words by their profile (see
+    ``_profile_moves``): the first word to reach a profile stands for every
+    word with that profile, and a move to the empty state is a minimal
+    identity.  This collapses the search space enough to probe degrees
+    that the full listing cannot reach.  Sound and complete at the level of
+    lengths: if any minimal identity of some length exists, one is
+    returned.  ``state_budget`` caps the profiles kept over all rounds.
     """
-    alphabet = [
-        (se, grading.letter_targets[se]) for se in grading.signed_alphabet()
-    ]
-    empty = (None,) * grading.n
+    graph = grading.composition_graph
+    alphabet = [(se, se.degree(grading.group)) for se in grading.signed_alphabet()]
     found: list[Word] = [(SignedElement(g, False),) for g in grading.off_support()]
-    frontier: dict[tuple, Word] = {}
-    for se, step in alphabet:
-        if step == empty:
-            found.append((se,))
-        else:
-            frontier.setdefault((step, frozenset()), (se,))
-    states = len(frontier)
-    for _ in range(1, max_degree):
+    frontier: dict[tuple, Word] = {(0, None): ()}
+    moves: dict[tuple, list] = {}  # a profile recurs at many lengths
+    states = 0
+    for _ in range(max_degree):
         nxt: dict[tuple, Word] = {}
-        for (full, suffixes), word in frontier.items():
-            for se, step in alphabet:
-                new_suffixes = frozenset(
-                    compose_targets(s, step) for s in suffixes
-                ) | {step}
-                if empty in new_suffixes:
-                    continue
-                new_full = compose_targets(full, step)
-                if new_full == empty:
+        for profile, word in frontier.items():
+            if profile not in moves:
+                moves[profile] = _profile_moves(profile, alphabet, graph)
+            for se, new in moves[profile]:
+                if new[0] == graph.empty:
                     found.append(word + (se,))
-                    continue
-                key = (new_full, new_suffixes)
-                if key not in nxt:
-                    nxt[key] = word + (se,)
+                elif new not in nxt:
+                    nxt[new] = word + (se,)
         states += len(nxt)
         if states > state_budget:
             raise ResourceCapError(f"profile search exceeded the state budget {state_budget}")

@@ -361,3 +361,43 @@ def test_json_report_bytes_pinned(case, digest, capsys):
     code, out, _ = run([command, "--config", str(CONFIGS / config), "--json", *rest], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BENCH_CONFIGS = CONFIGS.parent / "bench" / "configs"
+
+# sha256 of the enumerate stdout: (config path, flags...).  Full and minimal
+# listings, off-support letters, a grading without identities at the
+# default degree, n = 4, 5 gradings and one text-mode report.
+GOLDEN_ENUMERATIONS = [
+    ([CONFIGS / "z4_3tuple.json", "--max-deg", "5", "--json"],
+     "bdcb2810cbd7aa54db4eb63a3cae8f06e6cf229b92b2b138830e6c985f668f59"),
+    ([CONFIGS / "klein.json", "--max-deg", "5", "--minimal", "--json"],
+     "c268735ca9f7b7c4bdb99f1fb7aeffe65fa6c2db12e052bf505a3fa45bcbf3a2"),
+    ([CONFIGS / "z6_3tuple.json", "--max-deg", "4", "--json"],
+     "316e10bc3385f84819bbdd8a62ea9d031eee43ecabe775b89e188f1736db68c5"),
+    ([CONFIGS / "z6_3tuple.json", "--max-deg", "4", "--minimal", "--json"],
+     "f26a4cbd6db4e5602c2432816e14423d1ec84ad3d8827ac7f56270f3260759b7"),
+    ([CONFIGS / "s3_rot.json", "--max-deg", "5", "--json"],
+     "87f24ae18403e3fa16fde5b31440959608a5ac134c2c2cbfe05f8fa43ae34767"),
+    ([CONFIGS / "z2.json", "--json"],
+     "f5853c692b83b920f43f6de346a5df85d4ef030524ff4351147079d1de684681"),
+    ([BENCH_CONFIGS / "s3_4tuple.json", "--max-deg", "4", "--minimal", "--json"],
+     "fd10b1095337b3bccf01685c896f8e121d9062da00f0b48091a3f44b15aef237"),
+    ([BENCH_CONFIGS / "z8_4tuple.json", "--max-deg", "3", "--json"],
+     "e84833b618f54449b0f3b63b29fe5f58490068ac7760f6471c452884b1906aac"),
+    ([BENCH_CONFIGS / "z10_5tuple.json", "--max-deg", "3", "--minimal", "--json"],
+     "8e54658980e6581130270fab6ae250c9d18dfcd434d8078bd56da5c90846440f"),
+    ([CONFIGS / "s3_mixed.json", "--max-deg", "4", "--minimal"],
+     "284d6ec9b16824fac2eeb75023fb22474b9416f7b4d71bce568ec2d91db1dc70"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, digest", GOLDEN_ENUMERATIONS,
+    ids=[f"{i:02d}-{case[0].stem}" for i, (case, _) in enumerate(GOLDEN_ENUMERATIONS)],
+)
+def test_enumerate_bytes_pinned(case, digest, capsys):
+    config, *flags = case
+    code, out, _ = run(["enumerate", "--config", str(config), *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

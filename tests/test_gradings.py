@@ -177,3 +177,25 @@ def test_composition_splits_at_any_cut(seed, length):
         left = grading.compose_signed(word[:cut])
         right = grading.compose_signed(word[cut:])
         assert left.then(right) == full
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
+def test_composition_graph_walk_matches_compose_signed(seed, length):
+    # walking the interned graph along the letters' degree columns lands on
+    # the state whose target tuple is the composed hat map
+    rng = random.Random(seed)
+    grading = random_grading(rng)
+    group = grading.group
+    graph = grading.composition_graph
+    assert graph.states[0] == tuple(range(grading.n))
+    assert len(set(graph.states)) == len(graph.states)
+    empty = (None,) * grading.n
+    assert graph.empty == (graph.states.index(empty) if empty in graph.states else None)
+    word = [
+        SignedElement(rng.randrange(group.order), rng.random() < 0.5) for _ in range(length)
+    ]
+    state = 0
+    for se in word:
+        state = graph.step[state][se.degree(group)]
+    assert graph.states[state] == grading.compose_signed(word).targets

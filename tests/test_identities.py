@@ -1,6 +1,12 @@
+import hashlib
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstar import (
     PreconditionError,
@@ -11,6 +17,7 @@ from gstar import (
     derivation_mod_neutral,
     enumerate_monomial_identities,
     evaluate,
+    grading_from_json,
     evaluate_monomial,
     is_identity,
     is_monomial_identity,
@@ -26,12 +33,16 @@ from gstar import (
     word_monomial,
 )
 from gstar.freealg import GPolynomial
+from gstar.identities import _word_key, block_certificate
 from gstar.rings import RATIONALS
 from gstar.sampling import (
     congruent_partner,
+    random_grading,
     random_monomial,
     random_multihomogeneous_poly,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def letters(group, text):
@@ -397,3 +408,91 @@ def test_components_then_reduce_matches_direct(gr_klein, klein):
         is_identity(c, gr_klein).is_identity for c in comps
     ]
     assert evaluate(f, gr_klein).is_zero == all(verdicts)
+
+
+def test_enumeration_node_budget_caps_both_listings(gr_z6):
+    for minimal in (False, True):
+        assert enumerate_monomial_identities(gr_z6, 4, minimal_only=minimal)
+        with pytest.raises(ResourceCapError):
+            enumerate_monomial_identities(gr_z6, 4, minimal_only=minimal, node_budget=20)
+
+
+def test_profile_search_state_budget(gr_z6):
+    assert minimal_identities_up_to(gr_z6, 6)
+    with pytest.raises(ResourceCapError):
+        minimal_identities_up_to(gr_z6, 6, state_budget=10)
+
+
+def _reference_identities(grading, max_degree, minimal):
+    """Every identity word by brute force over the signed support alphabet,
+    decided by composing hat maps, plus the off-support letters."""
+    words = [(SignedElement(g, False),) for g in grading.off_support()]
+    for length in range(1, max_degree + 1):
+        for word in itertools.product(grading.signed_alphabet(), repeat=length):
+            if not word_is_identity(word, grading):
+                continue
+            if minimal and any(
+                word_is_identity(word[i:j], grading)
+                for i in range(length)
+                for j in range(i + 1, length + 1)
+                if j - i < length
+            ):
+                continue
+            words.append(word)
+    return sorted(words, key=_word_key)
+
+
+def _block_degree(block, group):
+    degree = group.identity
+    for se in block:
+        degree = group.mul(degree, group.inv(se.element) if se.star else se.element)
+    return degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=4))
+def test_listings_match_brute_force(seed, max_degree):
+    """Both listings equal a brute-force filter of all words, in order; the
+    profile search finds minimal words of the same lengths, each with a
+    short block certificate whose condensed word is an identity."""
+    grading = random_grading(random.Random(seed), max_n=5)
+    if grading.n == 5:
+        max_degree = min(max_degree, 3)
+    for minimal in (False, True):
+        expected = _reference_identities(grading, max_degree, minimal)
+        assert enumerate_monomial_identities(grading, max_degree, minimal_only=minimal) == expected
+    minimal_words = set(expected)
+    probe = minimal_identities_up_to(grading, max_degree)
+    assert set(probe) <= minimal_words
+    assert {len(w) for w in probe} == {len(w) for w in minimal_words}
+    group = grading.group
+    for word in probe:
+        bounds = block_certificate(word_monomial(word), grading)
+        assert bounds is not None and len(bounds) - 1 <= 2 * grading.n - 1
+        condensed = [
+            SignedElement(_block_degree(word[lo:hi], group), False)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert grading.compose_signed(condensed).is_empty
+
+
+# sha256 of the profile-search words up to 2(2n-1) and the block certificate
+# of each word longer than 2n-1, as JSON rows [[letter names], bounds|null]
+GOLDEN_PROBES = {
+    "z4_3tuple": "657f943f8b38fca916c99e052a917c6485db7c9d6d8075f12885b803dc2573f6",
+    "klein": "a233cea66a1770532faa36d87180af68a7c0cc280d897962f455346cf4fea744",
+    "z6_3tuple": "0e2f3d9881edacd86f6deb1d913b4a68c4778283bec701960efbd2bb9529ecf1",
+    "s3_mixed": "fc2fc95a9ae7bc82bde56709337938c7f864e1dbcfe2299fcf514af39c0fdc1f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROBES))
+def test_degree_bound_probe_pinned(name):
+    with open(CONFIGS / f"{name}.json", encoding="utf-8") as fh:
+        grading = grading_from_json(json.load(fh))
+    bound = 2 * grading.n - 1
+    rows = []
+    for word in minimal_identities_up_to(grading, 2 * bound):
+        cert = block_certificate(word_monomial(word), grading) if len(word) > bound else None
+        rows.append([[se.render(grading.group) for se in word], list(cert) if cert else None])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_PROBES[name]
