@@ -122,26 +122,58 @@ def compose_targets(
     return tuple(then[x] if x is not None else None for x in first)
 
 
-class CompositionGraph(NamedTuple):
-    """The finite monoid of hat-map compositions, each map interned as an int.
+class CompositionGraph:
+    """The monoid of hat-map compositions, each map interned as an int.
 
     ``states[s]`` is the target tuple of state s; state 0 is the identity
-    map.  ``step[s][g]`` is the state of s followed by hat(g), for every
-    group element g, so a signed letter reads the column of its degree and
-    so does a block of letters.  ``empty`` is the id of the empty map, or
-    None when no composition reaches it.
+    map and state ``empty`` (1) the empty map, interned whether or not a
+    composition reaches it.  ``step[s][g]`` is the state of s followed by
+    hat(g), for every group element g, so a signed letter reads the column
+    of its degree and so does a block of letters.  The monoid can be far
+    larger than any search needs, so it is explored lazily: a row of
+    ``step`` is composed the first time it is read, and only the states a
+    search steps from are ever expanded.  Searches charge the growth of
+    ``states`` against their budgets.
     """
 
-    states: tuple[tuple[Optional[int], ...], ...]
-    step: tuple[tuple[int, ...], ...]
-    empty: Optional[int]
+    def __init__(self, hats: Sequence[tuple[Optional[int], ...]], n: int):
+        self._hats = hats
+        self.states: list[tuple[Optional[int], ...]] = []
+        self._ids: dict[tuple[Optional[int], ...], int] = {}
+        self.step = _LazyRows(self._compose_row)
+        self._intern(tuple(range(n)))
+        self.empty = self._intern((None,) * n)
+
+    def _intern(self, target: tuple[Optional[int], ...]) -> int:
+        sid = self._ids.get(target)
+        if sid is None:
+            sid = self._ids[target] = len(self.states)
+            self.states.append(target)
+        return sid
+
+    def _compose_row(self, s: int) -> tuple[int, ...]:
+        state = self.states[s]
+        return tuple(self._intern(compose_targets(state, hat)) for hat in self._hats)
+
+
+class _LazyRows(dict):
+    """State id -> its row of successors, composed on the first lookup."""
+
+    def __init__(self, compose_row):
+        super().__init__()
+        self._compose_row = compose_row
+
+    def __missing__(self, s: int) -> tuple[int, ...]:
+        row = self[s] = self._compose_row(s)
+        return row
 
 
 class Grading:
     """An elementary grading, with support and hat maps precomputed.
 
-    Immutable after construction; share freely.  The composition graph is
-    built on first use and cached.
+    Immutable after construction, except that the composition graph,
+    created on first use and cached, grows as searches explore it; share
+    a grading across threads only behind a lock.
     """
 
     def __init__(self, group: Group, defining_tuple: tuple[int, ...]):
@@ -217,21 +249,8 @@ class Grading:
 
     @cached_property
     def composition_graph(self) -> CompositionGraph:
-        """Every composition of hat maps reachable from the identity, built once."""
-        hats = [self.hat(g).targets for g in self.group.elements()]
-        states = [tuple(range(self.n))]
-        ids = {states[0]: 0}
-        step = []
-        for state in states:  # grows while it is walked: breadth-first
-            row = []
-            for hat in hats:
-                target = compose_targets(state, hat)
-                if target not in ids:
-                    ids[target] = len(states)
-                    states.append(target)
-                row.append(ids[target])
-            step.append(tuple(row))
-        return CompositionGraph(tuple(states), tuple(step), ids.get((None,) * self.n))
+        """The composition monoid of the hat maps, explored as it is read."""
+        return CompositionGraph([self.hat(g).targets for g in self.group.elements()], self.n)
 
     def signed_alphabet(self) -> list[SignedElement]:
         """All support letters g and g*, in canonical order."""

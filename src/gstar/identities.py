@@ -537,22 +537,31 @@ def _profile_moves(profile: tuple, alphabet: list, graph: CompositionGraph) -> l
 
 
 def _words_by_length(
-    start, moves, accepting, max_degree: int, node_budget: int
+    graph: CompositionGraph, start, moves, accepting, max_degree: int, node_budget: int
 ) -> list[list[Word]]:
     """For k = 1..max_degree, the words of length k that lead from ``start``
     to an accepting node, in alphabet order.
 
     The words of length k that lead on from a node are listed once per
     (node, k) and shared by every prefix reaching that node, so the work is
-    proportional to the lists kept.  Each list costs one node for its entry
-    plus one per word, charged against ``node_budget`` before it is built.
+    proportional to the lists kept.  Against ``node_budget`` the search
+    charges one node per move kept (as soon as a node's moves are taken),
+    one per composition state it adds to ``graph`` (at the same moment and
+    at every later charge), and one per list entry plus one per word (before
+    the list is built).
     """
     successors: dict = {}
     memo: dict = {}
     used = 0
+    graph_base = len(graph.states)
+
+    def charge(nodes: int) -> None:
+        nonlocal used
+        used += nodes
+        if used + len(graph.states) - graph_base > node_budget:
+            raise ResourceCapError(f"enumeration exceeded the node budget {node_budget}")
 
     def tails(node, k: int) -> list:
-        nonlocal used
         words = memo.get((node, k))
         if words is None:
             if k == 0:
@@ -561,10 +570,9 @@ def _words_by_length(
                 out = successors.get(node)
                 if out is None:
                     out = successors[node] = moves(node)
+                    charge(len(out))
                 parts = [(se, tails(nxt, k - 1)) for se, nxt in out]
-                used += 1 + sum(len(part) for _, part in parts)
-                if used > node_budget:
-                    raise ResourceCapError(f"enumeration exceeded the node budget {node_budget}")
+                charge(1 + sum(len(part) for _, part in parts))
                 words = [(se,) + tail for se, part in parts for tail in part]
             memo[node, k] = words
         return words
@@ -592,8 +600,10 @@ def enumerate_monomial_identities(
     prefix's composition state, or for minimal words on its profile (see
     ``_profile_moves``), so they are built once per state and length and
     shared; the time is proportional to the output, not to the search
-    tree.  ``node_budget`` caps the memo: one node per state and length,
-    plus one per suffix kept, charged before each list is built.
+    tree.  The graph is explored only as far as the listing steps, and
+    ``node_budget`` caps the memory: one node per move kept, per state and
+    length, per suffix kept and per composition state the listing adds to
+    the graph, charged before each list is built.
     """
     if max_degree < 1:
         raise PreconditionError("max_degree must be at least 1")
@@ -606,6 +616,7 @@ def enumerate_monomial_identities(
     alphabet = [(se, se.degree(grading.group)) for se in grading.signed_alphabet()]
     if minimal_only:
         by_length = _words_by_length(
+            graph,
             (0, None),
             lambda profile: _profile_moves(profile, alphabet, graph),
             lambda profile: profile[0] == empty,
@@ -614,6 +625,7 @@ def enumerate_monomial_identities(
         )
     else:
         by_length = _words_by_length(
+            graph,
             0,
             lambda state: [(se, step[state][col]) for se, col in alphabet],
             lambda state: state == empty,
@@ -640,27 +652,33 @@ def minimal_identities_up_to(
     identity.  This collapses the search space enough to probe degrees
     that the full listing cannot reach.  Sound and complete at the level of
     lengths: if any minimal identity of some length exists, one is
-    returned.  ``state_budget`` caps the profiles kept over all rounds.
+    returned.  ``state_budget`` caps the profiles kept over all rounds
+    plus the composition states the search adds to the graph.
     """
     graph = grading.composition_graph
     alphabet = [(se, se.degree(grading.group)) for se in grading.signed_alphabet()]
     found: list[Word] = [(SignedElement(g, False),) for g in grading.off_support()]
     frontier: dict[tuple, Word] = {(0, None): ()}
     moves: dict[tuple, list] = {}  # a profile recurs at many lengths
-    states = 0
+    kept, graph_base = 0, len(graph.states)
+
+    def check_budget() -> None:
+        if kept + len(graph.states) - graph_base > state_budget:
+            raise ResourceCapError(f"profile search exceeded the state budget {state_budget}")
+
     for _ in range(max_degree):
         nxt: dict[tuple, Word] = {}
         for profile, word in frontier.items():
             if profile not in moves:
                 moves[profile] = _profile_moves(profile, alphabet, graph)
+                check_budget()
             for se, new in moves[profile]:
                 if new[0] == graph.empty:
                     found.append(word + (se,))
                 elif new not in nxt:
                     nxt[new] = word + (se,)
-        states += len(nxt)
-        if states > state_budget:
-            raise ResourceCapError(f"profile search exceeded the state budget {state_budget}")
+        kept += len(nxt)
+        check_budget()
         if not nxt:
             break
         frontier = nxt

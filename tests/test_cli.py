@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -401,3 +402,21 @@ def test_enumerate_bytes_pinned(case, digest, capsys):
     code, out, _ = run(["enumerate", "--config", str(config), *flags], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_large_grading_bytes_pinned(tmp_path, capsys):
+    # Z64 with 32 entries has about 10^5 reachable compositions of hat
+    # maps; a degree-3 listing (31,104 words) reads only the few thousand
+    # it steps through.  Digest captured before the graph was interned.
+    rng = random.Random(7)
+    names = ["e", "a"] + [f"a{k}" for k in range(2, 64)]
+    config = tmp_path / "z64_32.json"
+    config.write_text(json.dumps({
+        "group": {"cyclic": 64},
+        "tuple": [names[i] for i in sorted(rng.sample(range(64), 32))],
+    }))
+    code, out, _ = run(["enumerate", "--config", str(config), "--max-deg", "3", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0c521aab7a7335d5b133f495f4b30a98ac0fdc438a46de05aed3771040e1f7c2"
+    )

@@ -9,6 +9,7 @@ from gstar import (
     SignedElement,
     build_grading,
     grading_from_json,
+    make_cyclic,
 )
 from gstar.sampling import random_grading
 
@@ -188,10 +189,9 @@ def test_composition_graph_walk_matches_compose_signed(seed, length):
     grading = random_grading(rng)
     group = grading.group
     graph = grading.composition_graph
-    assert graph.states[0] == tuple(range(grading.n))
-    assert len(set(graph.states)) == len(graph.states)
     empty = (None,) * grading.n
-    assert graph.empty == (graph.states.index(empty) if empty in graph.states else None)
+    assert graph.states == [tuple(range(grading.n)), empty]
+    assert graph.states[graph.empty] == empty
     word = [
         SignedElement(rng.randrange(group.order), rng.random() < 0.5) for _ in range(length)
     ]
@@ -199,3 +199,17 @@ def test_composition_graph_walk_matches_compose_signed(seed, length):
     for se in word:
         state = graph.step[state][se.degree(group)]
     assert graph.states[state] == grading.compose_signed(word).targets
+    assert len(set(graph.states)) == len(graph.states)
+    assert graph.step[graph.empty] == (graph.empty,) * group.order
+
+
+def test_composition_graph_expands_only_what_is_read():
+    # Z64 with 32 entries reaches about 10^5 compositions; stepping from
+    # the identity composes one row and interns at most one state per column
+    rng = random.Random(7)
+    grading = build_grading(make_cyclic(64), tuple(sorted(rng.sample(range(64), 32))))
+    graph = grading.composition_graph
+    row = graph.step[0]
+    assert len(graph.step) == 1
+    assert len(graph.states) == len(set(row) | {0, graph.empty}) <= 2 + 64
+    assert [graph.states[s] for s in row] == [grading.hat(g).targets for g in range(64)]

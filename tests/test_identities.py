@@ -17,10 +17,12 @@ from gstar import (
     derivation_mod_neutral,
     enumerate_monomial_identities,
     evaluate,
+    build_grading,
     grading_from_json,
     evaluate_monomial,
     is_identity,
     is_monomial_identity,
+    make_cyclic,
     minimal_identities_up_to,
     multihomogeneous_components,
     neutral_commutator,
@@ -33,7 +35,7 @@ from gstar import (
     word_monomial,
 )
 from gstar.freealg import GPolynomial
-from gstar.identities import _word_key, block_certificate
+from gstar.identities import _profile_moves, _word_key, block_certificate
 from gstar.rings import RATIONALS
 from gstar.sampling import (
     congruent_partner,
@@ -421,6 +423,75 @@ def test_profile_search_state_budget(gr_z6):
     assert minimal_identities_up_to(gr_z6, 6)
     with pytest.raises(ResourceCapError):
         minimal_identities_up_to(gr_z6, 6, state_budget=10)
+
+
+def _z64_grading():
+    """Z64 with 32 entries: about 10^5 reachable compositions of hat maps."""
+    rng = random.Random(7)
+    return build_grading(make_cyclic(64), tuple(sorted(rng.sample(range(64), 32))))
+
+
+def test_large_grading_low_degree_within_budget():
+    # a low-degree search expands only the compositions it steps through
+    # (here at most 2 + 64 + 64 * 64 states), so a small budget answers it
+    for minimal in (False, True):
+        grading = _z64_grading()
+        words = enumerate_monomial_identities(grading, 2, minimal_only=minimal, node_budget=20_000)
+        assert words == _reference_identities(grading, 2, minimal)
+        assert len(grading.composition_graph.states) <= 2 + 64 + 64 * 64
+    grading = _z64_grading()
+    assert minimal_identities_up_to(grading, 2, state_budget=20_000) == words
+    assert len(grading.composition_graph.states) <= 2 + 64 + 64 * 64
+
+
+def test_large_grading_charges_graph_states():
+    # every composition state a search interns is charged: a capped search
+    # stops within one expansion of the budget (an expansion of a word of
+    # length k reads at most k + 1 rows of 64 states; k < 8 here), whatever
+    # the size of the whole graph
+    budget, slack = 20_000, 8 * 64
+    for minimal in (False, True):
+        grading = _z64_grading()
+        with pytest.raises(ResourceCapError):
+            enumerate_monomial_identities(grading, 6, minimal_only=minimal, node_budget=budget)
+        assert len(grading.composition_graph.states) <= budget + slack
+    grading = _z64_grading()
+    with pytest.raises(ResourceCapError):
+        minimal_identities_up_to(grading, 2 * (2 * 32 - 1), state_budget=budget)
+    assert len(grading.composition_graph.states) <= budget + slack
+
+
+def _moves_kept(grading, max_degree, minimal):
+    """Moves the listing holds: the alphabet's moves from every node (state,
+    or profile for minimal words) that it reaches in fewer than max_degree
+    letters."""
+    graph = grading.composition_graph
+    alphabet = [(se, se.degree(grading.group)) for se in grading.signed_alphabet()]
+    if minimal:
+        moves = lambda node: [new for _, new in _profile_moves(node, alphabet, graph)]
+        level = {(0, None)}
+    else:
+        moves = lambda node: [graph.step[node][col] for _, col in alphabet]
+        level = {0}
+    seen = set(level)
+    for _ in range(max_degree - 1):
+        level = {new for node in level for new in moves(node)} - seen
+        seen |= level
+    return sum(len(moves(node)) for node in seen)
+
+
+def test_listing_budget_counts_moves_and_graph_states():
+    # the budget covers at least every move kept and every composition
+    # state added to the graph: a budget one short of their sum refuses
+    for minimal in (False, True):
+        grading = _z64_grading()
+        enumerate_monomial_identities(grading, 2, minimal_only=minimal)
+        added = len(grading.composition_graph.states) - 2
+        kept = _moves_kept(_z64_grading(), 2, minimal)
+        with pytest.raises(ResourceCapError):
+            enumerate_monomial_identities(
+                _z64_grading(), 2, minimal_only=minimal, node_budget=kept + added - 1
+            )
 
 
 def _reference_identities(grading, max_degree, minimal):
