@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import GstarError, InternalCheckError, ParseError, ResourceCapError
@@ -37,25 +36,8 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    """Common run options shared by every subcommand."""
-
-    config: Path
-    field: object
-    max_deg: int | None
-    minimal: bool
-    json_out: bool
-    seed: int
-
-    def load_grading(self) -> Grading:
-        with open(self.config, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return grading_from_json(obj)
-
-
-def _emit(payload: dict, cfg: RunConfig, out) -> None:
-    if cfg.json_out:
+def _emit(payload: dict, args, out) -> None:
+    if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
     else:
         _print_text(payload, out)
@@ -80,8 +62,7 @@ def _print_text(payload: dict, out, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}", file=out)
 
 
-def cmd_info(cfg, args, out) -> int:
-    grading = cfg.load_grading()
+def cmd_info(args, grading, field, out) -> int:
     group = grading.group
     support = grading.support_sorted()
     payload = {
@@ -102,13 +83,11 @@ def cmd_info(cfg, args, out) -> int:
             for g in support
         ],
     }
-    _emit(payload, cfg, out)
+    _emit(payload, args, out)
     return EXIT_OK
 
 
-def cmd_check(cfg, args, out) -> int:
-    grading = cfg.load_grading()
-    field = cfg.field
+def cmd_check(args, grading, field, out) -> int:
     poly = parse_poly(args.expression, grading.group, field)
     components = multihomogeneous_components(poly)
     comp_reports = []
@@ -131,13 +110,11 @@ def cmd_check(cfg, args, out) -> int:
         "fully_certified": overall and certified,
         "components": comp_reports,
     }
-    _emit(payload, cfg, out)
+    _emit(payload, args, out)
     return EXIT_OK
 
 
-def cmd_eval(cfg, args, out) -> int:
-    grading = cfg.load_grading()
-    field = cfg.field
+def cmd_eval(args, grading, field, out) -> int:
     poly = parse_poly(args.expression, grading.group, field)
     matrix = evaluate_poly(poly, grading, field)
     payload = {
@@ -151,7 +128,7 @@ def cmd_eval(cfg, args, out) -> int:
             {"row": r, "col": c, "value": p.render()} for (r, c), p in matrix.nonzero_items()
         ],
     }
-    _emit(payload, cfg, out)
+    _emit(payload, args, out)
     return EXIT_OK
 
 
@@ -163,9 +140,7 @@ def _single_monomial(text: str, grading: Grading, field):
     return terms[0][0]
 
 
-def cmd_congruent(cfg, args, out) -> int:
-    grading = cfg.load_grading()
-    field = cfg.field
+def cmd_congruent(args, grading, field, out) -> int:
     m1 = _single_monomial(args.first, grading, field)
     m2 = _single_monomial(args.second, grading, field)
     payload: dict = {
@@ -177,7 +152,7 @@ def cmd_congruent(cfg, args, out) -> int:
     if any(word_is_identity(m.signed_word(), grading) for m in (m1, m2)):
         payload["congruent"] = None
         payload["note"] = "congruence is only defined for non-identity monomials"
-        _emit(payload, cfg, out)
+        _emit(payload, args, out)
         return EXIT_OK
     flag = congruent_mod_neutral(m1, m2, grading)
     payload["congruent"] = flag
@@ -188,14 +163,13 @@ def cmd_congruent(cfg, args, out) -> int:
         )
         if chain is None:
             payload["note"] = "no certificate within the depth cap; inconclusive"
-    _emit(payload, cfg, out)
+    _emit(payload, args, out)
     return EXIT_OK
 
 
-def cmd_enumerate(cfg, args, out) -> int:
-    grading = cfg.load_grading()
-    max_deg = cfg.max_deg if cfg.max_deg is not None else 2 * grading.n - 1
-    words = enumerate_monomial_identities(grading, max_deg, minimal_only=cfg.minimal)
+def cmd_enumerate(args, grading, field, out) -> int:
+    max_deg = args.max_deg if args.max_deg is not None else 2 * grading.n - 1
+    words = enumerate_monomial_identities(grading, max_deg, minimal_only=args.minimal)
     group = grading.group
     # every letter rendered once: its name, and its token "x<p>:<name>" at each position p
     names = {
@@ -210,21 +184,20 @@ def cmd_enumerate(cfg, args, out) -> int:
         "schema": SCHEMA,
         "command": "enumerate",
         "max_degree": max_deg,
-        "minimal_only": cfg.minimal,
+        "minimal_only": args.minimal,
         "count": len(words),
         "max_identity_degree": max((len(w) for w in words), default=0),
         "words": [[names[se] for se in w] for w in words],
         "monomials": [" ".join([tokens[p][se] for p, se in enumerate(w)]) for w in words],
     }
-    _emit(payload, cfg, out)
+    _emit(payload, args, out)
     return EXIT_OK
 
 
-def cmd_selftest(cfg, args, out) -> int:
-    grading = cfg.load_grading()
-    report = run_selftest(grading, cfg.field, seed=cfg.seed)
+def cmd_selftest(args, grading, field, out) -> int:
+    report = run_selftest(grading, field, seed=args.seed)
     payload = {"schema": SCHEMA, "command": "selftest", **report.to_json()}
-    _emit(payload, cfg, out)
+    _emit(payload, args, out)
     return EXIT_OK if report.passed else EXIT_INTERNAL
 
 
@@ -291,16 +264,10 @@ def main(argv=None) -> int:
     except GstarError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    cfg = RunConfig(
-        config=args.config,
-        field=field,
-        max_deg=getattr(args, "max_deg", None),
-        minimal=getattr(args, "minimal", False),
-        json_out=args.json,
-        seed=args.seed,
-    )
     try:
-        return args.handler(cfg, args, sys.stdout)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        return args.handler(args, grading_from_json(obj), field, sys.stdout)
     except ResourceCapError as err:
         print(f"resource cap: {err}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -25,9 +25,9 @@ from typing import NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError, VariableError
 from .genmat import CMonomial, CPolynomial, SparseMatrix, rows_matrix, word_rows
-from .gradings import Grading, SignedElement
+from .gradings import Grading, SignedElement, signed_degree
 from .groups import Group
-from .rings import RATIONALS
+from .rings import RATIONALS, SparseSum, add_term
 
 
 class GVar(NamedTuple):
@@ -97,8 +97,7 @@ def gdegree(mono: GMonomial, group: Group) -> int:
         raise PreconditionError("the empty word has no graded degree here")
     acc = group.identity
     for v in mono:
-        d = group.inv(v.element) if v.star else v.element
-        acc = group.mul(acc, d)
+        acc = group.mul(acc, signed_degree(v.element, v.star, group))
     return acc
 
 
@@ -111,71 +110,10 @@ def subword(mono: GMonomial, start: int, stop: int) -> GMonomial:
     return GMonomial(mono.letters[start:stop])
 
 
-class GPolynomial:
-    """A finite sum coeff * word; zero coefficients are never stored."""
+class GPolynomial(SparseSum):
+    """A finite sum coeff * word in the free algebra; see :class:`SparseSum`."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls) -> "GPolynomial":
-        return cls({})
-
-    @classmethod
-    def from_monomial(cls, mono: GMonomial, coeff) -> "GPolynomial":
-        return cls({mono: coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GPolynomial") -> "GPolynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out[m] + c if m in out else c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return GPolynomial(out)
-
-    def __neg__(self) -> "GPolynomial":
-        return GPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "GPolynomial") -> "GPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "GPolynomial") -> "GPolynomial":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                s = out[m] + c if m in out else c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return GPolynomial(out)
-
-    def scale(self, coeff) -> "GPolynomial":
-        if not coeff:
-            return GPolynomial.zero()
-        return GPolynomial({m: c * coeff for m, c in self.terms.items()})
-
-    def terms_sorted(self) -> list:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GPolynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+    __slots__ = ()
 
     def render(self, group: Group) -> str:
         return format_poly(self, group)
@@ -237,13 +175,7 @@ def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
     for mono, coeff in f.terms.items():
         coeff = field.one * coeff
         for start, end, variables in word_rows(mono.letters, grading):
-            entry = sums.setdefault((start, end), {})
-            m = CMonomial(variables)
-            total = entry[m] + coeff if m in entry else coeff
-            if total:
-                entry[m] = total
-            else:
-                del entry[m]
+            add_term(sums.setdefault((start, end), {}), CMonomial(variables), coeff)
     return SparseMatrix(grading.n, {pos: CPolynomial(terms) for pos, terms in sums.items()})
 
 
@@ -352,11 +284,7 @@ class _Parser:
             mono, coeff = self.parse_term()
             if sign < 0:
                 coeff = -coeff
-            total = terms[mono] + coeff if mono in terms else coeff
-            if total:
-                terms[mono] = total
-            else:
-                terms.pop(mono, None)
+            add_term(terms, mono, coeff)
             kind, _, pos = self.peek()
             if kind is None:
                 return GPolynomial(terms)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import GradingError, ShapeError, TraceDomainError, VariableError
 from .gradings import Grading, SignedElement
-from .rings import RATIONALS
+from .rings import RATIONALS, SparseSum, add_term
 
 
 class EntryVar(NamedTuple):
@@ -61,6 +61,9 @@ class CMonomial:
     def __lt__(self, other: "CMonomial") -> bool:
         return self.vars < other.vars
 
+    def sort_key(self) -> tuple:
+        return self.vars
+
     def render(self) -> str:
         if not self.vars:
             return "1"
@@ -77,76 +80,17 @@ class CMonomial:
 ONE_MONOMIAL = CMonomial(())
 
 
-class CPolynomial:
-    """A finite sum coeff * monomial; zero coefficients are never stored."""
+class CPolynomial(SparseSum):
+    """A finite sum coeff * monomial in the entry variables; see :class:`SparseSum`."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls) -> "CPolynomial":
-        return cls({})
+    __slots__ = ()
 
     @classmethod
     def from_var(cls, v: EntryVar, one) -> "CPolynomial":
         return cls({CMonomial([v]): one})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "CPolynomial") -> "CPolynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                s = out[m] + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-            else:
-                out[m] = c
-        return CPolynomial(out)
-
-    def __neg__(self) -> "CPolynomial":
-        return CPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "CPolynomial") -> "CPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "CPolynomial") -> "CPolynomial":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                if m in out:
-                    s = out[m] + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-                elif c:
-                    out[m] = c
-        return CPolynomial(out)
-
-    def scale(self, coeff) -> "CPolynomial":
-        if not coeff:
-            return CPolynomial.zero()
-        return CPolynomial({m: c * coeff for m, c in self.terms.items()})
-
-    def terms_sorted(self) -> list:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].vars)
-
     def canonical_key(self) -> tuple:
         return tuple((m.vars, c) for m, c in self.terms_sorted())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CPolynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def render(self) -> str:
         if not self.terms:
@@ -197,11 +141,7 @@ class SparseMatrix:
         self._check(other)
         out = dict(self.entries)
         for pos, p in other.entries.items():
-            s = out[pos] + p if pos in out else p
-            if s:
-                out[pos] = s
-            else:
-                out.pop(pos, None)
+            add_term(out, pos, p)
         return SparseMatrix(self.n, out)
 
     def __neg__(self) -> "SparseMatrix":
@@ -218,15 +158,7 @@ class SparseMatrix:
         out: dict = {}
         for (i, k), p in self.entries.items():
             for j, q in by_row.get(k, ()):
-                prod = p * q
-                if not prod:
-                    continue
-                pos = (i, j)
-                s = out[pos] + prod if pos in out else prod
-                if s:
-                    out[pos] = s
-                else:
-                    out.pop(pos, None)
+                add_term(out, (i, j), p * q)
         return SparseMatrix(self.n, out)
 
     def transpose(self) -> "SparseMatrix":

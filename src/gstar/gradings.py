@@ -22,6 +22,11 @@ from .errors import GradingError, PreconditionError
 from .groups import Group, group_from_json
 
 
+def signed_degree(element: int, star: bool, group: Group) -> int:
+    """The graded degree of a letter: g for the letter g, g^{-1} for g*."""
+    return group.inv(element) if star else element
+
+
 class SignedElement(NamedTuple):
     """A group element with an optional star: the letter g or g*."""
 
@@ -32,8 +37,7 @@ class SignedElement(NamedTuple):
         return group.name_of(self.element) + ("*" if self.star else "")
 
     def degree(self, group: Group) -> int:
-        """The graded degree: g for the letter g, g^{-1} for g*."""
-        return group.inv(self.element) if self.star else self.element
+        return signed_degree(self.element, self.star, group)
 
 
 class PartialInjection:
@@ -230,9 +234,7 @@ class Grading:
 
     def hat_signed(self, letter: SignedElement) -> PartialInjection:
         """hat(g) for the plain letter g, hat(g^{-1}) for the starred one."""
-        if letter.star:
-            return self.hat(self.group.inv(letter.element))
-        return self.hat(letter.element)
+        return self.hat(letter.degree(self.group))
 
     def compose_signed(self, word: Sequence[SignedElement]) -> PartialInjection:
         """Left-to-right composition: the first letter of the word acts first."""
@@ -257,12 +259,6 @@ class Grading:
         return [
             SignedElement(g, star) for g in self.support_sorted() for star in (False, True)
         ]
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "tuple": [self.group.name_of(g) for g in self.defining_tuple],
-        }
 
     def __repr__(self) -> str:
         names = ", ".join(self.group.name_of(g) for g in self.defining_tuple)

@@ -48,19 +48,16 @@ class Group:
                 f"unknown element {name!r}; known: {', '.join(self.names)}"
             ) from None
 
-    def to_json(self) -> dict:
-        return {"elements": list(self.names), "table": [list(row) for row in self.table]}
-
     def __repr__(self) -> str:
         return f"Group({', '.join(self.names)})"
 
 
-def _validate(names: Sequence[str], table: Sequence[Sequence[int]], max_order: int):
+def _validate(names: Sequence[str], table: Sequence[Sequence[int]]):
     n = len(names)
     if n == 0:
         raise GroupError("a group needs at least the identity element")
-    if n > max_order:
-        raise GroupError(f"order {n} exceeds the configured cap {max_order}")
+    if n > MAX_GROUP_ORDER:
+        raise GroupError(f"order {n} exceeds the configured cap {MAX_GROUP_ORDER}")
     if len(set(names)) != n:
         raise GroupError("element names must be pairwise distinct")
     if len(table) != n or any(len(row) != n for row in table):
@@ -112,10 +109,10 @@ def _validate(names: Sequence[str], table: Sequence[Sequence[int]], max_order: i
 
 
 def make_from_table(
-    names: Sequence[str], table: Sequence[Sequence[int]], max_order: int = MAX_GROUP_ORDER
+    names: Sequence[str], table: Sequence[Sequence[int]]
 ) -> Group:
     """Build a validated group from element names and a Cayley table of indices."""
-    identity, inverse = _validate(names, table, max_order)
+    identity, inverse = _validate(names, table)
     g = Group(
         names=tuple(names),
         table=tuple(tuple(row) for row in table),
@@ -132,15 +129,15 @@ def cyclic_names(order: int) -> list[str]:
     return ["e", "a"] + [f"a{k}" for k in range(2, order)]
 
 
-def make_cyclic(order: int, max_order: int = MAX_GROUP_ORDER) -> Group:
+def make_cyclic(order: int) -> Group:
     """The cyclic group of the given order, elements named e, a, a2, ..."""
     if order < 1:
         raise GroupError(f"order must be a positive integer, got {order}")
     table = [[(i + j) % order for j in range(order)] for i in range(order)]
-    return make_from_table(cyclic_names(order), table, max_order=max_order)
+    return make_from_table(cyclic_names(order), table)
 
 
-def group_from_json(obj: dict, max_order: int = MAX_GROUP_ORDER) -> Group:
+def group_from_json(obj: dict) -> Group:
     """Load a group from its JSON form: {"cyclic": m} or {"elements", "table"}."""
     if not isinstance(obj, dict):
         raise GroupError(f"group description must be an object, got {type(obj).__name__}")
@@ -148,7 +145,7 @@ def group_from_json(obj: dict, max_order: int = MAX_GROUP_ORDER) -> Group:
         m = obj["cyclic"]
         if not isinstance(m, int):
             raise GroupError(f"cyclic order must be an integer, got {m!r}")
-        return make_cyclic(m, max_order=max_order)
+        return make_cyclic(m)
     if "elements" in obj and "table" in obj:
-        return make_from_table(obj["elements"], obj["table"], max_order=max_order)
+        return make_from_table(obj["elements"], obj["table"])
     raise GroupError('group description needs either "cyclic" or "elements"+"table"')

@@ -23,7 +23,7 @@ from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import evaluate_monomial  # noqa: F401  (re-exported for callers)
 from .freealg import GMonomial, GPolynomial, GVar, evaluate, subword, variable
 from .genmat import evaluation_key, word_rows
-from .gradings import CompositionGraph, Grading, SignedElement, compose_targets
+from .gradings import CompositionGraph, Grading, SignedElement, compose_targets, signed_degree
 from .groups import Group
 from .rings import RATIONALS
 
@@ -45,10 +45,10 @@ def word_is_identity(word: Sequence[SignedElement], grading: Grading) -> bool:
     return grading.compose_signed(word).is_empty
 
 
-def word_monomial(word: Sequence[SignedElement], first_index: int = 1) -> GMonomial:
-    """The index-free representative: fresh variable indices along the word."""
+def word_monomial(word: Sequence[SignedElement]) -> GMonomial:
+    """The index-free representative: fresh variable indices 1, 2, ... along the word."""
     return GMonomial(
-        [GVar(first_index + p, se.element, se.star) for p, se in enumerate(word)]
+        [GVar(p, se.element, se.star) for p, se in enumerate(word, 1)]
     )
 
 
@@ -64,13 +64,6 @@ class MonomialWitness:
     start: int
     units: tuple[tuple[int, int], ...]
     result: tuple[int, int]
-
-    def to_json(self) -> dict:
-        return {
-            "start": self.start,
-            "units": [list(u) for u in self.units],
-            "result": list(self.result),
-        }
 
 
 def unit_product(units: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
@@ -105,15 +98,6 @@ class IdentityVerdict:
     is_identity: bool
     witness: Optional[MonomialWitness] = None
     offending: tuple = ()
-
-    def to_json(self, group: Optional[Group] = None) -> dict:
-        out: dict = {"verdict": "identity" if self.is_identity else "not-identity"}
-        out["witness"] = self.witness.to_json() if self.witness else None
-        if self.offending:
-            out["offending"] = [
-                {"row": r, "col": c, "entry": p.render()} for (r, c), p in self.offending
-            ]
-        return out
 
 
 def is_monomial_identity(mono: GMonomial, grading: Grading) -> IdentityVerdict:
@@ -173,8 +157,7 @@ class DerivationStep:
 def _prefix_degrees(mono: GMonomial, group: Group) -> list[int]:
     pref = [group.identity]
     for v in mono:
-        d = group.inv(v.element) if v.star else v.element
-        pref.append(group.mul(pref[-1], d))
+        pref.append(group.mul(pref[-1], signed_degree(v.element, v.star, group)))
     return pref
 
 
@@ -211,26 +194,23 @@ def derivation_mod_neutral(
     m1: GMonomial,
     m2: GMonomial,
     grading: Grading,
-    depth_cap: Optional[int] = None,
 ) -> Optional[list[DerivationStep]]:
     """Search for an explicit rewrite chain from m2 to m1.
 
     Every step instantiates one neutral-ideal generator, so each step
     preserves the generic evaluation.  Returns None when no chain is found
-    within the cap; that outcome is inconclusive, never a proof of
-    non-congruence.
+    within 2 len(m1) + 8 steps; that outcome is inconclusive, never a proof
+    of non-congruence.
     """
     if not congruent_mod_neutral(m1, m2, grading):
         raise PreconditionError("derivation requires congruent monomials")
-    if depth_cap is None:
-        depth_cap = 2 * len(m1) + 8
     if m1 == m2:
         return []
     group = grading.group
     frontier = [m2]
     parents: dict[GMonomial, tuple[GMonomial, DerivationStep]] = {}
     seen = {m2}
-    for _ in range(depth_cap):
+    for _ in range(2 * len(m1) + 8):
         nxt = []
         for cur in frontier:
             for step in _neighbors(cur, group):
@@ -344,18 +324,18 @@ def verify_basis(grading: Grading, field=RATIONALS, samples: int = 0, seed: int 
 
 
 def subword_identity_certificate(
-    mono: GMonomial, grading: Grading, max_len: Optional[int] = None
+    mono: GMonomial, grading: Grading
 ) -> Optional[tuple[int, int]]:
-    """Shortest contiguous identity subword, as a half-open range, if any.
+    """Shortest contiguous identity subword of degree at most 2n-1, if any.
 
-    ``max_len`` defaults to 2n-1, the degree bound for the monomial part of
-    the identity basis.  A monomial identity without such a subword is a
-    notable finding; callers flag it rather than conclude anything.
+    The subword comes as a half-open range; 2n-1 is the degree bound for
+    the monomial part of the identity basis.  A monomial identity without
+    such a subword is a notable finding; callers flag it rather than
+    conclude anything.
     """
-    if max_len is None:
-        max_len = 2 * grading.n - 1
     steps = [grading.letter_targets[se] for se in mono.signed_word()]
     empty, best = (None,) * grading.n, None
+    max_len = 2 * grading.n - 1
     for start in range(len(steps)):
         acc = tuple(range(grading.n))
         for stop in range(start + 1, min(len(steps), start + max_len) + 1):
@@ -367,20 +347,19 @@ def subword_identity_certificate(
 
 
 def block_certificate(
-    mono: GMonomial, grading: Grading, max_blocks: Optional[int] = None
+    mono: GMonomial, grading: Grading
 ) -> Optional[tuple[int, ...]]:
     """Certify a monomial identity as a substitution image of a short one.
 
-    Searches for a contiguous factor of the word, split into at most
-    ``max_blocks`` blocks (default 2n-1), whose block-degree word is itself
-    an identity; the monomial is then the image of that shorter identity
-    under substituting each variable by its block.  This is strictly more
-    complete than the contiguous-subword certificate: neutral-degree
-    padding inside a word defeats the subword search but not this one.
-    Returns the block boundaries (i_0 < i_1 < ... < i_s) or None.
+    Searches for a contiguous factor of the word, split into at most 2n-1
+    blocks, whose block-degree word is itself an identity; the monomial is
+    then the image of that shorter identity under substituting each
+    variable by its block.  This is strictly more complete than the
+    contiguous-subword certificate: neutral-degree padding inside a word
+    defeats the subword search but not this one.  Returns the block
+    boundaries (i_0 < i_1 < ... < i_s) or None.
     """
-    if max_blocks is None:
-        max_blocks = 2 * grading.n - 1
+    max_blocks = 2 * grading.n - 1
     word = mono.signed_word()
     group = grading.group
     graph = grading.composition_graph
@@ -584,7 +563,6 @@ def enumerate_monomial_identities(
     grading: Grading,
     max_degree: int,
     minimal_only: bool = False,
-    degree_cap: int = ENUM_DEGREE_CAP,
     node_budget: int = ENUM_NODE_BUDGET,
 ) -> list[Word]:
     """All index-free monomial identities up to the given degree.
@@ -607,9 +585,9 @@ def enumerate_monomial_identities(
     """
     if max_degree < 1:
         raise PreconditionError("max_degree must be at least 1")
-    if max_degree > degree_cap:
+    if max_degree > ENUM_DEGREE_CAP:
         raise ResourceCapError(
-            f"max_degree {max_degree} exceeds the configured cap {degree_cap}"
+            f"max_degree {max_degree} exceeds the configured cap {ENUM_DEGREE_CAP}"
         )
     graph = grading.composition_graph
     step, empty = graph.step, graph.empty

@@ -1,9 +1,11 @@
-"""Exact coefficient fields: the rationals and prime fields F_p.
+"""Exact coefficient fields, and the sparse sums of terms over them.
 
 Polynomial and matrix code stays field-agnostic by duck typing: it only
 adds, negates, multiplies and truth-tests coefficients.  The field objects
 below exist to coerce integers and rationals at the input boundary and to
-name the ring in reports.
+name the ring in reports.  ``add_term`` and ``SparseSum`` are the one
+implementation of a sum of terms that both polynomial rings (the free
+algebra and the commuting entry variables) and the sparse matrices use.
 """
 
 from __future__ import annotations
@@ -144,6 +146,73 @@ class PrimeField:
 
 
 RATIONALS = Rationals()
+
+
+def add_term(terms: dict, key, coeff) -> None:
+    """Add ``coeff`` into ``terms[key]`` in place; a sum that cancels drops the key."""
+    total = terms[key] + coeff if key in terms else coeff
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
+
+
+class SparseSum:
+    """A finite sum coeff * monomial; zero coefficients are never stored.
+
+    Subclasses fix the monomials, which must be hashable, provide
+    ``sort_key()`` and multiply with ``*``.  Sums of different subclasses
+    never compare equal, even with the same terms.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            add_term(out, m, c)
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                add_term(out, m1 * m2, c1 * c2)
+        return type(self)(out)
+
+    def scale(self, coeff):
+        if not coeff:
+            return self.zero()
+        return type(self)({m: c * coeff for m, c in self.terms.items()})
+
+    def terms_sorted(self) -> list:
+        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
 
 
 def parse_field(text: str):

@@ -102,15 +102,15 @@ def random_monomial(
     rng: random.Random,
     grading: Grading,
     length: int,
-    max_index: int = 4,
     allow_off_support: bool = False,
 ) -> GMonomial:
+    """A random word with random stars and variable indices 1..4."""
     pool = grading.support_sorted()
     if allow_off_support and grading.off_support() and rng.random() < 0.3:
         pool = pool + grading.off_support()
     return GMonomial(
         [
-            GVar(rng.randint(1, max_index), rng.choice(pool), rng.random() < 0.5)
+            GVar(rng.randint(1, 4), rng.choice(pool), rng.random() < 0.5)
             for _ in range(length)
         ]
     )

@@ -16,7 +16,7 @@ from .freealg import (
     evaluate_monomial,
     star_polynomial,
 )
-from .genmat import closed_form_product, generic_matrix_signed
+from .genmat import SparseMatrix, closed_form_product, generic_matrix_signed
 from .gradings import Grading, SignedElement, compose_targets
 from .identities import (
     basis_reduce,
@@ -62,12 +62,20 @@ class ScanReport:
         return not self.failures
 
 
+def _honest_product(slotted, grading: Grading, field) -> SparseMatrix:
+    """The generic product of (slot, letter) factors by sparse matrix products."""
+    direct = None
+    for slot, se in slotted:
+        m = generic_matrix_signed(slot, se, grading, field)
+        direct = m if direct is None else direct @ m
+    return direct
+
+
 def exhaustive_word_scan(
     grading: Grading,
     max_degree: int,
     field=RATIONALS,
     crosscheck_stride: int = 0,
-    witness_check: bool = True,
 ) -> ScanReport:
     """Three-way agreement over every signed support word up to a degree.
 
@@ -90,18 +98,14 @@ def exhaustive_word_scan(
     def crosscheck(word: tuple[SignedElement, ...]) -> None:
         counter["crosschecks"] += 1
         slotted = [(p + 1, se) for p, se in enumerate(word)]
-        closed = closed_form_product(slotted, grading, field)
-        direct = None
-        for slot, se in slotted:
-            m = generic_matrix_signed(slot, se, grading, field)
-            direct = m if direct is None else direct @ m
-        if closed != direct:
+        direct = _honest_product(slotted, grading, field)
+        if closed_form_product(slotted, grading, field) != direct:
             failures.append(f"closed form mismatch on {word}")
             return
         mono = word_monomial(word)
         if evaluate_monomial(mono, grading, field) != direct:
             failures.append(f"evaluation mismatch on {word}")
-        if witness_check and not direct.is_zero:
+        if not direct.is_zero:
             w = witness_for_word(word, grading)
             folded = unit_product(
                 [(u[1], u[0]) if se.star else u for u, se in zip(w.units, word)]
@@ -235,21 +239,16 @@ def _suite_product_oracle(
     for k in range(words):
         length = rng.randint(1, 8)
         slotted = random_slotted_word(rng, grading, length, repeat_slots=(k % 7 == 0))
-        closed = closed_form_product(slotted, grading, field)
-        direct = None
-        for slot, se in slotted:
-            m = generic_matrix_signed(slot, se, grading, field)
-            direct = m if direct is None else direct @ m
-        if closed != direct:
+        direct = _honest_product(slotted, grading, field)
+        if closed_form_product(slotted, grading, field) != direct:
             problems.append(f"closed form mismatch on word {k}")
             continue
         rows = [r for (r, _c) in direct.entries]
         if len(rows) != len(set(rows)):
             problems.append(f"row uniqueness fails on word {k}")
-        deg = None
-        for se in (se for _s, se in slotted):
-            d = grading.group.inv(se.element) if se.star else se.element
-            deg = d if deg is None else grading.group.mul(deg, d)
+        deg = grading.group.identity
+        for _slot, se in slotted:
+            deg = grading.group.mul(deg, se.degree(grading.group))
         for (r, c), poly in direct.entries.items():
             terms = poly.terms_sorted()
             if len(terms) != 1 or terms[0][1] != field.one:

@@ -1,0 +1,32 @@
+"""Every layer the benchmark's traced run wraps must still exist in the package.
+
+``bench/spans.py`` names its span targets as strings, so a renamed or deleted
+function would otherwise only show up as a failing ``bench/run.py --trace 1``.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import gstar.cli  # noqa: F401  (the instrumentation wraps bindings in every gstar module)
+
+SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_span_targets_resolve():
+    spans = _load_spans()
+    for name, (module, attr) in spans.SPANS.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), name
+    for name, (module, cls, attr) in spans.METHOD_SPANS.items():
+        # wrapped through the class dict, so the method must be defined on the class itself
+        assert attr in vars(getattr(importlib.import_module(module), cls)), name
+    # building the wrappers resolves every target, plus the counted matrix product
+    instrumentation = spans.Instrumentation(spans.Tracer())
+    assert len(instrumentation.bindings) > len(spans.SPANS) + len(spans.METHOD_SPANS)

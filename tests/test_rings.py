@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gstar.freealg import GMonomial, GPolynomial, GVar
+from gstar.genmat import CMonomial, CPolynomial, EntryVar
 from gstar.rings import RATIONALS, FieldError, Fp, PrimeField, parse_field
 
 
@@ -61,3 +63,36 @@ def test_fp_field_laws(x, y, p):
     assert a + f.zero == a
     assert a * f.one == a
     assert a + (-a) == f.zero
+
+
+# sums of terms: the free algebra and the entry-variable ring share one implementation
+WORDS = [GMonomial([GVar(i, g, star)]) for i in (1, 2) for g in (0, 1) for star in (False, True)]
+ENTRY_MONOMIALS = [CMonomial([EntryVar(slot, 0, c)]) for slot in (1, 2) for c in range(4)]
+TERM_DICTS = st.dictionaries(st.integers(0, 7), st.integers(-6, 6), max_size=5)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(5)], ids=["q", "modp5"])
+@given(raw=TERM_DICTS, other=TERM_DICTS)
+def test_sparse_sums_of_both_rings(field, raw, other):
+    for monomials in (WORDS, ENTRY_MONOMIALS):
+        terms = {monomials[k]: field.coerce(c) for k, c in raw.items()}
+        # the same term dict in both rings: never equal across the types
+        assert GPolynomial(terms) != CPolynomial(terms)
+        assert CPolynomial(terms) != GPolynomial(terms)
+        for cls in (GPolynomial, CPolynomial):
+            p = cls(terms)
+            q = cls({monomials[k]: field.coerce(c) for k, c in other.items()})
+            assert (p - p).terms == {}
+            total = p + q
+            for k in set(raw) | set(other):
+                coeff = field.coerce(raw.get(k, 0) + other.get(k, 0))
+                if coeff:
+                    assert total.terms[monomials[k]] == coeff
+                else:  # the coefficients cancel: the key is dropped
+                    assert monomials[k] not in total.terms
+            for m, c in p.terms.items():
+                assert m not in (p + cls({m: -c})).terms
+            # hash agrees with ==, whatever order the terms were added in
+            same = cls(dict(reversed(list(terms.items()))))
+            assert same == p and hash(same) == hash(p)
+            assert total == q + p and hash(total) == hash(q + p)
