@@ -6,24 +6,26 @@ toggles every star.  Evaluation substitutes the generic matrix for the
 slot/element pair of each plain variable and its transpose for each starred
 one, landing in the sparse exact matrices of :mod:`gstar.genmat`.
 
-The expression grammar accepted by :func:`parse_poly`:
+The expression grammar accepted by :func:`parse_poly` (a lone '0' is zero):
 
-    poly   := term (('+' | '-') term)*
-    term   := [coefficient] factor+
-    factor := 'x' index ':' element-name ['*']
+    poly        := ['+' | '-'] term (('+' | '-') term)*
+    term        := [coefficient] factor+
+    factor      := 'x' index ':' element-name ['*']
+    coefficient := int ['/' nonzero int]
 
-Juxtaposition (whitespace) is the noncommutative product; a coefficient is
-an optional integer or integer/integer.  A leading '+'/'-' sign on the
-first term is tolerated.
+Juxtaposition is the noncommutative product.  Whitespace may separate any
+two tokens, and every malformed input raises :class:`ParseError`; over F_p a
+denominator divisible by p raises :class:`FieldError` instead.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import ParseError, PreconditionError, VariableError
+from .errors import GroupError, ParseError, PreconditionError, VariableError
 from .genmat import CMonomial, CPolynomial, SparseMatrix, rows_matrix, word_rows
 from .gradings import Grading, SignedElement, signed_degree
 from .groups import Group
@@ -180,131 +182,75 @@ def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
 
 
 # variables tokenize as one unit, so element names may start with 'x' as long
-# as they are not themselves of the reserved form x<digits>
-_TOKEN = re.compile(r"\s*(?:(?P<var>x\d+)|(?P<int>\d+)|(?P<colon>:)|(?P<star>\*)"
-                    r"|(?P<plus>\+)|(?P<minus>-)|(?P<slash>/)|(?P<name>[A-Za-z_][A-Za-z0-9_]*))")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        pos = m.end()
-        kind = m.lastgroup
-        out.append((kind, m.group(kind), m.start(kind)))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, group: Group, field):
-        self.tokens = tokens
-        self.i = 0
-        self.group = group
-        self.field = field
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def parse_factor(self) -> GVar:
-        kind, val, pos = self.take()
-        if kind == "name" and val == "x":
-            raise ParseError("expected a variable index after 'x'", pos)
-        if kind != "var":
-            raise ParseError("expected a variable starting with 'x'", pos)
-        index = int(val[1:])
-        if index < 1:
-            raise ParseError("variable indices start at 1", pos)
-        kind, _, pos = self.take()
-        if kind != "colon":
-            raise ParseError("expected ':' between index and element name", pos)
-        kind, val, pos = self.take()
-        if kind == "int":
-            raise ParseError("element names are words, not numbers", pos)
-        if kind != "name":
-            raise ParseError("expected a group element name", pos)
-        try:
-            element = self.group.index_of(val)
-        except Exception:
-            raise ParseError(
-                f"unknown group element {val!r}; known: {', '.join(self.group.names)}", pos
-            ) from None
-        star = False
-        if self.peek()[0] == "star":
-            self.take()
-            star = True
-        return GVar(index, element, star)
-
-    def parse_coefficient(self):
-        kind, val, _ = self.peek()
-        if kind != "int":
-            return self.field.one
-        self.take()
-        num = int(val)
-        if self.peek()[0] == "slash":
-            self.take()
-            kind, val, pos = self.take()
-            if kind != "int":
-                raise ParseError("expected a denominator after '/'", pos)
-            from fractions import Fraction
-
-            return self.field.coerce(Fraction(num, int(val)))
-        return self.field.coerce(num)
-
-    def parse_term(self) -> tuple:
-        coeff = self.parse_coefficient()
-        letters = []
-        while self.peek()[0] == "var":
-            letters.append(self.parse_factor())
-        if not letters:
-            kind, _, pos = self.peek()
-            if kind is None:
-                raise ParseError("a term needs at least one variable", 0)
-            raise ParseError("a term needs at least one variable", pos)
-        return GMonomial(letters), coeff
-
-    def parse_poly(self) -> GPolynomial:
-        terms: dict = {}  # summed in place; a zero sum drops its word
-        sign = 1
-        if self.peek()[0] in ("plus", "minus"):
-            kind, _, _ = self.take()
-            sign = -1 if kind == "minus" else 1
-        while True:
-            mono, coeff = self.parse_term()
-            if sign < 0:
-                coeff = -coeff
-            add_term(terms, mono, coeff)
-            kind, _, pos = self.peek()
-            if kind is None:
-                return GPolynomial(terms)
-            if kind == "plus":
-                sign = 1
-            elif kind == "minus":
-                sign = -1
-            else:
-                raise ParseError("expected '+', '-' or end of expression", pos)
-            self.take()
+# as they are not themselves of the reserved form x<digits>; any other
+# non-space character is a 'bad' token, so finditer skips only whitespace
+_TOKEN = re.compile(r"(?P<var>x\d+)|(?P<int>\d+)|(?P<colon>:)|(?P<star>\*)|(?P<plus>\+)"
+                    r"|(?P<minus>-)|(?P<slash>/)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)")
 
 
 def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
     """Parse an expression in the grammar above; see :func:`format_poly`."""
-    tokens = _tokenize(text)
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for kind, val, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", pos)
     if not tokens:
         raise ParseError("empty expression", 0)
     if len(tokens) == 1 and tokens[0][:2] == ("int", "0"):
         return GPolynomial.zero()
-    return _Parser(tokens, group, field).parse_poly()
+    tokens.append((None, None, -1))  # end of input; no lookahead reads past it
+    terms: dict = {}  # summed in place; a zero sum drops its word
+    kind = tokens[0][0]
+    negative = kind == "minus"
+    i = 1 if kind in ("plus", "minus") else 0
+    while True:
+        kind, val, _ = tokens[i]
+        coeff = field.one
+        if kind == "int":
+            if tokens[i + 1][0] == "slash":
+                kind, den, pos = tokens[i + 2]
+                if kind != "int":
+                    raise ParseError("expected a denominator after '/'", pos)
+                if not int(den):
+                    raise ParseError("a denominator must be nonzero", pos)
+                coeff = field.coerce(Fraction(int(val), int(den)))
+                i += 3
+            else:
+                coeff = field.coerce(int(val))
+                i += 1
+        letters = []
+        while tokens[i][0] == "var":
+            _, val, pos = tokens[i]
+            index = int(val[1:])
+            if index < 1:
+                raise ParseError("variable indices start at 1", pos)
+            kind, _, pos = tokens[i + 1]
+            if kind != "colon":
+                raise ParseError("expected ':' between index and element name", pos)
+            kind, val, pos = tokens[i + 2]
+            if kind == "int":
+                raise ParseError("element names are words, not numbers", pos)
+            if kind != "name":
+                raise ParseError("expected a group element name", pos)
+            try:
+                element = group.index_of(val)
+            except GroupError:
+                raise ParseError(
+                    f"unknown group element {val!r}; known: {', '.join(group.names)}", pos
+                ) from None
+            star = tokens[i + 3][0] == "star"
+            letters.append(GVar(index, element, star))
+            i += 4 if star else 3
+        kind, _, pos = tokens[i]
+        if not letters:
+            raise ParseError("a term needs at least one variable", pos)
+        add_term(terms, GMonomial(letters), -coeff if negative else coeff)
+        if kind is None:
+            return GPolynomial(terms)
+        if kind not in ("plus", "minus"):
+            raise ParseError("expected '+', '-' or end of expression", pos)
+        negative = kind == "minus"
+        i += 1
 
 
 def _format_coeff(c) -> str:

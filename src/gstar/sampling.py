@@ -124,9 +124,10 @@ def shuffled_monomial(rng: random.Random, base: GMonomial) -> GMonomial:
 
 
 def congruent_partner(
-    rng: random.Random, mono: GMonomial, grading: Grading, moves: int = 4
+    rng: random.Random, mono: GMonomial, grading: Grading
 ) -> Optional[GMonomial]:
-    """A monomial provably congruent to ``mono``: a random rewrite walk.
+    """A monomial provably congruent to ``mono``: a random rewrite walk of
+    up to four steps.
 
     Each step instantiates one neutral-ideal generator, so the result has
     the same generic evaluation by construction.  None when the word admits
@@ -134,7 +135,7 @@ def congruent_partner(
     """
     cur = mono
     moved = False
-    for _ in range(moves):
+    for _ in range(4):
         steps = list(_neighbors(cur, grading.group))
         if not steps:
             break
@@ -147,18 +148,17 @@ def random_multihomogeneous_poly(
     rng: random.Random,
     grading: Grading,
     field,
-    max_degree: int = 5,
-    max_terms: int = 6,
     force_identity: bool = False,
 ) -> Optional[GPolynomial]:
-    """A strongly multi-homogeneous polynomial over a random letter multiset.
+    """A strongly multi-homogeneous polynomial of at most six terms over a
+    random multiset of at most five letters.
 
     Coefficients are +1/-1 only, and engineered identities are built as
     exactly cancelling congruent pairs plus monomial identity terms, so the
     verdict does not depend on the coefficient field.  Non-identity parts
     keep one monomial per congruence class to the same end.
     """
-    length = rng.randint(1, max_degree)
+    length = rng.randint(1, 5)
     base = random_monomial(rng, grading, length, allow_off_support=not force_identity)
     one = field.one
     terms: dict[GMonomial, object] = {}
@@ -172,7 +172,7 @@ def random_multihomogeneous_poly(
         terms[m] = c
         return True
 
-    budget = rng.randint(1, max_terms)
+    budget = rng.randint(1, 6)
     while budget > 0:
         m = shuffled_monomial(rng, base)
         budget -= 1

@@ -355,27 +355,6 @@ def test_criterion_7_degree_bound_probe():
     )
 
 
-def test_finding_block_certificates():
-    """Block certificates for the profile-search representatives alone:
-    every long minimal identity up to 2(2n-1) is the substitution image of
-    an identity of degree <= 2n-1, obtained by condensing contiguous
-    blocks.  Criterion 7 checks the same words, and the degree-2n ones,
-    against honest matrix products."""
-    t0 = time.perf_counter()
-    checked = 0
-    for name, grading in SMALL.items():
-        bound = 2 * grading.n - 1
-        for word in minimal_identities_up_to(grading, 2 * bound):
-            if len(word) <= bound:
-                continue
-            bounds = block_certificate(word_monomial(word), grading)
-            assert bounds is not None, f"{name}: {word} lacks a block certificate"
-            assert len(bounds) - 1 <= bound
-            checked += 1
-    print(f"ACCEPTANCE 7b block-certificate companion: PASS "
-          f"({time.perf_counter() - t0:.2f}s) {checked} long minimal identities certified")
-
-
 def test_criterion_8_characteristic_independence():
     """The criterion 2, 4 and 6 corpora produce identical verdicts over the
     rationals, F_2 and F_5."""

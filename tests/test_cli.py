@@ -87,6 +87,12 @@ def test_check_parse_error(capsys):
     assert "error" in err
 
 
+def test_check_zero_denominator_is_input_error(capsys):
+    code, out, err = run(["check", "--config", str(CONFIGS / "z2.json"), "1/0 x1:a"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: a denominator must be nonzero (at position 2)"]
+
+
 def test_eval_reports_entries(capsys):
     code, payload, _ = run_json(
         ["eval", "--config", str(CONFIGS / "z2.json"), "x1:a x1:a* - x1:a* x1:a"],

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gstar import (
@@ -202,6 +202,75 @@ def test_parse_error_reports_position(z2):
     with pytest.raises(ParseError) as err:
         parse_poly("x1:a @", z2)
     assert err.value.position == 5
+
+
+# Every reachable ParseError, as text -> (message, position); position -1 is
+# "at end of input".
+PARSE_ERRORS = [
+    ("x1:a @", "unexpected character '@'", 5),
+    ("x1:a x2:a^garbage", "unexpected character '^'", 9),
+    ("x1:é", "unexpected character 'é'", 3),
+    ("x0:a @", "unexpected character '@'", 5),
+    ("", "empty expression", 0),
+    (" \t\n", "empty expression", 0),
+    ("1/ x1:a", "expected a denominator after '/'", 3),
+    ("1/x1:a", "expected a denominator after '/'", 2),
+    ("1/", "expected a denominator after '/'", -1),
+    ("1/0 x1:a", "a denominator must be nonzero", 2),
+    ("x1:a - 3/00 x2:e", "a denominator must be nonzero", 9),
+    ("x0:a", "variable indices start at 1", 0),
+    ("x1:a + x00:e*", "variable indices start at 1", 7),
+    ("x1 a", "expected ':' between index and element name", 3),
+    ("x1 + x2:a", "expected ':' between index and element name", 3),
+    ("x1", "expected ':' between index and element name", -1),
+    ("x1:2", "element names are words, not numbers", 3),
+    ("x1:a x2:07", "element names are words, not numbers", 8),
+    ("x1:*", "expected a group element name", 3),
+    ("x1:x2", "expected a group element name", 3),
+    ("x1:", "expected a group element name", -1),
+    ("x1:q", "unknown group element 'q'; known: e, a", 3),
+    ("x1:e x2:xa", "unknown group element 'xa'; known: e, a", 8),
+    ("2 + x1:a", "a term needs at least one variable", 2),
+    ("--x1:a", "a term needs at least one variable", 1),
+    ("x x1:a", "a term needs at least one variable", 0),
+    ("*", "a term needs at least one variable", 0),
+    ("x1:a + / x1:a", "a term needs at least one variable", 7),
+    ("x1:a +", "a term needs at least one variable", -1),
+    ("-", "a term needs at least one variable", -1),
+    ("2", "a term needs at least one variable", -1),
+    ("00", "a term needs at least one variable", -1),
+    ("x1:a x", "expected '+', '-' or end of expression", 5),
+    ("x1:a**", "expected '+', '-' or end of expression", 5),
+    ("x1:a x2:e 3", "expected '+', '-' or end of expression", 10),
+    ("x1:a 1/2 x1:e", "expected '+', '-' or end of expression", 5),
+    ("x1:a : x2:a", "expected '+', '-' or end of expression", 5),
+]
+
+
+@pytest.mark.parametrize("text,message,position", PARSE_ERRORS)
+def test_parse_error_table(z2, text, message, position):
+    where = "at end of input" if position < 0 else f"at position {position}"
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, z2)
+    assert (str(err.value), err.value.position) == (f"{message} ({where})", position)
+
+
+# single tokens, plus whole factors so that random texts also reach later terms;
+# the explicit examples put a zero denominator where the parser reads it
+PARSE_PIECES = ["x1", "x0", "x12", "x", ":", "e", "a", "xa", "q", "*", "+", "-", "/",
+                "0", "1", "7", " ", "\t", "@", "x1:a", "x2:e*"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_PIECES), max_size=12).map("".join))
+@example("1/0 x1:a")
+@example("x1:a - 2/00 x2:e")
+def test_parse_returns_polynomial_or_parse_error(z2, text):
+    try:
+        result = parse_poly(text, z2)
+    except ParseError:
+        return
+    assert isinstance(result, GPolynomial)
 
 
 def test_format_zero(z2):
