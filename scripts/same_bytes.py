@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Check that the CLI answers every benchmark request with the same bytes as REV.
+
+    python3 scripts/same_bytes.py REV [--seed N ...] [--workload W ...]
+
+The package source ``src/`` at the git revision REV is extracted with
+``git archive`` into a temporary directory.  The request lists of
+``bench/gen.build(workload, seed)`` (seeds 21 and 53 and all four workloads
+by default, which between them run check, eval, congruent, enumerate and
+selftest) are run twice, once with ``--json`` as generated and once toggled,
+through ``gstar.cli.main`` in one child process per tree: this checkout's
+``src/`` and REV's.  The exit code, stdout and stderr of every run are
+compared.  Degree-bound probe requests call library functions rather than
+the CLI, so they are counted and skipped.  ``bench/`` is only imported.
+
+Prints the number of runs compared and, on a difference, the number of
+differing runs and the first differing argv; exits 1 on any difference.
+Each child runs with the interpreter's usual random hash seed, so output
+that depends on it would show as a difference too.
+"""
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("check", "enumerate", "congruent", "selftest")
+
+# Reads a JSON list of argv lists on stdin and prints one line per argv:
+# the exit code and the sha256 of stdout and of stderr.  An exception that
+# escapes main is recorded in place of the exit code.
+CHILD = """
+import contextlib, hashlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from gstar.cli import main
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    digests = [hashlib.sha256(f.getvalue().encode()).hexdigest() for f in (out, err)]
+    print(json.dumps([code, *digests]))
+"""
+
+
+def toggled(argv: list) -> list:
+    """The same request with ``--json`` removed, or added after the config."""
+    if "--json" in argv:
+        return [a for a in argv if a != "--json"]
+    return argv[:3] + ["--json"] + argv[3:]
+
+
+def requests(workloads, seeds) -> tuple[list, int]:
+    """Every CLI argv of the given passes, twice; and the probes skipped."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import gen
+
+    argvs, probes = [], 0
+    for workload in workloads:
+        for seed in seeds:
+            for request in gen.build(workload, seed)[0]:
+                if "argv" not in request:
+                    probes += 1
+                    continue
+                argvs += [request["argv"], toggled(request["argv"])]
+    return argvs, probes
+
+
+def extract_src(rev: str, into: str) -> Path:
+    blob = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return Path(into) / "src"
+
+
+def start(src: Path, argvs: list, result: Path) -> subprocess.Popen:
+    """A child that runs every argv on the package in ``src``, writing to ``result``."""
+    with open(result, "w", encoding="utf-8") as out:
+        child = subprocess.Popen([sys.executable, "-c", CHILD, str(src)], cwd=ROOT,
+                                 stdin=subprocess.PIPE, stdout=out, text=True)
+    child.stdin.write(json.dumps(argvs))
+    child.stdin.close()
+    return child
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--seed", type=int, action="append", help="bench seed (21, 53)")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="bench workload (all four)")
+    args = parser.parse_args(argv)
+    argvs, probes = requests(args.workload or WORKLOADS, args.seed or [21, 53])
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [ROOT / "src", extract_src(args.rev, tmp)]
+        results = [Path(tmp) / "ours.jsonl", Path(tmp) / "theirs.jsonl"]
+        children = [start(src, argvs, result) for src, result in zip(trees, results)]
+        failed = [child.wait() for child in children]
+        ours, theirs = (result.read_text(encoding="utf-8").splitlines() for result in results)
+        if any(failed) or not len(ours) == len(theirs) == len(argvs):
+            print("same_bytes: a child process failed", file=sys.stderr)
+            return 1
+    differing = [a for a, x, y in zip(argvs, ours, theirs) if x != y]
+    print(f"{len(argvs)} CLI runs compared against {args.rev}; {probes} probe requests "
+          f"skipped (not CLI requests); {len(differing)} differ")
+    if differing:
+        print("first differing argv: " + json.dumps(differing[0]))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,7 +31,6 @@ from .freealg import (
     multihomogeneous_components,
     parse_poly,
     star_polynomial,
-    subword,
     variable,
 )
 from .genmat import (

@@ -32,7 +32,7 @@ class PreconditionError(GstarError, ValueError):
 
 
 class ResourceCapError(GstarError, RuntimeError):
-    """An enumeration exceeded its configured degree cap or node budget."""
+    """A search exceeded its configured degree cap, node or state budget."""
 
 
 class ParseError(GstarError, ValueError):

@@ -103,15 +103,6 @@ def gdegree(mono: GMonomial, group: Group) -> int:
     return acc
 
 
-def subword(mono: GMonomial, start: int, stop: int) -> GMonomial:
-    """The contiguous factor mono[start:stop], 0-based and half-open."""
-    if not (0 <= start < stop <= len(mono)):
-        raise PreconditionError(
-            f"subword range [{start},{stop}) invalid for a word of length {len(mono)}"
-        )
-    return GMonomial(mono.letters[start:stop])
-
-
 class GPolynomial(SparseSum):
     """A finite sum coeff * word in the free algebra; see :class:`SparseSum`."""
 
@@ -188,6 +179,13 @@ _TOKEN = re.compile(r"(?P<var>x\d+)|(?P<int>\d+)|(?P<colon>:)|(?P<star>\*)|(?P<p
                     r"|(?P<minus>-)|(?P<slash>/)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)")
 
 
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on digits converted from text
+        raise ParseError("too many digits in a number", pos) from None
+
+
 def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
     """Parse an expression in the grammar above; see :func:`format_poly`."""
     tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
@@ -204,24 +202,26 @@ def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
     negative = kind == "minus"
     i = 1 if kind in ("plus", "minus") else 0
     while True:
-        kind, val, _ = tokens[i]
+        kind, val, pos = tokens[i]
         coeff = field.one
         if kind == "int":
+            num = _int(val, pos)
             if tokens[i + 1][0] == "slash":
                 kind, den, pos = tokens[i + 2]
                 if kind != "int":
                     raise ParseError("expected a denominator after '/'", pos)
-                if not int(den):
+                den = _int(den, pos)
+                if not den:
                     raise ParseError("a denominator must be nonzero", pos)
-                coeff = field.coerce(Fraction(int(val), int(den)))
+                coeff = field.coerce(Fraction(num, den))
                 i += 3
             else:
-                coeff = field.coerce(int(val))
+                coeff = field.coerce(num)
                 i += 1
         letters = []
         while tokens[i][0] == "var":
             _, val, pos = tokens[i]
-            index = int(val[1:])
+            index = _int(val[1:], pos)
             if index < 1:
                 raise ParseError("variable indices start at 1", pos)
             kind, _, pos = tokens[i + 1]

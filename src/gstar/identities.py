@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import evaluate_monomial  # noqa: F401  (re-exported for callers)
-from .freealg import GMonomial, GPolynomial, GVar, evaluate, subword, variable
+from .freealg import GMonomial, GPolynomial, GVar, evaluate, variable
 from .genmat import evaluation_key, word_rows
 from .gradings import CompositionGraph, Grading, SignedElement, compose_targets, signed_degree
 from .groups import Group
@@ -154,40 +154,22 @@ class DerivationStep:
         return out
 
 
-def _prefix_degrees(mono: GMonomial, group: Group) -> list[int]:
+def _rewrites(letters: tuple[GVar, ...], group: Group):
+    """Every single-step rewrite by the neutral-ideal generators, as (kind,
+    i, j, k, rewritten letters): over i, then j, the star of the neutral
+    factor [i,j) first, then its swaps with each neutral factor [j,k)."""
     pref = [group.identity]
-    for v in mono:
+    for v in letters:
         pref.append(group.mul(pref[-1], signed_degree(v.element, v.star, group)))
-    return pref
-
-
-def _neighbors(mono: GMonomial, group: Group):
-    """All single-step rewrites by the neutral-ideal generators."""
-    letters = mono.letters
-    length = len(letters)
-    pref = _prefix_degrees(mono, group)
-    e = group.identity
-
-    def factor_deg(i: int, j: int) -> int:
-        return group.mul(group.inv(pref[i]), pref[j])
-
-    for i in range(length):
-        for j in range(i + 1, length + 1):
-            if factor_deg(i, j) != e:
+    for i in range(len(letters)):
+        for j in range(i + 1, len(pref)):
+            if pref[i] != pref[j]:  # [i,j) is neutral exactly when the prefix degrees agree
                 continue
-            starred = subword(mono, i, j).star()
-            yield DerivationStep(
-                "star", i, j, None, GMonomial(letters[:i] + starred.letters + letters[j:])
-            )
-            for k in range(j + 1, length + 1):
-                if factor_deg(j, k) == e:
-                    yield DerivationStep(
-                        "swap",
-                        i,
-                        j,
-                        k,
-                        GMonomial(letters[:i] + letters[j:k] + letters[i:j] + letters[k:]),
-                    )
+            starred = GMonomial(letters[i:j]).star().letters
+            yield "star", i, j, None, letters[:i] + starred + letters[j:]
+            for k in range(j + 1, len(pref)):
+                if pref[j] == pref[k]:
+                    yield "swap", i, j, k, letters[:i] + letters[j:k] + letters[i:j] + letters[k:]
 
 
 def derivation_mod_neutral(
@@ -198,34 +180,34 @@ def derivation_mod_neutral(
     """Search for an explicit rewrite chain from m2 to m1.
 
     Every step instantiates one neutral-ideal generator, so each step
-    preserves the generic evaluation.  Returns None when no chain is found
-    within 2 len(m1) + 8 steps; that outcome is inconclusive, never a proof
-    of non-congruence.
+    preserves the generic evaluation.  The search is breadth-first, so the
+    chain is a shortest one.  Returns None when no chain is found within
+    2 len(m1) + 8 steps; that outcome is inconclusive, never a proof of
+    non-congruence.  Past ``STATE_BUDGET`` words it raises ResourceCapError.
     """
     if not congruent_mod_neutral(m1, m2, grading):
         raise PreconditionError("derivation requires congruent monomials")
     if m1 == m2:
         return []
-    group = grading.group
-    frontier = [m2]
-    parents: dict[GMonomial, tuple[GMonomial, DerivationStep]] = {}
-    seen = {m2}
+    group, budget = grading.group, STATE_BUDGET
+    start, target = m2.letters, m1.letters
+    parents: dict = {start: None}  # word -> (previous word, kind, i, j, k)
+    frontier = [start]
     for _ in range(2 * len(m1) + 8):
         nxt = []
         for cur in frontier:
-            for step in _neighbors(cur, group):
-                res = step.result
-                if res in seen:
+            for kind, i, j, k, res in _rewrites(cur, group):
+                if res in parents:
                     continue
-                seen.add(res)
-                parents[res] = (cur, step)
-                if res == m1:
+                parents[res] = (cur, kind, i, j, k)
+                if len(parents) > budget:
+                    raise ResourceCapError(f"derivation search exceeded the state budget {budget}")
+                if res == target:
                     chain = []
-                    node = m1
-                    while node != m2:
-                        node, st = parents[node]
-                        chain.append(st)
-                    chain.reverse()
+                    while res != start:
+                        prev, kind, i, j, k = parents[res]
+                        chain.insert(0, DerivationStep(kind, i, j, k, GMonomial(res)))
+                        res = prev
                     return chain
                 nxt.append(res)
         if not nxt:

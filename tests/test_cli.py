@@ -300,6 +300,24 @@ def test_leading_dash_operand_returns_usage_error(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("expression", ["1" * 5000 + " x1:a", "x" + "1" * 5000 + ":a"],
+                         ids=["coefficient", "index"])
+def test_number_past_digit_limit_is_input_error(expression, capsys):
+    code, out, err = run(["check", "--config", str(CONFIGS / "z2.json"), expression], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_derivation_state_budget_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
+    code, out, err = run(["congruent", "--config", str(CONFIGS / "z2.json"),
+                          "x1:e x2:e x3:e x4:e x5:e", "x5:e x4:e x3:e x2:e x1:e"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap: ")
+
+
 def test_help_returns_zero(capsys):
     code, out, _ = run(["check", "--help"], capsys)
     assert code == 0
@@ -356,6 +374,18 @@ GOLDEN_REPORTS = [
      "75453f629f44240eaa68f0420bc4182cd080e34e5205c5fd7d2a7d9c2f1125dd"),
     (["congruent", "z6_3tuple.json", "x1:a x2:a", "x1:a3"],
      "cddc11fa936e0c4cbddb370eedc1e8857cda41cba4971ca648c7723b3962f497"),
+    # derivations of three steps: swaps, stars, and both
+    (["congruent", "z2.json", "x1:e x2:e x3:e x4:e x5:e", "x5:e x4:e x3:e x2:e x1:e"],
+     "e378492cf28ea4bddddb95cf03b758c5fc4d9cc6d1131f4efc22dd353af8132f"),
+    (["congruent", "z6_3tuple.json", "x1:a x2:a5 x3:e x4:a2 x5:a4", "x4:a2 x5:a4 x3:e x2:a5* x1:a*"],
+     "5cf062b602528a75b0b4cb8d793e4e574e4d605c1930dca8e82fa50774df9f87"),
+    (["congruent", "s3_mixed.json", "x1:r x2:rr x3:e x4:a x5:a", "x4:a x5:a x3:e* x1:r x2:rr"],
+     "6371cdae4425783cdc3651c824dba7569fc4cff0a66f13a5df92e6d17f6c3a95"),
+    (["congruent", "klein.json", "x1:b x2:b x3:e x4:c x5:a", "x3:e* x4:c x5:a x2:b x1:b"],
+     "e7a3141531ebfe369584b97fbefeb55245ff26a8fe55f3cf7cb9be0c7630e74b"),
+    (["congruent", "z4_3tuple.json", "--coeff", "modp:5", "x1:a2 x2:a2 x3:e x4:a3 x5:a",
+      "x4:a3 x5:a x3:e x2:a2* x1:a2*"],
+     "bb045f59bcf0f640b1682db588192232a9292db2c20d368b32ea5dd64fb5ec0e"),
 ]
 
 
@@ -366,6 +396,28 @@ GOLDEN_REPORTS = [
 def test_json_report_bytes_pinned(case, digest, capsys):
     command, config, *rest = case
     code, out, _ = run([command, "--config", str(CONFIGS / config), "--json", *rest], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the selftest --json stdout: (config, seed).  The report holds
+# suite names, verdicts and counts, not the pairs the congruence suite
+# draws; test_identities pins those draws.
+GOLDEN_SELFTESTS = [
+    (("z2.json", "3"), "659b205b684bf8cb99456e4a9596f2c8d77dc23e7fe664b912b29b7d65feb716"),
+    (("z2.json", "11"), "645a0b8b2c4ecc9e3b595fd6ca4a9065f898236cc61d2a6a776e51259176b093"),
+    (("z6_3tuple.json", "3"), "4d2ab2971d61891f703a237c7e870423232e1184f88164b4d1674b90765fbb1d"),
+    (("z6_3tuple.json", "11"), "57202ba8aa0f867acdde6b446a833c10a8c833f97fc5356e3d6e6302e2b3ffe3"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, digest", GOLDEN_SELFTESTS, ids=[f"{c[:-5]}-{s}" for (c, s), _ in GOLDEN_SELFTESTS]
+)
+def test_selftest_bytes_pinned(case, digest, capsys):
+    config, seed = case
+    code, out, _ = run(["selftest", "--config", str(CONFIGS / config), "--seed", seed, "--json"],
+                       capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -17,7 +17,6 @@ from gstar import (
     multihomogeneous_components,
     parse_poly,
     star_polynomial,
-    subword,
     variable,
 )
 from gstar.freealg import GPolynomial
@@ -60,18 +59,6 @@ def test_star_polynomial_is_involutive(seed):
         )
     f = GPolynomial(terms)
     assert star_polynomial(star_polynomial(f)) == f
-
-
-def test_subword(z6):
-    a, b, c = z6.index_of("a"), z6.index_of("a2"), z6.index_of("a3")
-    m = GMonomial([GVar(1, a), GVar(2, b), GVar(3, c)])
-    assert subword(m, 1, 3) == GMonomial([GVar(2, b), GVar(3, c)])
-    assert subword(m, 0, 3) == m
-    assert subword(m, 1, 2) == GMonomial([GVar(2, b)])
-    with pytest.raises(PreconditionError):
-        subword(m, 2, 2)
-    with pytest.raises(PreconditionError):
-        subword(m, 0, 4)
 
 
 def test_multihomogeneous_components(z2):
@@ -244,6 +231,13 @@ PARSE_ERRORS = [
     ("x1:a x2:e 3", "expected '+', '-' or end of expression", 10),
     ("x1:a 1/2 x1:e", "expected '+', '-' or end of expression", 5),
     ("x1:a : x2:a", "expected '+', '-' or end of expression", 5),
+    # past the interpreter's limit on converting digits to an int
+    pytest.param("1" * 5000 + " x1:a", "too many digits in a number", 0,
+                 id="5000-digit-coefficient"),
+    pytest.param("x1:a + 1/" + "7" * 5000 + " x2:a", "too many digits in a number", 9,
+                 id="5000-digit-denominator"),
+    pytest.param("x1:e x" + "2" * 5000 + ":a", "too many digits in a number", 5,
+                 id="5000-digit-index"),
 ]
 
 

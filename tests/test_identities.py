@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstar import (
+    GVar,
     PreconditionError,
     ResourceCapError,
     SignedElement,
@@ -35,7 +36,7 @@ from gstar import (
     word_monomial,
 )
 from gstar.freealg import GPolynomial
-from gstar.identities import _profile_moves, _word_key, block_certificate
+from gstar.identities import _profile_moves, _rewrites, _word_key, block_certificate
 from gstar.rings import RATIONALS
 from gstar.sampling import (
     congruent_partner,
@@ -228,6 +229,99 @@ def test_trivial_derivation_is_empty(gr_z2, z2, mono):
 def test_derivation_precondition(gr_z2, z2, mono):
     with pytest.raises(PreconditionError):
         derivation_mod_neutral(mono("x1:a x1:a*", z2), mono("x1:a* x1:a", z2), gr_z2)
+
+
+def test_derivation_state_budget(gr_z2, z2, mono, monkeypatch):
+    # the all-neutral reversal of degree 5 is found at the 1,914th word reached
+    m1, m2 = mono("x1:e x2:e x3:e x4:e x5:e", z2), mono("x5:e x4:e x3:e x2:e x1:e", z2)
+    assert len(derivation_mod_neutral(m1, m2, gr_z2)) == 3
+    monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
+    with pytest.raises(ResourceCapError, match="state budget 50"):
+        derivation_mod_neutral(m1, m2, gr_z2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=6))
+def test_rewrites_in_generator_order(seed, length):
+    """The rewrites of a word are, over i, then j, the star of each neutral
+    factor [i,j) and then its swaps with each neutral factor [j,k)."""
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=4)
+    group = grading.group
+    word = random_monomial(rng, grading, length).letters
+    expected = []
+    for i, j in itertools.combinations(range(len(word) + 1), 2):
+        if _block_degree(word[i:j], group) != group.identity:
+            continue
+        starred = tuple(GVar(v.index, v.element, not v.star) for v in reversed(word[i:j]))
+        expected.append(("star", i, j, None, word[:i] + starred + word[j:]))
+        expected += [("swap", i, j, k, word[:i] + word[j:k] + word[i:j] + word[k:])
+                     for k in range(j + 1, len(word) + 1)
+                     if _block_degree(word[j:k], group) == group.identity]
+    assert list(_rewrites(word, group)) == expected
+
+
+# partners drawn at seed 2 for random words of degree 5; the draws follow
+# the order of the rewrite list, as the selftest congruence suite's do
+PINNED_PARTNERS = {
+    "Z6:(e,a,a2)": [
+        ("x1:a4 x1:e* x2:a x1:e x1:e", "x1:a4 x1:e x2:a x1:e* x1:e"),
+        ("x1:a2* x1:a2 x2:a4 x1:a2 x1:a4", "x1:a2* x1:a2 x1:a4 x1:a2 x2:a4"),
+        ("x1:a* x4:e* x2:a5 x3:a2 x3:a5", "x3:a2* x2:a5* x4:e* x1:a x3:a5"),
+        ("x2:e x1:a* x1:a x1:a* x4:a4*", "x2:e x1:a* x1:a x1:a* x4:a4*"),
+    ],
+    "S3:(e,r,a)": [
+        ("x3:e x3:a x4:a x2:c* x2:e*", "x3:e x3:a x4:a x2:c* x2:e*"),
+        ("x2:c x4:a x2:rr* x4:e x2:e*", "x4:e x2:c x4:a x2:rr* x2:e*"),
+        ("x3:c x2:e* x2:e x1:r* x1:r", "x3:c x2:e* x1:r* x1:r x2:e"),
+        ("x1:a x4:r x1:e* x3:rr x1:r", "x1:a x3:rr* x1:r* x4:r x1:e*"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PARTNERS))
+def test_congruent_partner_draws_pinned(gradings, name):
+    grading = gradings[name]
+    rng = random.Random(2)
+    drawn = []
+    while len(drawn) < len(PINNED_PARTNERS[name]):
+        m = random_monomial(rng, grading, 5)
+        if not is_monomial_identity(m, grading).is_identity:
+            partner = congruent_partner(rng, m, grading)
+            drawn.append((m.render(grading.group), partner.render(grading.group)))
+    assert drawn == PINNED_PARTNERS[name]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=5))
+def test_derivation_steps_replay(seed, length):
+    """Each step applies the swap or star it names to neutral factors of the
+    previous word, and the chain runs from the second word to the first."""
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=4)
+    group = grading.group
+    m1 = random_monomial(rng, grading, length)
+    if is_monomial_identity(m1, grading).is_identity:
+        return
+    m2 = congruent_partner(rng, m1, grading)
+    if m2 is None:
+        return
+    chain = derivation_mod_neutral(m1, m2, grading)
+    assert chain is not None
+    word = m2.letters
+    for step in chain:
+        i, j, k = step.i, step.j, step.k
+        assert 0 <= i < j <= len(word) and _block_degree(word[i:j], group) == group.identity
+        if step.kind == "star":
+            assert k is None
+            starred = tuple(GVar(v.index, v.element, not v.star) for v in reversed(word[i:j]))
+            word = word[:i] + starred + word[j:]
+        else:
+            assert step.kind == "swap" and j < k <= len(word)
+            assert _block_degree(word[j:k], group) == group.identity
+            word = word[:i] + word[j:k] + word[i:j] + word[k:]
+        assert step.result.letters == word
+    assert word == m1.letters
 
 
 # ---------------------------------------------------------------------------
