@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that the CLI answers every benchmark request with the same bytes as REV.
+"""Check that the CLI answers every benchmark request and info as REV does.
 
     python3 scripts/same_bytes.py REV [--seed N ...] [--workload W ...]
 
@@ -7,11 +7,13 @@ The package source ``src/`` at the git revision REV is extracted with
 ``git archive`` into a temporary directory.  The request lists of
 ``bench/gen.build(workload, seed)`` (seeds 21 and 53 and all four workloads
 by default, which between them run check, eval, congruent, enumerate and
-selftest) are run twice, once with ``--json`` as generated and once toggled,
-through ``gstar.cli.main`` in one child process per tree: this checkout's
-``src/`` and REV's.  The exit code, stdout and stderr of every run are
-compared.  Degree-bound probe requests call library functions rather than
-the CLI, so they are counted and skipped.  ``bench/`` is only imported.
+selftest) and ``info --json`` on every config in ``configs/`` and
+``bench/configs/`` are run twice, once with ``--json`` as given and once
+toggled, through ``gstar.cli.main`` in one child process per tree: this
+checkout's ``src/`` and REV's.  The exit code, stdout and stderr of every
+run are compared.  Degree-bound probe requests call library functions
+rather than the CLI, so they are counted and skipped.  ``bench/`` is only
+read.
 
 Prints the number of runs compared and, on a difference, the number of
 differing runs and the first differing argv; exits 1 on any difference.
@@ -58,11 +60,14 @@ def toggled(argv: list) -> list:
 
 
 def requests(workloads, seeds) -> tuple[list, int]:
-    """Every CLI argv of the given passes, twice; and the probes skipped."""
+    """Every CLI argv of the given passes and of info, twice; and the probes skipped."""
     sys.path.insert(0, str(ROOT / "bench"))
     import gen
 
     argvs, probes = [], 0
+    for config in sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("bench/configs/*.json")):
+        argv = ["info", "--config", str(config.relative_to(ROOT)), "--json"]
+        argvs += [argv, toggled(argv)]
     for workload in workloads:
         for seed in seeds:
             for request in gen.build(workload, seed)[0]:

@@ -29,7 +29,7 @@ from .errors import GroupError, ParseError, PreconditionError, VariableError
 from .genmat import CMonomial, CPolynomial, SparseMatrix, rows_matrix, word_rows
 from .gradings import Grading, SignedElement, signed_degree
 from .groups import Group
-from .rings import RATIONALS, SparseSum, add_term
+from .rings import RATIONALS, SparseSum, add_term, format_coeff
 
 
 class GVar(NamedTuple):
@@ -253,12 +253,6 @@ def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
         i += 1
 
 
-def _format_coeff(c) -> str:
-    if hasattr(c, "denominator") and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def format_poly(f: GPolynomial, group: Group) -> str:
     """Canonical text form; round-trips through :func:`parse_poly`."""
     if f.is_zero:
@@ -268,7 +262,7 @@ def format_poly(f: GPolynomial, group: Group) -> str:
         neg = _is_negative(coeff)
         mag = -coeff if neg else coeff
         body = mono.render(group)
-        piece = body if mag == 1 else f"{_format_coeff(mag)} {body}"
+        piece = body if mag == 1 else f"{format_coeff(mag)} {body}"
         if k == 0:
             chunks.append(f"-{piece}" if neg else piece)
         else:

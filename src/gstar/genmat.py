@@ -5,7 +5,7 @@ matrix for (slot, g) places one fresh variable on each position (i, hat(g)(i))
 of the grading's pattern for g.  Its starred companion is the transpose.
 Products of generic matrices are extremely sparse: at most one nonzero entry
 per row, always a single monomial with coefficient one.  The word kernel
-``word_rows`` reads them off the grading's letter tables in one pass, and
+``word_rows`` reads them off the grading's hat table in one pass, and
 every evaluation goes through it.  Honest multiplication (``__matmul__`` on
 the ``generic_matrix*`` matrices) is kept only as the independent oracle
 that ``selftest`` and the tests compare the kernel against.
@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import GradingError, ShapeError, TraceDomainError, VariableError
 from .gradings import Grading, SignedElement
-from .rings import RATIONALS, SparseSum, add_term
+from .rings import RATIONALS, SparseSum, add_term, format_coeff
 
 
 class EntryVar(NamedTuple):
@@ -103,7 +103,7 @@ class CPolynomial(SparseSum):
             elif c == -1:
                 piece = f"-{body}"
             else:
-                piece = f"{c}*{body}" if body != "1" else str(c)
+                piece = f"{format_coeff(c)}*{body}" if body != "1" else format_coeff(c)
             chunks.append(piece)
         return " + ".join(chunks).replace("+ -", "- ")
 
@@ -246,19 +246,18 @@ def word_rows(word: Sequence[tuple], grading: Grading) -> list:
     """The word kernel: walk every start row through a slotted word at once.
 
     ``word`` holds (slot, element, star) triples, such as a GMonomial's
-    letters; each moves the rows along ``grading.letter_targets``.  Returns
+    letters; each moves the rows along the hat of its signed degree.  Returns
     (start, end, variables) per surviving start row, in increasing order:
     the generic product's entry at (start, end) is the monomial of the
     variables, variables[p] = y[slot, a, b] for factor p stepping from row
     a to row b (y[slot, b, a] if starred).  Empty exactly for identities.
     """
-    tables = grading.letter_targets
+    hats, order, inverse = grading.hats, grading.group.order, grading.group.inverse
     walks = [(row, row, ()) for row in range(grading.n)]
     for slot, element, star in word:
-        try:
-            step = tables[element, star]
-        except KeyError:
-            raise GradingError(f"element index {element} outside the group") from None
+        if not 0 <= element < order:
+            raise GradingError(f"element index {element} outside the group")
+        step = hats[inverse[element] if star else element]
         walks = [
             (start, col, (*variables, EntryVar(slot, col, row) if star else EntryVar(slot, row, col)))
             for start, row, variables in walks
@@ -308,7 +307,7 @@ def row_trace(start: int, word: Sequence[SignedElement], grading: Grading) -> Ro
     for first, _end, variables in word_rows([(0, *se) for se in word], grading):
         if first == start:
             s = (start, *(v.row if se.star else v.col for v, se in zip(variables, word)))
-            plain = [grading.letter_targets[se.element, False] for se in word]
+            plain = [grading.hats[se.element] for se in word]
             return RowTrace(start, s, tuple(h[a] for h, a in zip(plain, s)))
     letters = " ".join(se.render(grading.group) for se in word)
     raise TraceDomainError(f"row {start} leaves the domain of the word {letters}")

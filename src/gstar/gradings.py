@@ -66,10 +66,6 @@ class PartialInjection:
         return cls(range(n))
 
     @classmethod
-    def empty(cls, n: int) -> "PartialInjection":
-        return cls([None] * n)
-
-    @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "PartialInjection":
         t: list[Optional[int]] = [None] * n
         for i, j in pairs:
@@ -141,7 +137,7 @@ class CompositionGraph:
     """
 
     def __init__(self, hats: Sequence[tuple[Optional[int], ...]], n: int):
-        self._hats = hats
+        self.hats = hats
         self.states: list[tuple[Optional[int], ...]] = []
         self._ids: dict[tuple[Optional[int], ...], int] = {}
         self.step = _LazyRows(self._compose_row)
@@ -157,7 +153,7 @@ class CompositionGraph:
 
     def _compose_row(self, s: int) -> tuple[int, ...]:
         state = self.states[s]
-        return tuple(self._intern(compose_targets(state, hat)) for hat in self._hats)
+        return tuple(self._intern(compose_targets(state, hat)) for hat in self.hats)
 
 
 class _LazyRows(dict):
@@ -176,36 +172,24 @@ class Grading:
     """An elementary grading, with support and hat maps precomputed.
 
     Immutable after construction, except that the composition graph,
-    created on first use and cached, grows as searches explore it; share
-    a grading across threads only behind a lock.
+    created on first use and cached, grows as compositions and searches
+    read it; share a grading across threads only behind a lock.
     """
 
     def __init__(self, group: Group, defining_tuple: tuple[int, ...]):
         self.group = group
         self.defining_tuple = defining_tuple
         self.n = len(defining_tuple)
-        n = self.n
-        hats: dict[int, PartialInjection] = {}
         pos = {g: i for i, g in enumerate(defining_tuple)}
-        for g in group.elements():
-            targets: list[Optional[int]] = [None] * n
-            for i, gi in enumerate(defining_tuple):
-                j = pos.get(group.mul(gi, g))
-                if j is not None:
-                    targets[i] = j
-            pi = PartialInjection(targets)
-            if not pi.is_empty:
-                hats[g] = pi
-        self._hats = hats
-        self.support = frozenset(hats)
-        self._empty = PartialInjection.empty(n)
-        # raw target tuple of every signed letter, keyed (element, star):
-        # hat(g) for g, hat(g^{-1}) for g*
-        self.letter_targets = {
-            (g, star): self.hat(SignedElement(g, star).degree(group)).targets
+        # hats[g] is the target tuple of hat(g), all None off the support;
+        # each is validated as an injection here, once
+        self.hats = tuple(
+            PartialInjection(pos.get(group.mul(gi, g)) for gi in defining_tuple).targets
             for g in group.elements()
-            for star in (False, True)
-        }
+        )
+        self.support = frozenset(
+            g for g, targets in enumerate(self.hats) if any(x is not None for x in targets)
+        )
 
     def support_sorted(self) -> list[int]:
         return sorted(self.support)
@@ -224,7 +208,7 @@ class Grading:
         """The partial injection i -> j with g_i g = g_j; empty off support."""
         if not 0 <= g < self.group.order:
             raise GradingError(f"element index {g} outside the group")
-        return self._hats.get(g, self._empty)
+        return PartialInjection._trusted(self.hats[g])
 
     def d_set(self, g: int) -> frozenset[int]:
         return frozenset(self.hat(g).domain())
@@ -240,19 +224,18 @@ class Grading:
         """Left-to-right composition: the first letter of the word acts first."""
         if not word:
             raise PreconditionError("compose_signed needs a nonempty word")
-        try:
-            steps = [self.letter_targets[letter] for letter in word]
-        except KeyError:
-            raise GradingError(f"a letter of {word} is outside the group") from None
-        acc = steps[0]
-        for step in steps[1:]:
-            acc = compose_targets(acc, step)
-        return PartialInjection(acc)
+        graph, order, inverse = self.composition_graph, self.group.order, self.group.inverse
+        state = 0
+        for element, star in word:
+            if not 0 <= element < order:
+                raise GradingError(f"a letter of {word} is outside the group")
+            state = graph.step[state][inverse[element] if star else element]
+        return PartialInjection._trusted(graph.states[state])
 
     @cached_property
     def composition_graph(self) -> CompositionGraph:
         """The composition monoid of the hat maps, explored as it is read."""
-        return CompositionGraph([self.hat(g).targets for g in self.group.elements()], self.n)
+        return CompositionGraph(self.hats, self.n)
 
     def signed_alphabet(self) -> list[SignedElement]:
         """All support letters g and g*, in canonical order."""

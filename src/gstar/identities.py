@@ -23,9 +23,9 @@ from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import evaluate_monomial  # noqa: F401  (re-exported for callers)
 from .freealg import GMonomial, GPolynomial, GVar, evaluate, variable
 from .genmat import evaluation_key, word_rows
-from .gradings import CompositionGraph, Grading, SignedElement, compose_targets, signed_degree
+from .gradings import CompositionGraph, Grading, SignedElement, signed_degree
 from .groups import Group
-from .rings import RATIONALS
+from .rings import RATIONALS, format_coeff
 
 Word = tuple[SignedElement, ...]
 
@@ -315,14 +315,14 @@ def subword_identity_certificate(
     such a subword is a notable finding; callers flag it rather than
     conclude anything.
     """
-    steps = [grading.letter_targets[se] for se in mono.signed_word()]
-    empty, best = (None,) * grading.n, None
-    max_len = 2 * grading.n - 1
-    for start in range(len(steps)):
-        acc = tuple(range(grading.n))
-        for stop in range(start + 1, min(len(steps), start + max_len) + 1):
-            acc = compose_targets(acc, steps[stop - 1])
-            if acc == empty:  # only strictly shorter subwords can beat it
+    graph, group = grading.composition_graph, grading.group
+    degrees = [se.degree(group) for se in mono.signed_word()]
+    best, max_len = None, 2 * grading.n - 1
+    for start in range(len(degrees)):
+        state = 0
+        for stop in range(start + 1, min(len(degrees), start + max_len) + 1):
+            state = graph.step[state][degrees[stop - 1]]
+            if state == graph.empty:  # only strictly shorter subwords can beat it
                 best, max_len = (start, stop), stop - start - 1
                 break
     return best
@@ -381,7 +381,7 @@ class IdentityTerm:
     def to_json(self, group: Group) -> dict:
         return {
             "monomial": self.monomial.render(group),
-            "coefficient": str(self.coefficient),
+            "coefficient": format_coeff(self.coefficient),
             "subword": list(self.certificate) if self.certificate else None,
         }
 
@@ -394,8 +394,8 @@ class CongruenceClass:
     def to_json(self, group: Group) -> dict:
         return {
             "monomials": [m.render(group) for m, _ in self.members],
-            "coefficients": [str(c) for _, c in self.members],
-            "sum": str(self.total),
+            "coefficients": [format_coeff(c) for _, c in self.members],
+            "sum": format_coeff(self.total),
         }
 
 
@@ -425,14 +425,14 @@ class BasisReduction:
         }
 
 
-def basis_reduce(f: GPolynomial, grading: Grading, field=RATIONALS) -> BasisReduction:
+def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
     """Reduce a strongly multi-homogeneous polynomial against the basis.
 
     Monomial identity terms are separated and annotated with a contiguous
     identity subword of degree at most 2n-1 when one exists; the remaining
     terms are partitioned by generic evaluation (the evaluation key), which
     classifies them up to congruence modulo the neutral ideal.  The class
-    sums only add coefficients of ``f``, so ``field`` does not enter.
+    sums only add coefficients of ``f``, so no coefficient field is passed.
     """
     terms = f.terms_sorted()
     if not terms:

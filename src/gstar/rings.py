@@ -148,6 +148,18 @@ class PrimeField:
 RATIONALS = Rationals()
 
 
+def format_coeff(c) -> str:
+    """The text of a coefficient, as every report and rendering prints it.
+
+    Raises :class:`FieldError` for a number with more digits than the
+    interpreter converts to text; that process-wide limit is left as it is.
+    """
+    try:
+        return str(c)
+    except ValueError:  # past the interpreter's limit on digits converted to text
+        raise FieldError("a coefficient has too many digits to print") from None
+
+
 def add_term(terms: dict, key, coeff) -> None:
     """Add ``coeff`` into ``terms[key]`` in place; a sum that cancels drops the key."""
     total = terms[key] + coeff if key in terms else coeff

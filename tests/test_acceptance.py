@@ -388,7 +388,7 @@ def test_criterion_8_characteristic_independence():
         seed = zlib.crc32(name.encode())
         per_field = [
             [
-                basis_reduce(f, grading, field).is_identity
+                basis_reduce(f, grading).is_identity
                 for f in _corpus(grading, field, 120, seed)
             ]
             for field in fields

@@ -309,6 +309,33 @@ def test_number_past_digit_limit_is_input_error(expression, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+NINES = "9" * 4300  # the most digits Python converts to text by default
+
+
+@pytest.mark.parametrize("argv", [
+    # like terms sum to a 4,301-digit coefficient: the expression cannot print
+    ["check", "--config", str(CONFIGS / "z2.json"), f"{NINES} x1:a + {NINES} x1:a"],
+    ["eval", "--config", str(CONFIGS / "z2.json"), f"{NINES} x1:a + {NINES} x1:a"],
+    # the expression prints, but a generic entry sums to 4,301 digits
+    ["eval", "--config", str(CONFIGS / "z2.json"), f"{NINES} x1:e + {NINES} x1:e*"],
+    # the expression prints, but a congruence class sums to 4,301 digits
+    ["check", "--config", str(CONFIGS / "z2.json"), f"{NINES} x1:e x2:e + {NINES} x2:e x1:e"],
+], ids=["check", "eval", "eval-entry", "check-class-sum"])
+def test_coefficient_past_digit_limit_is_input_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: a coefficient has too many digits to print"]
+
+
+def test_seed_belongs_to_selftest_only(capsys):
+    code, out, err = run(["check", "--config", str(CONFIGS / "z2.json"), "--seed", "1", "x1:a"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed" in err
+
+
 def test_derivation_state_budget_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
     code, out, err = run(["congruent", "--config", str(CONFIGS / "z2.json"),
@@ -478,3 +505,26 @@ def test_enumerate_large_grading_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0c521aab7a7335d5b133f495f4b30a98ac0fdc438a46de05aed3771040e1f7c2"
     )
+
+
+# sha256 of the info --json stdout of every config: the support, and the
+# domain, image and map of each hat.
+GOLDEN_INFOS = [
+    (CONFIGS / "klein.json", "4020326cb471571ed2c1d63ec3c23f1160b66c22e81861dd00078aacf25056b4"),
+    (CONFIGS / "s3_mixed.json", "231312b44a042234191dc6d49c7589ec11e813644ea9569af3422fa9a9cb9e13"),
+    (CONFIGS / "s3_rot.json", "7440e80c00c57c2444ddacb48ec57cc1b9c42cd8dbf6320e86c1a4f59abae3d4"),
+    (CONFIGS / "z2.json", "df17a63c31674d5e3347e0d95c0534b855b68c2d6ad885115f337f74040e3122"),
+    (CONFIGS / "z4_3tuple.json", "4cc65e7bd1cace04395feb488e5a1139783ad94e8f347c99e23fbd705b053079"),
+    (CONFIGS / "z6_3tuple.json", "5342c99b7bd12a23be6f8e1c72bd6abe75b1a622a09369fe7aa8a03b3c698363"),
+    (BENCH_CONFIGS / "s3_4tuple.json", "b3333a2977dd2e1baa485122a32b714c0d418a20cfb25cd7c5a534d261b26706"),
+    (BENCH_CONFIGS / "z10_5tuple.json", "930e63bb39facd12b687e06a3ef68e7c0b9fe14d3d8b75f9b5d28f602eb34812"),
+    (BENCH_CONFIGS / "z5_full.json", "b39234ac7c21377c19aa5f342570ea39435c645274a504d88f0733108975afac"),
+    (BENCH_CONFIGS / "z8_4tuple.json", "04a74aa02d475078775815c51cbf5b0b47db30a54673f90fb7c54a18b3e9d0ca"),
+]
+
+
+@pytest.mark.parametrize("config, digest", GOLDEN_INFOS, ids=[c.stem for c, _ in GOLDEN_INFOS])
+def test_info_bytes_pinned(config, digest, capsys):
+    code, out, _ = run(["info", "--config", str(config), "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,13 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstar import (
+    GMonomial,
     GradingError,
+    GVar,
     PartialInjection,
     PreconditionError,
     SignedElement,
     build_grading,
+    evaluate_monomial,
     grading_from_json,
     make_cyclic,
+    word_is_identity,
 )
 from gstar.sampling import random_grading
 
@@ -84,6 +88,22 @@ def test_compose_signed(gr_z6, z6):
     assert gr_z6.compose_signed([a, a, a]).is_empty
     with pytest.raises(PreconditionError):
         gr_z6.compose_signed([])
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["plain", "starred"])
+@pytest.mark.parametrize("element", [-1, 6], ids=["minus-one", "order"])
+def test_letters_outside_the_group_rejected(gr_z6, z6, element, star):
+    # the hat maps sit in a sequence indexed by element, where -1 would
+    # silently read the last one; each entry point must refuse it instead
+    bad = SignedElement(element, star)
+    for word in ([bad], [SignedElement(z6.identity), bad]):
+        with pytest.raises(GradingError):
+            gr_z6.compose_signed(word)
+        with pytest.raises(GradingError):
+            word_is_identity(word, gr_z6)
+        mono = GMonomial([GVar(p, se.element, se.star) for p, se in enumerate(word, 1)])
+        with pytest.raises(GradingError):
+            evaluate_monomial(mono, gr_z6)
 
 
 def test_compose_plain_then_star_restricts_identity(gradings):
@@ -184,7 +204,8 @@ def test_composition_splits_at_any_cut(seed, length):
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
 def test_composition_graph_walk_matches_compose_signed(seed, length):
     # walking the interned graph along the letters' degree columns lands on
-    # the state whose target tuple is the composed hat map
+    # the state whose target tuple is the composed hat map; the reference
+    # folds PartialInjection.then, since compose_signed walks the graph too
     rng = random.Random(seed)
     grading = random_grading(rng)
     group = grading.group
@@ -198,7 +219,10 @@ def test_composition_graph_walk_matches_compose_signed(seed, length):
     state = 0
     for se in word:
         state = graph.step[state][se.degree(group)]
-    assert graph.states[state] == grading.compose_signed(word).targets
+    reference = grading.hat(word[0].degree(group))
+    for se in word[1:]:
+        reference = reference.then(grading.hat(se.degree(group)))
+    assert graph.states[state] == reference.targets
     assert len(set(graph.states)) == len(graph.states)
     assert graph.step[graph.empty] == (graph.empty,) * group.order
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gstar.freealg import GMonomial, GPolynomial, GVar
 from gstar.genmat import CMonomial, CPolynomial, EntryVar
-from gstar.rings import RATIONALS, FieldError, Fp, PrimeField, parse_field
+from gstar.rings import RATIONALS, FieldError, Fp, PrimeField, format_coeff, parse_field
 
 
 def test_parse_field():
@@ -96,3 +96,12 @@ def test_sparse_sums_of_both_rings(field, raw, other):
             same = cls(dict(reversed(list(terms.items()))))
             assert same == p and hash(same) == hash(p)
             assert total == q + p and hash(total) == hash(q + p)
+
+
+def test_format_coeff_and_its_digit_limit():
+    assert [format_coeff(c) for c in (Fraction(-3, 4), Fraction(6, 3), Fp(7, 5))] == ["-3/4", "2", "2"]
+    assert format_coeff(Fraction(10**4299)) == "1" + "0" * 4299
+    with pytest.raises(FieldError, match="too many digits"):
+        format_coeff(Fraction(10**4300))
+    with pytest.raises(FieldError, match="too many digits"):
+        format_coeff(Fraction(1, 10**4300))
