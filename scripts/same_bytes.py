@@ -7,8 +7,10 @@ The package source ``src/`` at the git revision REV is extracted with
 ``git archive`` into a temporary directory.  The request lists of
 ``bench/gen.build(workload, seed)`` (seeds 21 and 53 and all four workloads
 by default, which between them run check, eval, congruent, enumerate and
-selftest) and ``info --json`` on every config in ``configs/`` and
-``bench/configs/`` are run twice, once with ``--json`` as given and once
+selftest), ``info --json`` on every config in ``configs/`` and
+``bench/configs/``, the degree-6 listings of z4 and Klein (147,888 words
+each), and ``info`` and ``enumerate --max-deg 4`` on a grading whose element
+names need escaping are run twice, once with ``--json`` as given and once
 toggled, through ``gstar.cli.main`` in one child process per tree: this
 checkout's ``src/`` and REV's.  The exit code, stdout and stderr of every
 run are compared.  Degree-bound probe requests call library functions
@@ -32,6 +34,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("check", "enumerate", "congruent", "selftest")
+
+# Z5 with element names that JSON escapes and that text mode quotes
+ESCAPED_NAMES = ["e", 'a"b', "c\\d", "\u00e9", "f'g"]
+ESCAPED_GRADING = {
+    "group": {"elements": ESCAPED_NAMES,
+              "table": [[(i + j) % 5 for j in range(5)] for i in range(5)]},
+    "tuple": ESCAPED_NAMES[:3],
+}
 
 # Reads a JSON list of argv lists on stdin and prints one line per argv:
 # the exit code and the sha256 of stdout and of stderr.  An exception that
@@ -59,14 +69,24 @@ def toggled(argv: list) -> list:
     return argv[:3] + ["--json"] + argv[3:]
 
 
-def requests(workloads, seeds) -> tuple[list, int]:
-    """Every CLI argv of the given passes and of info, twice; and the probes skipped."""
+def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
+    """Every CLI argv of the given passes, of info and of the extra listings,
+    twice; and the probes skipped.  The escaped-name grading is written to tmp."""
     sys.path.insert(0, str(ROOT / "bench"))
     import gen
 
+    escaped = Path(tmp) / "escaped.json"
+    escaped.write_text(json.dumps(ESCAPED_GRADING), encoding="utf-8")
     argvs, probes = [], 0
     for config in sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("bench/configs/*.json")):
         argv = ["info", "--config", str(config.relative_to(ROOT)), "--json"]
+        argvs += [argv, toggled(argv)]
+    for argv in (
+        ["enumerate", "--config", "configs/z4_3tuple.json", "--json", "--max-deg", "6"],
+        ["enumerate", "--config", "configs/klein.json", "--json", "--max-deg", "6"],
+        ["info", "--config", str(escaped), "--json"],
+        ["enumerate", "--config", str(escaped), "--json", "--max-deg", "4"],
+    ):
         argvs += [argv, toggled(argv)]
     for workload in workloads:
         for seed in seeds:
@@ -103,8 +123,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="bench workload (all four)")
     args = parser.parse_args(argv)
-    argvs, probes = requests(args.workload or WORKLOADS, args.seed or [21, 53])
     with tempfile.TemporaryDirectory() as tmp:
+        argvs, probes = requests(args.workload or WORKLOADS, args.seed or [21, 53], tmp)
         trees = [ROOT / "src", extract_src(args.rev, tmp)]
         results = [Path(tmp) / "ours.jsonl", Path(tmp) / "theirs.jsonl"]
         children = [start(src, argvs, result) for src, result in zip(trees, results)]

@@ -12,6 +12,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import GstarError, InternalCheckError, ParseError, ResourceCapError
@@ -168,29 +170,69 @@ def cmd_congruent(args, grading, field, out) -> int:
 
 
 def cmd_enumerate(args, grading, field, out) -> int:
+    """List the monomial identities, writing the report one length block at a time.
+
+    The bytes are those that ``_emit`` gives the payload {command, count,
+    max_degree, max_identity_degree, minimal_only, monomials, schema,
+    words}, but no payload is built: each letter's name and its token
+    ``x<p>:<name>`` at each position are rendered (in JSON, also escaped)
+    once, and the words of each length go to ``out`` in one write per
+    section.
+    """
     max_deg = args.max_deg if args.max_deg is not None else 2 * grading.n - 1
     words = enumerate_monomial_identities(grading, max_deg, minimal_only=args.minimal)
     group = grading.group
-    # every letter rendered once: its name, and its token "x<p>:<name>" at each position p
     names = {
         SignedElement(g, star): SignedElement(g, star).render(group)
         for g in group.elements()
         for star in (False, True)
     }
-    tokens = [
-        {se: f"x{p}:{name}" for se, name in names.items()} for p in range(1, max_deg + 1)
-    ]
-    payload = {
-        "schema": SCHEMA,
+    tokens = [{se: f"x{p}:{name}" for se, name in names.items()} for p in range(1, max_deg + 1)]
+    head = {
         "command": "enumerate",
-        "max_degree": max_deg,
-        "minimal_only": args.minimal,
         "count": len(words),
-        "max_identity_degree": max((len(w) for w in words), default=0),
-        "words": [[names[se] for se in w] for w in words],
-        "monomials": [" ".join([tokens[p][se] for p, se in enumerate(w)]) for w in words],
+        "max_degree": max_deg,
+        # words come out by length, so the last one is the longest
+        "max_identity_degree": len(words[-1]) if words else 0,
+        "minimal_only": args.minimal,
     }
-    _emit(payload, args, out)
+    if args.json:
+        # escaping works character by character, so escaped pieces join unchanged
+        def escape(text: str) -> str:
+            return encode_basestring_ascii(text)[1:-1]
+
+        names = {se: escape(name) for se, name in names.items()}
+        tokens = [{se: escape(token) for se, token in row.items()} for row in tokens]
+        opening = "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
+        closing = "\n}\n"
+        first, sep, last, empty = "[\n    ", ",\n    ", "\n  ]", "[]"
+        sections = (
+            ('  "monomials": ', tokens, " ", '"', '"'),
+            (f',\n  "schema": {json.dumps(SCHEMA)},\n  "words": ', [names] * max_deg,
+             '",\n      "', '[\n      "', '"\n    ]'),
+        )
+    else:
+        names = {se: repr(name) for se, name in names.items()}
+        opening = "".join(f"{k}: {v}\n" for k, v in head.items())
+        closing = "\n"
+        first = sep = "\n  "
+        last = empty = ""
+        sections = (
+            ("monomials:", tokens, " ", "", ""),
+            (f"\nschema: {SCHEMA}\nwords:", [names] * max_deg, ", ", "[", "]"),
+        )
+
+    # a section is its key, the letter table of each position, the text
+    # between two letters and the text around each item
+    out.write(opening)
+    for key, tables, joiner, start, end in sections:
+        lead, between = key + first + start, end + sep + start
+        for _, block in groupby(words, len):
+            columns = [map(table.__getitem__, column) for table, column in zip(tables, zip(*block))]
+            out.write(lead + between.join(map(joiner.join, zip(*columns))))
+            lead = between
+        out.write(end + last if words else key + empty)
+    out.write(closing)
     return EXIT_OK
 
 

@@ -254,7 +254,8 @@ def word_rows(word: Sequence[tuple], grading: Grading) -> list:
     """
     hats, order, inverse = grading.hats, grading.group.order, grading.group.inverse
     walks = [(row, row, ()) for row in range(grading.n)]
-    for slot, element, star in word:
+    letters = iter(word)
+    for slot, element, star in letters:
         if not 0 <= element < order:
             raise GradingError(f"element index {element} outside the group")
         step = hats[inverse[element] if star else element]
@@ -264,6 +265,10 @@ def word_rows(word: Sequence[tuple], grading: Grading) -> list:
             if (col := step[row]) is not None
         ]
         if not walks:
+            # the walk is dead; the letters after it are only range-checked
+            for _, element, _ in letters:
+                if not 0 <= element < order:
+                    raise GradingError(f"element index {element} outside the group")
             break
     return walks
 

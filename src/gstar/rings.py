@@ -66,14 +66,35 @@ class Fp:
         return str(self.value)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises FieldError at or past PRIME_TEST_LIMIT."""
+    if p >= PRIME_TEST_LIMIT:
+        raise FieldError(f"cannot decide whether a modulus of {PRIME_TEST_LIMIT:,} "
+                         "or more is prime")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for base in _PRIME_BASES:
+        if p % base == 0:
+            return p == base
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _PRIME_BASES:
+        x = pow(base, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,11 +1,14 @@
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from gstar.cli import main
+from gstar.cli import _print_text, main
+from gstar.gradings import grading_from_json
+from gstar.identities import enumerate_monomial_identities
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -231,6 +234,17 @@ def test_modp_coefficients_accepted(capsys):
     assert code == 0
     assert payload["identity"] is True
     assert payload["coefficients"] == "modp:2"
+
+
+def test_large_prime_modulus(capsys):
+    # deterministic Miller-Rabin: instant where trial division took minutes
+    code, _, _ = run(["info", "--config", str(CONFIGS / "z2.json"),
+                      "--coeff", "modp:1000000000000000003"], capsys)
+    assert code == 0
+    code, out, err = run(["info", "--config", str(CONFIGS / "z2.json"),
+                          "--coeff", "modp:3317044064679887385961981"], capsys)
+    assert (code, out) == (2, "")
+    assert "3,317,044,064,679,887,385,961,981" in err
 
 
 def test_console_entry_point_matches_module():
@@ -475,6 +489,8 @@ GOLDEN_ENUMERATIONS = [
      "8e54658980e6581130270fab6ae250c9d18dfcd434d8078bd56da5c90846440f"),
     ([CONFIGS / "s3_mixed.json", "--max-deg", "4", "--minimal"],
      "284d6ec9b16824fac2eeb75023fb22474b9416f7b4d71bce568ec2d91db1dc70"),
+    ([CONFIGS / "z2.json"],
+     "d52a5f813f3aabcbed02a63e4f0ec7f6f63330201cdaaa835fe92ec38959d0c4"),
 ]
 
 
@@ -505,6 +521,90 @@ def test_enumerate_large_grading_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0c521aab7a7335d5b133f495f4b30a98ac0fdc438a46de05aed3771040e1f7c2"
     )
+
+
+def write_escaped_config(directory: Path) -> Path:
+    """Z5 with element names that JSON escapes (a quote, a backslash, a
+    non-ASCII letter) and that text mode quotes with double quotes (an
+    apostrophe); the tuple is the first three elements."""
+    names = ["e", 'a"b', "c\\d", "\u00e9", "f'g"]
+    config = directory / "escaped.json"
+    config.write_text(json.dumps({
+        "group": {"elements": names, "table": [[(i + j) % 5 for j in range(5)] for i in range(5)]},
+        "tuple": names[:3],
+    }))
+    return config
+
+
+# sha256 of the enumerate stdout on the escaped-name grading: flags.
+GOLDEN_ESCAPED_ENUMERATIONS = [
+    (["--max-deg", "4", "--json"],
+     "bdfa87581c0908d870638da3218c54e6d5505992439a5ff4448cbe5a067cb96f"),
+    (["--max-deg", "4"],
+     "88da434e8e29fde6cea5cf25cd0c0629e28b8a95e61501ee46530762960f5672"),
+    (["--max-deg", "4", "--minimal", "--json"],
+     "5207583c2d35a7b37c0c4759ac414e7fbc545a41fa410f66d123ee46c6a8a2e6"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", GOLDEN_ESCAPED_ENUMERATIONS,
+                         ids=[" ".join(f) for f, _ in GOLDEN_ESCAPED_ENUMERATIONS])
+def test_enumerate_escaped_names_bytes_pinned(flags, digest, tmp_path, capsys):
+    config = write_escaped_config(tmp_path)
+    code, out, _ = run(["enumerate", "--config", str(config), *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def reference_enumeration(config: Path, max_deg: int, minimal: bool) -> dict:
+    """The enumerate payload as a dict, rendered word by word."""
+    grading = grading_from_json(json.loads(config.read_text(encoding="utf-8")))
+    words = enumerate_monomial_identities(grading, max_deg, minimal_only=minimal)
+    group = grading.group
+    return {
+        "schema": "gstar-report/1",
+        "command": "enumerate",
+        "max_degree": max_deg,
+        "minimal_only": minimal,
+        "count": len(words),
+        "max_identity_degree": max((len(w) for w in words), default=0),
+        "words": [[se.render(group) for se in w] for w in words],
+        "monomials": [
+            " ".join(f"x{p}:{se.render(group)}" for p, se in enumerate(w, 1)) for w in words
+        ],
+    }
+
+
+def assert_same_report(out: str, expected: str) -> None:
+    """Fail on the first differing line: pytest's own diff of two long
+    reports takes minutes."""
+    if out != expected:
+        pairs = zip(out.splitlines(), expected.splitlines())
+        diff = next(((n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b), None)
+        pytest.fail(f"first difference (line, got, expected): {diff}; "
+                    f"lengths {len(out)} and {len(expected)}")
+
+
+@pytest.mark.parametrize("minimal", [False, True], ids=["full", "minimal"])
+@pytest.mark.parametrize("max_deg", [1, 2, 3, 4])
+@pytest.mark.parametrize("config", [*sorted(CONFIGS.glob("*.json")), "escaped"],
+                         ids=lambda c: getattr(c, "stem", c))
+def test_enumerate_matches_dumped_payload(config, max_deg, minimal, tmp_path, capsys):
+    # json.dumps and _print_text of the whole payload are the reference
+    # for the report that cmd_enumerate writes block by block.
+    if config == "escaped":
+        config = write_escaped_config(tmp_path)
+    payload = reference_enumeration(config, max_deg, minimal)
+    argv = ["enumerate", "--config", str(config), "--max-deg", str(max_deg)]
+    argv += ["--minimal"] * minimal
+    code, out, _ = run(argv + ["--json"], capsys)
+    assert code == 0
+    assert_same_report(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = io.StringIO()
+    _print_text(payload, text)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert_same_report(out, text.getvalue())
 
 
 # sha256 of the info --json stdout of every config: the support, and the

@@ -11,6 +11,7 @@ from gstar import (
     SignedElement,
     build_grading,
     evaluate_monomial,
+    evaluation_key,
     grading_from_json,
     make_cyclic,
     word_is_identity,
@@ -104,6 +105,21 @@ def test_letters_outside_the_group_rejected(gr_z6, z6, element, star):
         mono = GMonomial([GVar(p, se.element, se.star) for p, se in enumerate(word, 1)])
         with pytest.raises(GradingError):
             evaluate_monomial(mono, gr_z6)
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["plain", "starred"])
+@pytest.mark.parametrize("element", [-1, 6, 99], ids=["minus-one", "order", "99"])
+def test_letters_after_a_dead_walk_rejected(gr_z6, z6, element, star):
+    # a a a kills every row of Z6 (e, a, a2), so the fourth letter is never
+    # walked; it must still be range-checked
+    a = z6.index_of("a")
+    mono = GMonomial([GVar(1, a), GVar(2, a), GVar(3, a), GVar(4, element, star)])
+    with pytest.raises(GradingError):
+        evaluate_monomial(mono, gr_z6)
+    with pytest.raises(GradingError):
+        evaluation_key(mono.letters, gr_z6)
+    alive = GMonomial([GVar(1, a), GVar(2, a), GVar(3, a), GVar(4, a, star)])
+    assert evaluation_key(alive.letters, gr_z6) == ()
 
 
 def test_compose_plain_then_star_restricts_identity(gradings):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,16 @@ from hypothesis import strategies as st
 
 from gstar.freealg import GMonomial, GPolynomial, GVar
 from gstar.genmat import CMonomial, CPolynomial, EntryVar
-from gstar.rings import RATIONALS, FieldError, Fp, PrimeField, format_coeff, parse_field
+from gstar.rings import (
+    PRIME_TEST_LIMIT,
+    RATIONALS,
+    FieldError,
+    Fp,
+    PrimeField,
+    _is_prime,
+    format_coeff,
+    parse_field,
+)
 
 
 def test_parse_field():
@@ -105,3 +115,20 @@ def test_format_coeff_and_its_digit_limit():
         format_coeff(Fraction(10**4300))
     with pytest.raises(FieldError, match="too many digits"):
         format_coeff(Fraction(1, 10**4300))
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+    assert [p for p in range(-3, 10**5) if _is_prime(p)] == [
+        p for p in range(-3, 10**5) if trial_division(p)
+    ]
+
+
+def test_is_prime_past_trial_division():
+    assert not _is_prime(3_215_031_751)  # a strong pseudoprime to bases 2, 3, 5 and 7
+    assert _is_prime(10**18 + 3) and _is_prime(10**18 + 9)
+    assert not _is_prime(10**18 + 1) and not _is_prime((10**9 + 7) * (10**9 + 9))
+    with pytest.raises(FieldError, match="3,317,044,064,679,887,385,961,981"):
+        _is_prime(PRIME_TEST_LIMIT)  # the least strong pseudoprime to all 13 bases
