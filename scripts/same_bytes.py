@@ -9,8 +9,9 @@ The package source ``src/`` at the git revision REV is extracted with
 by default, which between them run check, eval, congruent, enumerate and
 selftest), ``info --json`` on every config in ``configs/`` and
 ``bench/configs/``, the degree-6 listings of z4 and Klein (147,888 words
-each), and ``info`` and ``enumerate --max-deg 4`` on a grading whose element
-names need escaping are run twice, once with ``--json`` as given and once
+each), ``info`` and ``enumerate --max-deg 4`` on a grading whose element
+names need escaping, and ``congruent`` on the four pairs of
+``DEEP_DERIVATIONS`` are run twice, once with ``--json`` as given and once
 toggled, through ``gstar.cli.main`` in one child process per tree: this
 checkout's ``src/`` and REV's.  The exit code, stdout and stderr of every
 run are compared.  Degree-bound probe requests call library functions
@@ -42,6 +43,18 @@ ESCAPED_GRADING = {
               "table": [[(i + j) % 5 for j in range(5)] for i in range(5)]},
     "tuple": ESCAPED_NAMES[:3],
 }
+
+# Pairs of degree 6 and 7 whose shortest derivation chains take four steps:
+# the all-neutral reversals on Z2 and two mostly neutral pairs.  The bench
+# requests reach degree 5 on all-neutral words, where the chains are shorter.
+DEEP_DERIVATIONS = [
+    ("configs/z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e", "x6:e x5:e x4:e x3:e x2:e x1:e"),
+    ("configs/z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e x7:e", "x7:e x6:e x5:e x4:e x3:e x2:e x1:e"),
+    ("configs/klein.json", "x1:e x2:a x3:a x4:e x5:e x6:e x7:e",
+     "x6:e* x3:a* x2:a* x1:e x5:e* x7:e* x4:e"),
+    ("configs/s3_mixed.json", "x1:rr x2:r x3:e x4:e x5:e x6:e x7:e",
+     "x4:e x6:e x1:rr x2:r x7:e* x3:e x5:e*"),
+]
 
 # Reads a JSON list of argv lists on stdin and prints one line per argv:
 # the exit code and the sha256 of stdout and of stderr.  An exception that
@@ -87,6 +100,9 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
         ["info", "--config", str(escaped), "--json"],
         ["enumerate", "--config", str(escaped), "--json", "--max-deg", "4"],
     ):
+        argvs += [argv, toggled(argv)]
+    for config, first, second in DEEP_DERIVATIONS:
+        argv = ["congruent", "--config", config, "--json", first, second]
         argvs += [argv, toggled(argv)]
     for workload in workloads:
         for seed in seeds:

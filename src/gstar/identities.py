@@ -154,22 +154,60 @@ class DerivationStep:
         return out
 
 
-def _rewrites(letters: tuple[GVar, ...], group: Group):
-    """Every single-step rewrite by the neutral-ideal generators, as (kind,
-    i, j, k, rewritten letters): over i, then j, the star of the neutral
-    factor [i,j) first, then its swaps with each neutral factor [j,k)."""
-    pref = [group.identity]
-    for v in letters:
-        pref.append(group.mul(pref[-1], signed_degree(v.element, v.star, group)))
-    for i in range(len(letters)):
-        for j in range(i + 1, len(pref)):
-            if pref[i] != pref[j]:  # [i,j) is neutral exactly when the prefix degrees agree
+class _Alphabet:
+    """The signed letters of a derivation search, one character each.
+
+    The distinct (index, element) pairs of the given monomials are numbered
+    t = 0, 1, ... in order of first appearance, and the letter of pair t
+    with star flag s is ``chr(2t + s)``.  A word is the str of its letters,
+    so a swap of factors is slicing and concatenation, and the star of a
+    factor is its reverse translated by ``toggle`` (c -> c ^ 1).
+    """
+
+    __slots__ = ("letters", "code", "degree", "toggle", "table", "identity")
+
+    def __init__(self, monomials: Sequence[GMonomial], group: Group):
+        pairs: dict = {}
+        for mono in monomials:
+            for v in mono:
+                pairs.setdefault((v.index, v.element), len(pairs))
+        self.letters = [GVar(index, element, star) for index, element in pairs
+                        for star in (False, True)]
+        self.code = {v: chr(c) for c, v in enumerate(self.letters)}
+        self.degree = {chr(c): signed_degree(v.element, v.star, group)
+                       for c, v in enumerate(self.letters)}
+        self.toggle = {c: c ^ 1 for c in range(len(self.letters))}
+        self.table, self.identity = group.table, group.identity
+
+    def encode(self, mono: GMonomial) -> str:
+        code = self.code
+        return "".join([code[v] for v in mono])
+
+    def decode(self, word: str) -> GMonomial:
+        letters = self.letters
+        return GMonomial([letters[c] for c in map(ord, word)])
+
+
+def _rewrites(word: str, alphabet: _Alphabet):
+    """Every single-step rewrite of an encoded word by the neutral-ideal
+    generators, as (kind, i, j, k, rewritten word): over i, then j, the star
+    of the neutral factor [i,j) first, then its swaps with each neutral
+    factor [j,k)."""
+    table, degree, toggle = alphabet.table, alphabet.degree, alphabet.toggle
+    pref = [alphabet.identity]
+    for ch in word:
+        pref.append(table[pref[-1]][degree[ch]])
+    n = len(pref)
+    for i in range(n - 1):
+        g, head = pref[i], word[:i]
+        for j in range(i + 1, n):
+            if pref[j] != g:  # [i,j) is neutral exactly when the prefix degrees agree
                 continue
-            starred = GMonomial(letters[i:j]).star().letters
-            yield "star", i, j, None, letters[:i] + starred + letters[j:]
-            for k in range(j + 1, len(pref)):
-                if pref[j] == pref[k]:
-                    yield "swap", i, j, k, letters[:i] + letters[j:k] + letters[i:j] + letters[k:]
+            mid = word[i:j]
+            yield "star", i, j, None, head + mid[::-1].translate(toggle) + word[j:]
+            for k in range(j + 1, n):
+                if pref[k] == g:
+                    yield "swap", i, j, k, head + word[j:k] + mid + word[k:]
 
 
 def derivation_mod_neutral(
@@ -180,40 +218,103 @@ def derivation_mod_neutral(
     """Search for an explicit rewrite chain from m2 to m1.
 
     Every step instantiates one neutral-ideal generator, so each step
-    preserves the generic evaluation.  The search is breadth-first, so the
-    chain is a shortest one.  Returns None when no chain is found within
-    2 len(m1) + 8 steps; that outcome is inconclusive, never a proof of
-    non-congruence.  Past ``STATE_BUDGET`` words it raises ResourceCapError.
+    preserves the generic evaluation.  The chain returned is the one a
+    breadth-first search from m2 returns, a shortest one, but it is found
+    by meeting in the middle.  A rewrite is undone by a rewrite, so a
+    second breadth-first search from m1 can record each word's distance to
+    m1.  The smaller frontier grows by one layer at a time, the forward one
+    on a tie.  The forward half is the breadth-first search from m2 itself,
+    with its order and its parents, and it stops at the first word it
+    discovers that the backward half holds.  When the backward half grows
+    into the forward frontier instead, the first frontier word in search
+    order that it holds is taken.  ``_chain`` continues from that word as
+    the full search would.
+
+    Returns None when no chain is found within 2 len(m1) + 8 steps or a
+    half runs out of new words; that outcome is inconclusive, never a proof
+    of non-congruence.  Past ``STATE_BUDGET`` words, counted over both
+    halves, it raises ResourceCapError.
     """
     if not congruent_mod_neutral(m1, m2, grading):
         raise PreconditionError("derivation requires congruent monomials")
     if m1 == m2:
         return []
-    group, budget = grading.group, STATE_BUDGET
-    start, target = m2.letters, m1.letters
-    parents: dict = {start: None}  # word -> (previous word, kind, i, j, k)
-    frontier = [start]
-    for _ in range(2 * len(m1) + 8):
+    budget = STATE_BUDGET
+    alphabet = _Alphabet((m2, m1), grading.group)
+    start, target = alphabet.encode(m2), alphabet.encode(m1)
+    parents: dict = {start: None}  # forward: word -> (previous word, kind, i, j, k)
+    dist = {target: 0}  # backward: word -> rewrites from it to the target
+    forward, backward = [start], [target]
+    a = b = 0  # the depths of the two frontiers
+
+    def over_budget() -> ResourceCapError:
+        return ResourceCapError(
+            f"derivation search exceeded the state budget {budget} "
+            f"({len(parents) + len(dist)} words stored; forward half at depth {a}, "
+            f"backward half at depth {b})"
+        )
+
+    while a + b < 2 * len(m1) + 8:
         nxt = []
-        for cur in frontier:
-            for kind, i, j, k, res in _rewrites(cur, group):
-                if res in parents:
-                    continue
-                parents[res] = (cur, kind, i, j, k)
-                if len(parents) > budget:
-                    raise ResourceCapError(f"derivation search exceeded the state budget {budget}")
-                if res == target:
-                    chain = []
-                    while res != start:
-                        prev, kind, i, j, k = parents[res]
-                        chain.insert(0, DerivationStep(kind, i, j, k, GMonomial(res)))
-                        res = prev
-                    return chain
-                nxt.append(res)
+        if len(forward) <= len(backward):
+            a += 1
+            for cur in forward:
+                for kind, i, j, k, res in _rewrites(cur, alphabet):
+                    if res in parents:
+                        continue
+                    parents[res] = (cur, kind, i, j, k)
+                    if len(parents) + len(dist) > budget:
+                        raise over_budget()
+                    if res in dist:
+                        return _chain(res, start, parents, dist, alphabet)
+                    nxt.append(res)
+            forward = nxt
+        else:
+            b += 1
+            for cur in backward:
+                for step in _rewrites(cur, alphabet):
+                    res = step[4]
+                    if res not in dist:
+                        dist[res] = b
+                        if len(parents) + len(dist) > budget:
+                            raise over_budget()
+                        nxt.append(res)
+            backward = nxt
+            for word in forward:
+                if word in dist:
+                    return _chain(word, start, parents, dist, alphabet)
         if not nxt:
             return None
-        frontier = nxt
     return None
+
+
+def _chain(meet: str, start: str, parents: dict, dist: dict, alphabet: _Alphabet) -> list:
+    """The breadth-first search's chain from ``start`` through ``meet``.
+
+    ``meet`` is the first word, in search order, of forward layer a at
+    backward distance b, where a + b is the length of a shortest chain:
+    the first word of its layer on a shortest chain.  In the full search a
+    word on a shortest chain is discovered first from a word on one, since
+    each of its rewrites one step closer to the start is on one.  So in
+    every later layer the words on shortest chains come in the order of
+    their first discoverers, and the search's chain passes through the
+    first of them: from ``meet`` on, it takes the first rewrite in
+    generator order that is one step closer to the target.
+    """
+    word = meet
+    for left in range(dist[meet] - 1, -1, -1):
+        for kind, i, j, k, res in _rewrites(word, alphabet):
+            if dist.get(res) == left:
+                parents[res] = (word, kind, i, j, k)
+                word = res
+                break
+    chain = []
+    while word != start:
+        prev, kind, i, j, k = parents[word]
+        chain.append(DerivationStep(kind, i, j, k, alphabet.decode(word)))
+        word = prev
+    chain.reverse()
+    return chain
 
 
 # ---------------------------------------------------------------------------

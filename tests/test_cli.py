@@ -441,6 +441,35 @@ def test_json_report_bytes_pinned(case, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the congruent --json stdout on pairs whose shortest chains are
+# four steps long, so that the two halves of the derivation search meet
+# only after both have grown.  Captured from a plain breadth-first search,
+# which took about 7 s on the degree-7 reversal; (config, first, second).
+GOLDEN_DEEP_DERIVATIONS = [
+    (("z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e", "x6:e x5:e x4:e x3:e x2:e x1:e"),
+     "93c5c225a7e188c3c8cace7c8e8582ab6f12a1d7318f38225854c1517054d5ab"),
+    (("z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e x7:e", "x7:e x6:e x5:e x4:e x3:e x2:e x1:e"),
+     "8cfb9b1233b6e1f71e28067e37f49edb60d22fc43cba8d9bd91d2d1c87dbb772"),
+    (("klein.json", "x1:e x2:a x3:a x4:e x5:e x6:e x7:e", "x6:e* x3:a* x2:a* x1:e x5:e* x7:e* x4:e"),
+     "c0ab85e1dc48e922ae32b895aa8dbf72885f29469722f9d45f5f98172fd5ff2b"),
+    (("s3_mixed.json", "x1:rr x2:r x3:e x4:e x5:e x6:e x7:e",
+      "x4:e x6:e x1:rr x2:r x7:e* x3:e x5:e*"),
+     "1711a39d5647ea2f9eaab432b72c3e991275a1b6994bd59c635ab437a1eb391b"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, digest", GOLDEN_DEEP_DERIVATIONS,
+    ids=[f"{c[:-5]}-{len(first.split())}" for (c, first, _), _ in GOLDEN_DEEP_DERIVATIONS],
+)
+def test_deep_derivation_bytes_pinned(case, digest, capsys):
+    config, first, second = case
+    code, out, _ = run(["congruent", "--config", str(CONFIGS / config), "--json", first, second],
+                       capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the selftest --json stdout: (config, seed).  The report holds
 # suite names, verdicts and counts, not the pairs the congruence suite
 # draws; test_identities pins those draws.

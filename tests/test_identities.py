@@ -35,8 +35,8 @@ from gstar import (
     word_is_identity,
     word_monomial,
 )
-from gstar.freealg import GPolynomial
-from gstar.identities import _profile_moves, _rewrites, _word_key, block_certificate
+from gstar.freealg import GMonomial, GPolynomial
+from gstar.identities import _Alphabet, _profile_moves, _rewrites, _word_key, block_certificate
 from gstar.rings import RATIONALS
 from gstar.sampling import (
     congruent_partner,
@@ -232,12 +232,34 @@ def test_derivation_precondition(gr_z2, z2, mono):
 
 
 def test_derivation_state_budget(gr_z2, z2, mono, monkeypatch):
-    # the all-neutral reversal of degree 5 is found at the 1,914th word reached
+    # the all-neutral reversal of degree 5 is found with 245 words stored
+    # over both halves of the search
     m1, m2 = mono("x1:e x2:e x3:e x4:e x5:e", z2), mono("x5:e x4:e x3:e x2:e x1:e", z2)
     assert len(derivation_mod_neutral(m1, m2, gr_z2)) == 3
     monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
     with pytest.raises(ResourceCapError, match="state budget 50"):
         derivation_mod_neutral(m1, m2, gr_z2)
+
+
+def test_derivation_state_budget_reports_progress(gr_z2, z2, mono, monkeypatch):
+    m1, m2 = mono("x1:e x2:e x3:e x4:e x5:e", z2), mono("x5:e x4:e x3:e x2:e x1:e", z2)
+    monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
+    with pytest.raises(ResourceCapError) as err:
+        derivation_mod_neutral(m1, m2, gr_z2)
+    assert str(err.value) == (
+        "derivation search exceeded the state budget 50 (51 words stored; "
+        "forward half at depth 1, backward half at depth 1)"
+    )
+
+
+def test_deep_reversal_derivation_replays(gr_z2, z2, mono):
+    """The all-neutral reversal of degree 8 exceeded the state budget of a
+    plain breadth-first search; meeting in the middle answers it."""
+    m1 = mono("x1:e x2:e x3:e x4:e x5:e x6:e x7:e x8:e", z2)
+    m2 = mono("x8:e x7:e x6:e x5:e x4:e x3:e x2:e x1:e", z2)
+    chain = derivation_mod_neutral(m1, m2, gr_z2)
+    assert chain is not None and len(chain) == 5
+    _assert_replays(chain, m1, m2, z2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -249,16 +271,22 @@ def test_rewrites_in_generator_order(seed, length):
     grading = random_grading(rng, max_n=4)
     group = grading.group
     word = random_monomial(rng, grading, length).letters
-    expected = []
-    for i, j in itertools.combinations(range(len(word) + 1), 2):
-        if _block_degree(word[i:j], group) != group.identity:
+    alphabet = _Alphabet((GMonomial(word),), group)
+    assert [(kind, i, j, k, alphabet.decode(res).letters)
+            for kind, i, j, k, res in _rewrites(alphabet.encode(GMonomial(word)), alphabet)
+            ] == list(_reference_rewrites(word, group))
+
+
+def _reference_rewrites(letters, group):
+    """The single-step rewrites of a letter tuple in generator order."""
+    for i, j in itertools.combinations(range(len(letters) + 1), 2):
+        if _block_degree(letters[i:j], group) != group.identity:
             continue
-        starred = tuple(GVar(v.index, v.element, not v.star) for v in reversed(word[i:j]))
-        expected.append(("star", i, j, None, word[:i] + starred + word[j:]))
-        expected += [("swap", i, j, k, word[:i] + word[j:k] + word[i:j] + word[k:])
-                     for k in range(j + 1, len(word) + 1)
-                     if _block_degree(word[j:k], group) == group.identity]
-    assert list(_rewrites(word, group)) == expected
+        starred = tuple(GVar(v.index, v.element, not v.star) for v in reversed(letters[i:j]))
+        yield "star", i, j, None, letters[:i] + starred + letters[j:]
+        for k in range(j + 1, len(letters) + 1):
+            if _block_degree(letters[j:k], group) == group.identity:
+                yield "swap", i, j, k, letters[:i] + letters[j:k] + letters[i:j] + letters[k:]
 
 
 # partners drawn at seed 2 for random words of degree 5; the draws follow
@@ -308,6 +336,10 @@ def test_derivation_steps_replay(seed, length):
         return
     chain = derivation_mod_neutral(m1, m2, grading)
     assert chain is not None
+    _assert_replays(chain, m1, m2, group)
+
+
+def _assert_replays(chain, m1, m2, group):
     word = m2.letters
     for step in chain:
         i, j, k = step.i, step.j, step.k
@@ -322,6 +354,71 @@ def test_derivation_steps_replay(seed, length):
             word = word[:i] + word[j:k] + word[i:j] + word[k:]
         assert step.result.letters == word
     assert word == m1.letters
+
+
+def _reference_derivation(m1, m2, group):
+    """A plain breadth-first search from m2 over GVar tuples, returning
+    (kind, i, j, k, letters) per step; the oracle the derivation search
+    must agree with step for step."""
+    start, target = m2.letters, m1.letters
+    if start == target:
+        return []
+    parents = {start: None}
+    frontier = [start]
+    for _ in range(2 * len(m1) + 8):
+        nxt = []
+        for cur in frontier:
+            for kind, i, j, k, res in _reference_rewrites(cur, group):
+                if res in parents:
+                    continue
+                parents[res] = (cur, kind, i, j, k)
+                if res == target:
+                    chain = []
+                    while res != start:
+                        prev, kind, i, j, k = parents[res]
+                        chain.insert(0, (kind, i, j, k, res))
+                        res = prev
+                    return chain
+                nxt.append(res)
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=6),
+       st.booleans())
+def test_derivation_matches_reference_search(seed, length, walk):
+    """The meet-in-the-middle search returns the chain of the plain
+    breadth-first search, step for step, on rewrite walks and on congruent
+    shuffles with fresh stars."""
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=4)
+    group = grading.group
+    m1 = random_monomial(rng, grading, length)
+    if is_monomial_identity(m1, grading).is_identity:
+        return
+    if walk:
+        m2 = congruent_partner(rng, m1, grading)
+    else:
+        for _ in range(20):
+            letters = list(m1.letters)
+            rng.shuffle(letters)
+            m2 = GMonomial([GVar(v.index, v.element, rng.random() < 0.5) for v in letters])
+            if (not is_monomial_identity(m2, grading).is_identity
+                    and congruent_mod_neutral(m1, m2, grading)):
+                break
+        else:
+            m2 = None
+    if m2 is None:
+        return
+    chain = derivation_mod_neutral(m1, m2, grading)
+    expected = _reference_derivation(m1, m2, group)
+    if expected is None:
+        assert chain is None
+    else:
+        assert [(s.kind, s.i, s.j, s.k, s.result.letters) for s in chain] == expected
 
 
 # ---------------------------------------------------------------------------
