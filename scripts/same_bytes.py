@@ -10,7 +10,7 @@ by default, which between them run check, eval, congruent, enumerate and
 selftest), ``info --json`` on every config in ``configs/`` and
 ``bench/configs/``, the degree-6 listings of z4 and Klein (147,888 words
 each), ``info`` and ``enumerate --max-deg 4`` on a grading whose element
-names need escaping, and ``congruent`` on the four pairs of
+names need escaping, and ``congruent`` on the five pairs of
 ``DEEP_DERIVATIONS`` are run twice, once with ``--json`` as given and once
 toggled, through ``gstar.cli.main`` in one child process per tree: this
 checkout's ``src/`` and REV's.  The exit code, stdout and stderr of every
@@ -18,8 +18,9 @@ run are compared.  Degree-bound probe requests call library functions
 rather than the CLI, so they are counted and skipped.  ``bench/`` is only
 read.
 
-Prints the number of runs compared and, on a difference, the number of
-differing runs and the first differing argv; exits 1 on any difference.
+Prints the number of runs compared and of differing runs, in all and per
+subcommand, and on a difference the first differing argv; exits 1 on any
+difference.
 Each child runs with the interpreter's usual random hash seed, so output
 that depends on it would show as a difference too.
 """
@@ -45,8 +46,9 @@ ESCAPED_GRADING = {
 }
 
 # Pairs of degree 6 and 7 whose shortest derivation chains take four steps:
-# the all-neutral reversals on Z2 and two mostly neutral pairs.  The bench
-# requests reach degree 5 on all-neutral words, where the chains are shorter.
+# the all-neutral reversals on Z2 and two mostly neutral pairs; and the
+# all-neutral reversal of degree 10.  The bench requests reach degree 5 on
+# all-neutral words, where the chains are shorter.
 DEEP_DERIVATIONS = [
     ("configs/z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e", "x6:e x5:e x4:e x3:e x2:e x1:e"),
     ("configs/z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e x7:e", "x7:e x6:e x5:e x4:e x3:e x2:e x1:e"),
@@ -54,6 +56,8 @@ DEEP_DERIVATIONS = [
      "x6:e* x3:a* x2:a* x1:e x5:e* x7:e* x4:e"),
     ("configs/s3_mixed.json", "x1:rr x2:r x3:e x4:e x5:e x6:e x7:e",
      "x4:e x6:e x1:rr x2:r x7:e* x3:e x5:e*"),
+    ("configs/z2.json", " ".join(f"x{i}:e" for i in range(1, 11)),
+     " ".join(f"x{i}:e" for i in range(10, 0, -1))),
 ]
 
 # Reads a JSON list of argv lists on stdin and prints one line per argv:
@@ -152,6 +156,9 @@ def main(argv=None) -> int:
     differing = [a for a, x, y in zip(argvs, ours, theirs) if x != y]
     print(f"{len(argvs)} CLI runs compared against {args.rev}; {probes} probe requests "
           f"skipped (not CLI requests); {len(differing)} differ")
+    for command in sorted({a[0] for a in argvs}):
+        runs = sum(a[0] == command for a in argvs)
+        print(f"  {command}: {runs} runs, {sum(a[0] == command for a in differing)} differ")
     if differing:
         print("first differing argv: " + json.dumps(differing[0]))
         return 1

@@ -160,11 +160,7 @@ def cmd_congruent(args, grading, field, out) -> int:
     payload["congruent"] = flag
     if flag:
         chain = derivation_mod_neutral(m1, m2, grading)
-        payload["derivation"] = (
-            [step.to_json(grading.group) for step in chain] if chain is not None else None
-        )
-        if chain is None:
-            payload["note"] = "no certificate within the depth cap; inconclusive"
+        payload["derivation"] = [step.to_json(grading.group) for step in chain]
     _emit(payload, args, out)
     return EXIT_OK
 

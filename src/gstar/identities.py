@@ -155,9 +155,9 @@ class DerivationStep:
 
 
 class _Alphabet:
-    """The signed letters of a derivation search, one character each.
+    """The signed letters of a monomial's rewrites, one character each.
 
-    The distinct (index, element) pairs of the given monomials are numbered
+    The distinct (index, element) pairs of the monomial are numbered
     t = 0, 1, ... in order of first appearance, and the letter of pair t
     with star flag s is ``chr(2t + s)``.  A word is the str of its letters,
     so a swap of factors is slicing and concatenation, and the star of a
@@ -166,11 +166,10 @@ class _Alphabet:
 
     __slots__ = ("letters", "code", "degree", "toggle", "table", "identity")
 
-    def __init__(self, monomials: Sequence[GMonomial], group: Group):
+    def __init__(self, mono: GMonomial, group: Group):
         pairs: dict = {}
-        for mono in monomials:
-            for v in mono:
-                pairs.setdefault((v.index, v.element), len(pairs))
+        for v in mono:
+            pairs.setdefault((v.index, v.element), len(pairs))
         self.letters = [GVar(index, element, star) for index, element in pairs
                         for star in (False, True)]
         self.code = {v: chr(c) for c, v in enumerate(self.letters)}
@@ -210,110 +209,78 @@ def _rewrites(word: str, alphabet: _Alphabet):
                     yield "swap", i, j, k, head + word[j:k] + mid + word[k:]
 
 
-def derivation_mod_neutral(
-    m1: GMonomial,
-    m2: GMonomial,
-    grading: Grading,
-) -> Optional[list[DerivationStep]]:
-    """Search for an explicit rewrite chain from m2 to m1.
+def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> list[DerivationStep]:
+    """An explicit rewrite chain from m2 to m1, of at most 2 len(m1) steps.
 
     Every step instantiates one neutral-ideal generator, so each step
-    preserves the generic evaluation.  The chain returned is the one a
-    breadth-first search from m2 returns, a shortest one, but it is found
-    by meeting in the middle.  A rewrite is undone by a rewrite, so a
-    second breadth-first search from m1 can record each word's distance to
-    m1.  The smaller frontier grows by one layer at a time, the forward one
-    on a tie.  The forward half is the breadth-first search from m2 itself,
-    with its order and its parents, and it stops at the first word it
-    discovers that the backward half holds.  When the backward half grows
-    into the forward frontier instead, the first frontier word in search
-    order that it holds is taken.  ``_chain`` continues from that word as
-    the full search would.
+    preserves the generic evaluation.  Both words are read as trails from
+    the first start row of m1's evaluation (``word_rows``): letter p crosses
+    the entry variable y[index, a, b], from row a to row b when plain and
+    from b to a when starred; a factor [i,j) is neutral exactly when the
+    walk is at the same row at i and at j; and congruent words cross the
+    same multiset of entry variables.  The two generators are then
+    Kotzig's transformations of trails (A. Kotzig, 1966; H. Fleischner,
+    Eulerian Graphs and Related Topics, 1990), and m2 is rewritten into m1
+    one position at a time.  At the first position p where the current
+    word W differs from m1, with W at row v, let q >= p be the first
+    position where W crosses the variable e that m1 crosses at p.  The
+    first case that applies brings m1's letter to p:
 
-    Returns None when no chain is found within 2 len(m1) + 8 steps or a
-    half runs out of new words; that outcome is inconclusive, never a proof
-    of non-congruence.  Past ``STATE_BUDGET`` words, counted over both
-    halves, it raises ResourceCapError.
+    - e is a loop at v: star [q,q+1) if its star flag differs, then swap
+      [p,q) with [q,q+1) if q > p;
+    - W crosses e into v: star [p,q+1);
+    - W leaves v along e and is at v again at some r > q: swap [p,q) with
+      [q,r), the first such r;
+    - otherwise some row is visited at a position c in (p,q) and again at a
+      position d > q, because the rest of m1 is one trail over the
+      variables that W crosses from p on: star [c,d), which makes W enter v
+      along e at c + d - q, then star [p,c + d - q); the first such c, then
+      the first such d.
+
+    The chain is built, not searched for, and is not in general a shortest
+    one; it is empty when the words are equal.
     """
     if not congruent_mod_neutral(m1, m2, grading):
         raise PreconditionError("derivation requires congruent monomials")
-    if m1 == m2:
-        return []
-    budget = STATE_BUDGET
-    alphabet = _Alphabet((m2, m1), grading.group)
-    start, target = alphabet.encode(m2), alphabet.encode(m1)
-    parents: dict = {start: None}  # forward: word -> (previous word, kind, i, j, k)
-    dist = {target: 0}  # backward: word -> rewrites from it to the target
-    forward, backward = [start], [target]
-    a = b = 0  # the depths of the two frontiers
+    start, _, wanted = word_rows(m1.letters, grading)[0]
+    word = list(m2.letters)
+    edges = list(next(v for s, _, v in word_rows(word, grading) if s == start))
+    rows = [start, *(e.row if v.star else e.col for v, e in zip(word, edges))]
+    chain: list[DerivationStep] = []
 
-    def over_budget() -> ResourceCapError:
-        return ResourceCapError(
-            f"derivation search exceeded the state budget {budget} "
-            f"({len(parents) + len(dist)} words stored; forward half at depth {a}, "
-            f"backward half at depth {b})"
-        )
-
-    while a + b < 2 * len(m1) + 8:
-        nxt = []
-        if len(forward) <= len(backward):
-            a += 1
-            for cur in forward:
-                for kind, i, j, k, res in _rewrites(cur, alphabet):
-                    if res in parents:
-                        continue
-                    parents[res] = (cur, kind, i, j, k)
-                    if len(parents) + len(dist) > budget:
-                        raise over_budget()
-                    if res in dist:
-                        return _chain(res, start, parents, dist, alphabet)
-                    nxt.append(res)
-            forward = nxt
+    def rewrite(kind: str, i: int, j: int, k: Optional[int] = None) -> None:
+        # a letter keeps its entry variable, so the variables and the rows
+        # move with the letters
+        if kind == "star":
+            word[i:j] = GMonomial(word[i:j]).star().letters
+            edges[i:j] = edges[i:j][::-1]
+            rows[i:j + 1] = rows[i:j + 1][::-1]
         else:
-            b += 1
-            for cur in backward:
-                for step in _rewrites(cur, alphabet):
-                    res = step[4]
-                    if res not in dist:
-                        dist[res] = b
-                        if len(parents) + len(dist) > budget:
-                            raise over_budget()
-                        nxt.append(res)
-            backward = nxt
-            for word in forward:
-                if word in dist:
-                    return _chain(word, start, parents, dist, alphabet)
-        if not nxt:
-            return None
-    return None
+            for seq in (word, edges, rows):
+                seq[i:k] = seq[j:k] + seq[i:j]
+        chain.append(DerivationStep(kind, i, j, k, GMonomial(word)))
 
-
-def _chain(meet: str, start: str, parents: dict, dist: dict, alphabet: _Alphabet) -> list:
-    """The breadth-first search's chain from ``start`` through ``meet``.
-
-    ``meet`` is the first word, in search order, of forward layer a at
-    backward distance b, where a + b is the length of a shortest chain:
-    the first word of its layer on a shortest chain.  In the full search a
-    word on a shortest chain is discovered first from a word on one, since
-    each of its rewrites one step closer to the start is on one.  So in
-    every later layer the words on shortest chains come in the order of
-    their first discoverers, and the search's chain passes through the
-    first of them: from ``meet`` on, it takes the first rewrite in
-    generator order that is one step closer to the target.
-    """
-    word = meet
-    for left in range(dist[meet] - 1, -1, -1):
-        for kind, i, j, k, res in _rewrites(word, alphabet):
-            if dist.get(res) == left:
-                parents[res] = (word, kind, i, j, k)
-                word = res
-                break
-    chain = []
-    while word != start:
-        prev, kind, i, j, k = parents[word]
-        chain.append(DerivationStep(kind, i, j, k, alphabet.decode(word)))
-        word = prev
-    chain.reverse()
+    for p, letter in enumerate(m1.letters):
+        if word[p] == letter:
+            continue
+        v, e = rows[p], wanted[p]
+        q = edges.index(e, p)
+        if e.row == e.col:
+            if word[q].star != letter.star:
+                rewrite("star", q, q + 1)
+            if q > p:
+                rewrite("swap", p, q, q + 1)
+        elif rows[q + 1] == v:
+            rewrite("star", p, q + 1)
+        elif v in rows[q + 2:]:
+            rewrite("swap", p, q, rows.index(v, q + 2))
+        else:
+            c, d = next((c, d) for c in range(p + 1, q) for d in range(q + 1, len(rows))
+                        if rows[c] == rows[d])
+            rewrite("star", c, d)
+            rewrite("star", p, c + d - q)
+    if tuple(word) != m1.letters:
+        raise InternalCheckError("derivation does not land on the first monomial")
     return chain
 
 

@@ -133,7 +133,7 @@ def congruent_partner(
     the same generic evaluation by construction.  None when the word admits
     no move at all.
     """
-    alphabet = _Alphabet((mono,), grading.group)
+    alphabet = _Alphabet(mono, grading.group)
     cur = alphabet.encode(mono)
     moved = False
     for _ in range(4):

@@ -351,12 +351,20 @@ def test_seed_belongs_to_selftest_only(capsys):
 
 
 def test_derivation_state_budget_exits_3(monkeypatch, capsys):
+    # the derivation is built, not searched for: under a state budget of 50
+    # the degree-10 all-neutral reversal still answers, one swap per letter
     monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
-    code, out, err = run(["congruent", "--config", str(CONFIGS / "z2.json"),
-                          "x1:e x2:e x3:e x4:e x5:e", "x5:e x4:e x3:e x2:e x1:e"], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("resource cap: ")
+    first = " ".join(f"x{i}:e" for i in range(1, 11))
+    second = " ".join(f"x{i}:e" for i in range(10, 0, -1))
+    code, out, err = run(["congruent", "--config", str(CONFIGS / "z2.json"), "--json",
+                          first, second], capsys)
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert "note" not in report
+    assert report["congruent"] is True
+    assert [step["kind"] for step in report["derivation"]] == ["swap"] * 9
+    assert report["derivation"][-1]["result"] == first
 
 
 def test_help_returns_zero(capsys):
@@ -406,7 +414,7 @@ GOLDEN_REPORTS = [
     (["congruent", "z4_3tuple.json", "x1:a x2:a3 x3:e", "x3:e x1:a x2:a3"],
      "3020e6d06b486453a13444bb7b8a5e3d64997c62fe61149ef49c0371e7669170"),
     (["congruent", "z6_3tuple.json", "x1:a x2:a5 x3:a", "x3:a x2:a5 x1:a"],
-     "7a5fc865088a226726333109e4ec6fd78b6bb3bf04e773c1736548ce2cc00304"),
+     "dc6801a41e0c76489ddcc48bdd006571e34e54e9944834c64bdff44d69e02faf"),
     (["congruent", "klein.json", "x1:a x2:a", "x2:a x1:a"],
      "a611492c136e5263ebbb362297a19efba80dfe35672ba4ff5284e291acaf973b"),
     (["congruent", "s3_mixed.json", "--coeff", "modp:5", "x1:a x2:e x3:e", "x1:a x3:e x2:e"],
@@ -415,18 +423,19 @@ GOLDEN_REPORTS = [
      "75453f629f44240eaa68f0420bc4182cd080e34e5205c5fd7d2a7d9c2f1125dd"),
     (["congruent", "z6_3tuple.json", "x1:a x2:a", "x1:a3"],
      "cddc11fa936e0c4cbddb370eedc1e8857cda41cba4971ca648c7723b3962f497"),
-    # derivations of three steps: swaps, stars, and both
+    # derivations of three or four steps, built position by position: swaps,
+    # stars, and both
     (["congruent", "z2.json", "x1:e x2:e x3:e x4:e x5:e", "x5:e x4:e x3:e x2:e x1:e"],
-     "e378492cf28ea4bddddb95cf03b758c5fc4d9cc6d1131f4efc22dd353af8132f"),
+     "7e3cd9bb88f6e591fa57b24ca6fbcd0a3b4e334bb9cf24c462213a654734353c"),
     (["congruent", "z6_3tuple.json", "x1:a x2:a5 x3:e x4:a2 x5:a4", "x4:a2 x5:a4 x3:e x2:a5* x1:a*"],
-     "5cf062b602528a75b0b4cb8d793e4e574e4d605c1930dca8e82fa50774df9f87"),
+     "b03dd54f501186872f8e72f239c0b8f37fa594654b2efcbe1339553ecb718b14"),
     (["congruent", "s3_mixed.json", "x1:r x2:rr x3:e x4:a x5:a", "x4:a x5:a x3:e* x1:r x2:rr"],
-     "6371cdae4425783cdc3651c824dba7569fc4cff0a66f13a5df92e6d17f6c3a95"),
+     "5dafe956494818ce1a0c9608ee45145f22c50cc164cd4e00e28f54237955be5b"),
     (["congruent", "klein.json", "x1:b x2:b x3:e x4:c x5:a", "x3:e* x4:c x5:a x2:b x1:b"],
-     "e7a3141531ebfe369584b97fbefeb55245ff26a8fe55f3cf7cb9be0c7630e74b"),
+     "39e96bdff98b4b12ba1cadf36994324056f59e66363fd2a434bf9a6ca6fdebdf"),
     (["congruent", "z4_3tuple.json", "--coeff", "modp:5", "x1:a2 x2:a2 x3:e x4:a3 x5:a",
       "x4:a3 x5:a x3:e x2:a2* x1:a2*"],
-     "bb045f59bcf0f640b1682db588192232a9292db2c20d368b32ea5dd64fb5ec0e"),
+     "122ec0e5c2d5bb160eeceac8d73bb5d18f26f19bb43d688e0fae391f945572f0"),
 ]
 
 
@@ -441,20 +450,20 @@ def test_json_report_bytes_pinned(case, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the congruent --json stdout on pairs whose shortest chains are
-# four steps long, so that the two halves of the derivation search meet
-# only after both have grown.  Captured from a plain breadth-first search,
-# which took about 7 s on the degree-7 reversal; (config, first, second).
+# sha256 of the congruent --json stdout on pairs of degree 6 and 7 whose
+# shortest chains are four steps long.  The constructed chains take five
+# and six steps on the reversals, one swap per letter, and six and five on
+# the mixed pairs; (config, first, second).
 GOLDEN_DEEP_DERIVATIONS = [
     (("z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e", "x6:e x5:e x4:e x3:e x2:e x1:e"),
-     "93c5c225a7e188c3c8cace7c8e8582ab6f12a1d7318f38225854c1517054d5ab"),
+     "52ff25c45066fc6b9f6dad489ae1e2880d641d426a50eea3fae7b785dfb67f41"),
     (("z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e x7:e", "x7:e x6:e x5:e x4:e x3:e x2:e x1:e"),
-     "8cfb9b1233b6e1f71e28067e37f49edb60d22fc43cba8d9bd91d2d1c87dbb772"),
+     "2a6d951bdafbd36ffbc0f3dcfe0d54b3f12bf0b9da066b11a456f2bd1c8c9a28"),
     (("klein.json", "x1:e x2:a x3:a x4:e x5:e x6:e x7:e", "x6:e* x3:a* x2:a* x1:e x5:e* x7:e* x4:e"),
-     "c0ab85e1dc48e922ae32b895aa8dbf72885f29469722f9d45f5f98172fd5ff2b"),
+     "7add6e7dbec16356d5cfccca676c39ff3bbd732b0e67681b6e694c920331e0e8"),
     (("s3_mixed.json", "x1:rr x2:r x3:e x4:e x5:e x6:e x7:e",
       "x4:e x6:e x1:rr x2:r x7:e* x3:e x5:e*"),
-     "1711a39d5647ea2f9eaab432b72c3e991275a1b6994bd59c635ab437a1eb391b"),
+     "13a2cdb037cba3f112a4e65aeeadcfc9d80ce0e733f5a8f283957c01879923e3"),
 ]
 
 

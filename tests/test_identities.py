@@ -231,35 +231,70 @@ def test_derivation_precondition(gr_z2, z2, mono):
         derivation_mod_neutral(mono("x1:a x1:a*", z2), mono("x1:a* x1:a", z2), gr_z2)
 
 
+def _reversal(degree, group, mono):
+    """The all-neutral word x1:e ... xL:e and its reverse."""
+    forward = " ".join(f"x{i}:e" for i in range(1, degree + 1))
+    backward = " ".join(f"x{i}:e" for i in range(degree, 0, -1))
+    return mono(forward, group), mono(backward, group)
+
+
 def test_derivation_state_budget(gr_z2, z2, mono, monkeypatch):
-    # the all-neutral reversal of degree 5 is found with 245 words stored
-    # over both halves of the search
-    m1, m2 = mono("x1:e x2:e x3:e x4:e x5:e", z2), mono("x5:e x4:e x3:e x2:e x1:e", z2)
-    assert len(derivation_mod_neutral(m1, m2, gr_z2)) == 3
+    # the derivation is built, not searched for, so the state budget of the
+    # profile search does not reach it
+    m1, m2 = _reversal(5, z2, mono)
+    chain = derivation_mod_neutral(m1, m2, gr_z2)
+    assert [step.kind for step in chain] == ["swap"] * 4
     monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
-    with pytest.raises(ResourceCapError, match="state budget 50"):
-        derivation_mod_neutral(m1, m2, gr_z2)
+    assert derivation_mod_neutral(m1, m2, gr_z2) == chain
 
 
 def test_derivation_state_budget_reports_progress(gr_z2, z2, mono, monkeypatch):
-    m1, m2 = mono("x1:e x2:e x3:e x4:e x5:e", z2), mono("x5:e x4:e x3:e x2:e x1:e", z2)
+    # under a state budget of 50 the degree-5 reversal still answers, and
+    # step t brings x(t+1):e to position t
+    m1, m2 = _reversal(5, z2, mono)
     monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
-    with pytest.raises(ResourceCapError) as err:
-        derivation_mod_neutral(m1, m2, gr_z2)
-    assert str(err.value) == (
-        "derivation search exceeded the state budget 50 (51 words stored; "
-        "forward half at depth 1, backward half at depth 1)"
-    )
+    chain = derivation_mod_neutral(m1, m2, gr_z2)
+    assert [step.result.letters[:t + 1] for t, step in enumerate(chain)] == [
+        m1.letters[:t + 1] for t in range(4)]
+    _assert_replays(chain, m1, m2, z2)
 
 
 def test_deep_reversal_derivation_replays(gr_z2, z2, mono):
-    """The all-neutral reversal of degree 8 exceeded the state budget of a
-    plain breadth-first search; meeting in the middle answers it."""
-    m1 = mono("x1:e x2:e x3:e x4:e x5:e x6:e x7:e x8:e", z2)
-    m2 = mono("x8:e x7:e x6:e x5:e x4:e x3:e x2:e x1:e", z2)
-    chain = derivation_mod_neutral(m1, m2, gr_z2)
-    assert chain is not None and len(chain) == 5
-    _assert_replays(chain, m1, m2, z2)
+    """The all-neutral reversals of degree 8 and 10 exceeded the state budget
+    of a breadth-first search; the constructed chain moves one letter into
+    place per step."""
+    for degree in (8, 10, 20):
+        m1, m2 = _reversal(degree, z2, mono)
+        chain = derivation_mod_neutral(m1, m2, gr_z2)
+        assert len(chain) == degree - 1
+        _assert_replays(chain, m1, m2, z2)
+
+
+# one pair per case of the derivation, at position 0 of the first word:
+# (config, first, second, steps as (kind, i, j, k))
+DERIVATION_CASES = {
+    # the variable is a loop: star its starred use, then swap it into place
+    "loop": ("z2.json", "x1:e x2:e", "x2:e x1:e*",
+             [("star", 1, 2, None), ("swap", 0, 1, 2)]),
+    # the second word crosses the variable back into the row: star up to it
+    "enters": ("z2.json", "x1:a x2:a", "x2:a* x1:a*", [("star", 0, 2, None)]),
+    # it crosses the variable away and comes back: swap the two closed factors
+    "returns": ("z2.json", "x1:a x2:a x3:a x4:a", "x3:a x4:a x1:a x2:a", [("swap", 0, 2, 4)]),
+    # it never comes back after the variable: row 1 is visited at 1 and at 3,
+    # so star [1,3), which makes the word enter row 0 at 2, then star [0,2)
+    "shared-row": ("z2.json", "x3:a x1:a* x2:a* x4:e", "x1:a x2:a x3:a x4:e",
+                   [("star", 1, 3, None), ("star", 0, 2, None)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVATION_CASES))
+def test_derivation_case(case, mono):
+    config, first, second, steps = DERIVATION_CASES[case]
+    grading = grading_from_json(json.loads((CONFIGS / config).read_text()))
+    m1, m2 = mono(first, grading.group), mono(second, grading.group)
+    chain = derivation_mod_neutral(m1, m2, grading)
+    assert [(step.kind, step.i, step.j, step.k) for step in chain] == steps
+    _assert_replays(chain, m1, m2, grading.group)
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,7 +306,7 @@ def test_rewrites_in_generator_order(seed, length):
     grading = random_grading(rng, max_n=4)
     group = grading.group
     word = random_monomial(rng, grading, length).letters
-    alphabet = _Alphabet((GMonomial(word),), group)
+    alphabet = _Alphabet(GMonomial(word), group)
     assert [(kind, i, j, k, alphabet.decode(res).letters)
             for kind, i, j, k, res in _rewrites(alphabet.encode(GMonomial(word)), alphabet)
             ] == list(_reference_rewrites(word, group))
@@ -358,8 +393,8 @@ def _assert_replays(chain, m1, m2, group):
 
 def _reference_derivation(m1, m2, group):
     """A plain breadth-first search from m2 over GVar tuples, returning
-    (kind, i, j, k, letters) per step; the oracle the derivation search
-    must agree with step for step."""
+    (kind, i, j, k, letters) per step: a shortest chain, which no derivation
+    can undercut."""
     start, target = m2.letters, m1.letters
     if start == target:
         return []
@@ -387,14 +422,15 @@ def _reference_derivation(m1, m2, group):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=6),
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=10),
        st.booleans())
 def test_derivation_matches_reference_search(seed, length, walk):
-    """The meet-in-the-middle search returns the chain of the plain
-    breadth-first search, step for step, on rewrite walks and on congruent
-    shuffles with fresh stars."""
+    """On rewrite walks and on congruent shuffles with fresh stars, the
+    chain replays, takes at most 2 len(m1) steps and is empty exactly when
+    the words are equal; up to degree 6 it is never shorter than the chain
+    of a plain breadth-first search."""
     rng = random.Random(seed)
-    grading = random_grading(rng, max_n=4)
+    grading = random_grading(rng, max_n=5)
     group = grading.group
     m1 = random_monomial(rng, grading, length)
     if is_monomial_identity(m1, grading).is_identity:
@@ -414,11 +450,11 @@ def test_derivation_matches_reference_search(seed, length, walk):
     if m2 is None:
         return
     chain = derivation_mod_neutral(m1, m2, grading)
-    expected = _reference_derivation(m1, m2, group)
-    if expected is None:
-        assert chain is None
-    else:
-        assert [(s.kind, s.i, s.j, s.k, s.result.letters) for s in chain] == expected
+    _assert_replays(chain, m1, m2, group)
+    assert len(chain) <= 2 * len(m1)
+    assert (chain == []) == (m1 == m2)
+    if length <= 6:
+        assert len(chain) >= len(_reference_derivation(m1, m2, group))
 
 
 # ---------------------------------------------------------------------------
