@@ -10,8 +10,9 @@ by default, which between them run check, eval, congruent, enumerate and
 selftest), ``info --json`` on every config in ``configs/`` and
 ``bench/configs/``, the degree-6 listings of z4 and Klein (147,888 words
 each), ``info`` and ``enumerate --max-deg 4`` on a grading whose element
-names need escaping, and ``congruent`` on the five pairs of
-``DEEP_DERIVATIONS`` are run twice, once with ``--json`` as given and once
+names need escaping, ``congruent`` on the five pairs of
+``DEEP_DERIVATIONS``, and ``eval`` and ``check`` on the long words of
+``long_word`` on z4 and Klein are run twice, once with ``--json`` as given and once
 toggled, through ``gstar.cli.main`` in one child process per tree: this
 checkout's ``src/`` and REV's.  The exit code, stdout and stderr of every
 run are compared.  Degree-bound probe requests call library functions
@@ -28,6 +29,7 @@ that depends on it would show as a difference too.
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 import tarfile
@@ -45,8 +47,8 @@ ESCAPED_GRADING = {
     "tuple": ESCAPED_NAMES[:3],
 }
 
-# Pairs of degree 6 and 7 whose shortest derivation chains take four steps:
-# the all-neutral reversals on Z2 and two mostly neutral pairs; and the
+# Pairs of degree 6 and 7 whose derivations need four steps or more: the
+# all-neutral reversals on Z2 and two mostly neutral pairs; and the
 # all-neutral reversal of degree 10.  The bench requests reach degree 5 on
 # all-neutral words, where the chains are shorter.
 DEEP_DERIVATIONS = [
@@ -59,6 +61,31 @@ DEEP_DERIVATIONS = [
     ("configs/z2.json", " ".join(f"x{i}:e" for i in range(1, 11)),
      " ".join(f"x{i}:e" for i in range(10, 0, -1))),
 ]
+
+# Degrees of the long words checked with eval and check on z4 and Klein;
+# the bench's words stop at degree 10.
+LONG_DEGREES = (50, 200)
+LONG_CONFIGS = ("configs/z4_3tuple.json", "configs/klein.json")
+
+
+def long_word(degree: int) -> list:
+    """A neutral-heavy word of the given degree, from a seeded generator.
+
+    Every x:a is closed by an x:a* later on, with only neutral letters in
+    between, so the rows in the domain of a's hat (rows 0 and 1 on both
+    gradings) survive the whole word.  The first two letters are neutral.
+    """
+    rng = random.Random(degree)
+    letters, bracket = ["x1:e", "x2:e*"], False
+    while len(letters) < degree - 1:
+        if rng.random() < 0.2:
+            letters.append(f"x{rng.randint(1, 6)}:a" + ("*" if bracket else ""))
+            bracket = not bracket
+        else:
+            letters.append(f"x{rng.randint(1, 6)}:e" + ("*" if rng.random() < 0.5 else ""))
+    letters.append("x3:a*" if bracket else "x3:e")
+    return letters
+
 
 # Reads a JSON list of argv lists on stdin and prints one line per argv:
 # the exit code and the sha256 of stdout and of stderr.  An exception that
@@ -108,6 +135,14 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
     for config, first, second in DEEP_DERIVATIONS:
         argv = ["congruent", "--config", config, "--json", first, second]
         argvs += [argv, toggled(argv)]
+    for config in LONG_CONFIGS:
+        for degree in LONG_DEGREES:
+            word = long_word(degree)
+            # the first two letters swapped: an identity by the neutral commutator
+            swapped = " ".join([word[1], word[0], *word[2:]])
+            for argv in (["eval", "--config", config, "--json", " ".join(word)],
+                         ["check", "--config", config, "--json", f"{' '.join(word)} - {swapped}"]):
+                argvs += [argv, toggled(argv)]
     for workload in workloads:
         for seed in seeds:
             for request in gen.build(workload, seed)[0]:

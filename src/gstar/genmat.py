@@ -251,26 +251,31 @@ def word_rows(word: Sequence[tuple], grading: Grading) -> list:
     the generic product's entry at (start, end) is the monomial of the
     variables, variables[p] = y[slot, a, b] for factor p stepping from row
     a to row b (y[slot, b, a] if starred).  Empty exactly for identities.
+
+    Linear in the length of the word: each walk appends to a list of
+    variables of its own, which becomes a tuple on return.
     """
     hats, order, inverse = grading.hats, grading.group.order, grading.group.inverse
-    walks = [(row, row, ()) for row in range(grading.n)]
+    walks = [(row, row, []) for row in range(grading.n)]
     letters = iter(word)
     for slot, element, star in letters:
         if not 0 <= element < order:
             raise GradingError(f"element index {element} outside the group")
         step = hats[inverse[element] if star else element]
-        walks = [
-            (start, col, (*variables, EntryVar(slot, col, row) if star else EntryVar(slot, row, col)))
-            for start, row, variables in walks
-            if (col := step[row]) is not None
-        ]
+        alive = []
+        for start, row, variables in walks:
+            col = step[row]
+            if col is not None:
+                variables.append(EntryVar(slot, col, row) if star else EntryVar(slot, row, col))
+                alive.append((start, col, variables))
+        walks = alive
         if not walks:
             # the walk is dead; the letters after it are only range-checked
             for _, element, _ in letters:
                 if not 0 <= element < order:
                     raise GradingError(f"element index {element} outside the group")
             break
-    return walks
+    return [(start, end, tuple(variables)) for start, end, variables in walks]
 
 
 def rows_matrix(rows: list, n: int, one) -> SparseMatrix:

@@ -154,59 +154,33 @@ class DerivationStep:
         return out
 
 
-class _Alphabet:
-    """The signed letters of a monomial's rewrites, one character each.
-
-    The distinct (index, element) pairs of the monomial are numbered
-    t = 0, 1, ... in order of first appearance, and the letter of pair t
-    with star flag s is ``chr(2t + s)``.  A word is the str of its letters,
-    so a swap of factors is slicing and concatenation, and the star of a
-    factor is its reverse translated by ``toggle`` (c -> c ^ 1).
-    """
-
-    __slots__ = ("letters", "code", "degree", "toggle", "table", "identity")
-
-    def __init__(self, mono: GMonomial, group: Group):
-        pairs: dict = {}
-        for v in mono:
-            pairs.setdefault((v.index, v.element), len(pairs))
-        self.letters = [GVar(index, element, star) for index, element in pairs
-                        for star in (False, True)]
-        self.code = {v: chr(c) for c, v in enumerate(self.letters)}
-        self.degree = {chr(c): signed_degree(v.element, v.star, group)
-                       for c, v in enumerate(self.letters)}
-        self.toggle = {c: c ^ 1 for c in range(len(self.letters))}
-        self.table, self.identity = group.table, group.identity
-
-    def encode(self, mono: GMonomial) -> str:
-        code = self.code
-        return "".join([code[v] for v in mono])
-
-    def decode(self, word: str) -> GMonomial:
-        letters = self.letters
-        return GMonomial([letters[c] for c in map(ord, word)])
+def _moved(letters: tuple, kind: str, i: int, j: int, k: Optional[int] = None) -> tuple:
+    """The letters with one neutral-ideal generator applied: kind 'star'
+    replaces the factor [i,j) by its involution image, kind 'swap'
+    exchanges the factors [i,j) and [j,k)."""
+    if kind == "star":
+        return letters[:i] + GMonomial(letters[i:j]).star().letters + letters[j:]
+    return letters[:i] + letters[j:k] + letters[i:j] + letters[k:]
 
 
-def _rewrites(word: str, alphabet: _Alphabet):
-    """Every single-step rewrite of an encoded word by the neutral-ideal
-    generators, as (kind, i, j, k, rewritten word): over i, then j, the star
-    of the neutral factor [i,j) first, then its swaps with each neutral
+def _rewrites(letters: tuple, group: Group):
+    """Every single-step rewrite of a letter tuple by the neutral-ideal
+    generators, as (kind, i, j, k, rewritten letters): over i, then j, the
+    star of the neutral factor [i,j) first, then its swaps with each neutral
     factor [j,k)."""
-    table, degree, toggle = alphabet.table, alphabet.degree, alphabet.toggle
-    pref = [alphabet.identity]
-    for ch in word:
-        pref.append(table[pref[-1]][degree[ch]])
+    pref = [group.identity]
+    for v in letters:
+        pref.append(group.mul(pref[-1], signed_degree(v.element, v.star, group)))
     n = len(pref)
     for i in range(n - 1):
-        g, head = pref[i], word[:i]
+        g = pref[i]
         for j in range(i + 1, n):
             if pref[j] != g:  # [i,j) is neutral exactly when the prefix degrees agree
                 continue
-            mid = word[i:j]
-            yield "star", i, j, None, head + mid[::-1].translate(toggle) + word[j:]
+            yield "star", i, j, None, _moved(letters, "star", i, j)
             for k in range(j + 1, n):
                 if pref[k] == g:
-                    yield "swap", i, j, k, head + word[j:k] + mid + word[k:]
+                    yield "swap", i, j, k, _moved(letters, "swap", i, j, k)
 
 
 def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> list[DerivationStep]:
@@ -243,7 +217,7 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
     if not congruent_mod_neutral(m1, m2, grading):
         raise PreconditionError("derivation requires congruent monomials")
     start, _, wanted = word_rows(m1.letters, grading)[0]
-    word = list(m2.letters)
+    word = m2.letters
     edges = list(next(v for s, _, v in word_rows(word, grading) if s == start))
     rows = [start, *(e.row if v.star else e.col for v, e in zip(word, edges))]
     chain: list[DerivationStep] = []
@@ -251,12 +225,13 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
     def rewrite(kind: str, i: int, j: int, k: Optional[int] = None) -> None:
         # a letter keeps its entry variable, so the variables and the rows
         # move with the letters
+        nonlocal word
+        word = _moved(word, kind, i, j, k)
         if kind == "star":
-            word[i:j] = GMonomial(word[i:j]).star().letters
             edges[i:j] = edges[i:j][::-1]
             rows[i:j + 1] = rows[i:j + 1][::-1]
         else:
-            for seq in (word, edges, rows):
+            for seq in (edges, rows):
                 seq[i:k] = seq[j:k] + seq[i:j]
         chain.append(DerivationStep(kind, i, j, k, GMonomial(word)))
 
@@ -279,7 +254,7 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
                         if rows[c] == rows[d])
             rewrite("star", c, d)
             rewrite("star", p, c + d - q)
-    if tuple(word) != m1.letters:
+    if word != m1.letters:
         raise InternalCheckError("derivation does not land on the first monomial")
     return chain
 

@@ -13,7 +13,7 @@ from .freealg import GMonomial, GPolynomial, GVar
 from .gradings import Grading, SignedElement, build_grading
 from .groups import Group, make_cyclic, make_from_table
 from .genmat import evaluation_key
-from .identities import _Alphabet, _rewrites, word_is_identity
+from .identities import _rewrites, word_is_identity
 
 
 def klein_group() -> Group:
@@ -133,16 +133,15 @@ def congruent_partner(
     the same generic evaluation by construction.  None when the word admits
     no move at all.
     """
-    alphabet = _Alphabet(mono, grading.group)
-    cur = alphabet.encode(mono)
+    cur = mono.letters
     moved = False
     for _ in range(4):
-        steps = list(_rewrites(cur, alphabet))
+        steps = list(_rewrites(cur, grading.group))
         if not steps:
             break
         cur = rng.choice(steps)[4]
         moved = True
-    return alphabet.decode(cur) if moved else None
+    return GMonomial(cur) if moved else None
 
 
 def random_multihomogeneous_poly(

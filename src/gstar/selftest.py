@@ -289,15 +289,14 @@ def _suite_congruence(grading: Grading, rng: random.Random, field, pairs: int) -
         if not congruent_mod_neutral(mono, partner, grading):
             problems.append(f"engineered congruent pair rejected: {mono!r}")
             continue
-        if len(mono) <= 3:
-            chain = derivation_mod_neutral(mono, partner, grading)
-            ref = evaluate_monomial(partner, grading, field)
-            for step in chain:
-                if evaluate_monomial(step.result, grading, field) != ref:
-                    problems.append(f"derivation step changes evaluation: {step!r}")
-                    break
-            if chain and chain[-1].result != mono:
-                problems.append("derivation does not land on the target")
+        chain = derivation_mod_neutral(mono, partner, grading)
+        ref = evaluate_monomial(partner, grading, field)
+        for step in chain:
+            if evaluate_monomial(step.result, grading, field) != ref:
+                problems.append(f"derivation step changes evaluation: {step!r}")
+                break
+        if chain and chain[-1].result != mono:
+            problems.append("derivation does not land on the target")
     return SuiteResult(
         "congruence", not problems, "; ".join(problems[:3]) or f"{done} engineered pairs"
     )

@@ -320,22 +320,45 @@ def test_product_entries_are_homogeneous():
 # the word kernel against the honest product
 
 
+def surviving_word(rng, grading, length):
+    """A slotted word of mostly neutral letters that keeps the walk from one
+    random row alive, so that its generic product is nonzero."""
+    group = grading.group
+    row = rng.randrange(grading.n)
+    word = []
+    for _ in range(length):
+        se = SignedElement(group.identity, rng.random() < 0.5)
+        if rng.random() < 0.3:
+            g = SignedElement(rng.randrange(group.order), rng.random() < 0.5)
+            col = grading.hats[group.inv(g.element) if g.star else g.element][row]
+            if col is not None:
+                se, row = g, col
+        word.append((rng.randint(1, 6), se))
+    return word
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
-def test_word_kernel_matches_matmul(seed, ring):
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]),
+       st.sampled_from(["short", "long"]))
+def test_word_kernel_matches_matmul(seed, ring, size):
     """evaluate_monomial, closed_form_product and the basis_reduce bucket key
-    agree with honest products, on words with repeated slots and letters
-    off the support, over Q and F_5."""
+    agree with honest products over Q and F_5: on short words with repeated
+    slots and letters off the support, and on surviving words of degree 60
+    to 120, mostly neutral, whose rows carry long variable lists."""
     field = RATIONALS if ring == "q" else PrimeField(5)
     rng = random.Random(seed)
     grading = random_grading(rng, max_n=5)
-    length = rng.randint(1, 8)
-    word = [
-        (rng.randint(1, max(1, length // 2)),
-         SignedElement(rng.randrange(grading.group.order), rng.random() < 0.5))
-        for _ in range(length)
-    ]
+    if size == "long":
+        word = surviving_word(rng, grading, rng.randint(60, 120))
+    else:
+        length = rng.randint(1, 8)
+        word = [
+            (rng.randint(1, max(1, length // 2)),
+             SignedElement(rng.randrange(grading.group.order), rng.random() < 0.5))
+            for _ in range(length)
+        ]
     honest = oracle_product(word, grading, field)
+    assert size == "short" or not honest.is_zero
     mono = GMonomial([GVar(slot, se.element, se.star) for slot, se in word])
     assert closed_form_product(word, grading, field) == honest
     assert evaluate_monomial(mono, grading, field) == honest
