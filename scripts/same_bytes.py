@@ -11,8 +11,10 @@ selftest), ``info --json`` on every config in ``configs/`` and
 ``bench/configs/``, the degree-6 listings of z4 and Klein (147,888 words
 each), ``info`` and ``enumerate --max-deg 4`` on a grading whose element
 names need escaping, ``congruent`` on the five pairs of
-``DEEP_DERIVATIONS``, and ``eval`` and ``check`` on the long words of
-``long_word`` on z4 and Klein are run twice, once with ``--json`` as given and once
+``DEEP_DERIVATIONS``, ``eval`` and ``check`` on the long words of
+``long_word`` on z4 and Klein, and ``eval`` and ``check`` on the malformed
+and whitespace-heavy ``ODD_EXPRESSIONS`` on z2 and Klein (most exit 2, so
+their stderr is compared) are run twice, once with ``--json`` as given and once
 toggled, through ``gstar.cli.main`` in one child process per tree: this
 checkout's ``src/`` and REV's.  The exit code, stdout and stderr of every
 run are compared.  Degree-bound probe requests call library functions
@@ -60,6 +62,37 @@ DEEP_DERIVATIONS = [
      "x4:e x6:e x1:rr x2:r x7:e* x3:e x5:e*"),
     ("configs/z2.json", " ".join(f"x{i}:e" for i in range(1, 11)),
      " ".join(f"x{i}:e" for i in range(10, 0, -1))),
+]
+
+# Expressions that stress the tokenizer: whitespace inside and between
+# letters, element names that start with 'x', and every kind of parse error,
+# each with the coefficient ring it is read over.  Element 'b' exists on
+# Klein only, so those expressions fail on z2 alone.
+ODD_CONFIGS = ("configs/z2.json", "configs/klein.json")
+ODD_EXPRESSIONS = [
+    ("q", "x1 : a *"),
+    ("q", " x1\t:\na*x2 :e  -  3/4   x2:e x1 :a"),
+    ("q", "x1:a* x2:b *+x2:b*x1:a"),
+    ("q", "x1:x2"),
+    ("q", "x1:x"),
+    ("q", "x1:x_2"),
+    ("q", "x1:x2a"),
+    ("q", "x1:xa x2:e"),
+    ("q", "x0:a"),
+    ("q", "x007:a - x7:a"),
+    ("q", "x1:a @"),
+    ("q", "x1:a**"),
+    ("q", "x1:a x2"),
+    ("q", "x1 x2:a"),
+    ("q", "x1:2"),
+    ("q", "1/0 x1:a"),
+    ("q", "2/ x1:a"),
+    ("q", "x1:a +"),
+    ("q", "x1:zz"),
+    ("q", "x1:e x" + "3" * 5000 + ":a"),
+    ("q", "1" * 5000 + " x1:a"),
+    ("modp:5", "1/5 x1:a + x2:e"),
+    ("modp:5", "2/3 x1:a - 4 x1 : a"),
 ]
 
 # Degrees of the long words checked with eval and check on z4 and Klein;
@@ -142,6 +175,11 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
             swapped = " ".join([word[1], word[0], *word[2:]])
             for argv in (["eval", "--config", config, "--json", " ".join(word)],
                          ["check", "--config", config, "--json", f"{' '.join(word)} - {swapped}"]):
+                argvs += [argv, toggled(argv)]
+    for config in ODD_CONFIGS:
+        for coeff, text in ODD_EXPRESSIONS:
+            for command in ("eval", "check"):
+                argv = [command, "--config", config, "--json", "--coeff", coeff, "--", text]
                 argvs += [argv, toggled(argv)]
     for workload in workloads:
         for seed in seeds:

@@ -13,15 +13,16 @@ The expression grammar accepted by :func:`parse_poly` (a lone '0' is zero):
     factor      := 'x' index ':' element-name ['*']
     coefficient := int ['/' nonzero int]
 
-Juxtaposition is the noncommutative product.  Whitespace may separate any
-two tokens, and every malformed input raises :class:`ParseError`; over F_p a
-denominator divisible by p raises :class:`FieldError` instead.
+Juxtaposition is the noncommutative product.  A factor (a letter) is one
+token, so parsing does one regex match and one dict lookup per letter.
+Whitespace may separate any two tokens and the parts of a letter, and every
+malformed input raises :class:`ParseError`; over F_p a denominator
+divisible by p raises :class:`FieldError` instead.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -67,7 +68,8 @@ class GMonomial:
         return hash(self.letters)
 
     def sort_key(self) -> tuple:
-        return (len(self.letters), tuple((v.index, v.element, v.star) for v in self.letters))
+        # a GVar is the tuple (index, element, star), so the letters order as such
+        return (len(self.letters), self.letters)
 
     def star(self) -> "GMonomial":
         """Reverse the word and toggle every star flag."""
@@ -77,14 +79,22 @@ class GMonomial:
 
     def multidegree(self) -> tuple:
         """Counts of each (index, element) pair, starred and plain pooled."""
-        counts = Counter((v.index, v.element) for v in self.letters)
+        counts: dict = {}
+        for index, element, _ in self.letters:
+            counts[index, element] = counts.get((index, element), 0) + 1
         return tuple(sorted(counts.items()))
 
     def signed_word(self) -> tuple[SignedElement, ...]:
         return tuple(SignedElement(v.element, v.star) for v in self.letters)
 
     def render(self, group: Group) -> str:
-        return " ".join(v.render(group) for v in self.letters)
+        # a word with a letter new to the group's memo renders its letters into it
+        texts = group.letter_texts
+        try:
+            return " ".join([texts[v] for v in self.letters])
+        except KeyError:
+            texts.update((v, v.render(group)) for v in self.letters)
+            return self.render(group)
 
     def __repr__(self) -> str:
         inner = " ".join(
@@ -172,10 +182,13 @@ def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
     return SparseMatrix(grading.n, {pos: CPolynomial(terms) for pos, terms in sums.items()})
 
 
-# variables tokenize as one unit, so element names may start with 'x' as long
-# as they are not themselves of the reserved form x<digits>; any other
-# non-space character is a 'bad' token, so finditer skips only whitespace
-_TOKEN = re.compile(r"(?P<var>x\d+)|(?P<int>\d+)|(?P<colon>:)|(?P<star>\*)|(?P<plus>\+)"
+# A letter x<index>:<name>[*] is one token, with whitespace allowed inside it.
+# Its element name may start with 'x' unless it is of the reserved form
+# x<digits>; a malformed letter does not match and falls through to the var,
+# colon and name tokens, whose sequence reports its error.  Any other
+# non-space character is a 'bad' token, so finditer skips only whitespace.
+_TOKEN = re.compile(r"(?P<letter>x(\d+)\s*:\s*((?!x\d)[A-Za-z_][A-Za-z0-9_]*)(?:\s*(\*))?)"
+                    r"|(?P<var>x\d+)|(?P<int>\d+)|(?P<colon>:)|(?P<star>\*)|(?P<plus>\+)"
                     r"|(?P<minus>-)|(?P<slash>/)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)")
 
 
@@ -184,6 +197,43 @@ def _int(digits: str, pos: int) -> int:
         return int(digits)
     except ValueError:  # past the interpreter's limit on digits converted from text
         raise ParseError("too many digits in a number", pos) from None
+
+
+def _index(digits: str, pos: int) -> int:
+    index = _int(digits, pos)
+    if index < 1:
+        raise ParseError("variable indices start at 1", pos)
+    return index
+
+
+def _letter(match: re.Match, group: Group) -> GVar:
+    """The variable of a letter token."""
+    index = _index(match[2], match.start())
+    try:
+        element = group.index_of(match[3])
+    except GroupError:
+        raise ParseError(
+            f"unknown group element {match[3]!r}; known: {', '.join(group.names)}",
+            match.start(3),
+        ) from None
+    return GVar(index, element, match[4] is not None)
+
+
+def _malformed_letter(tokens: list, i: int) -> ParseError:
+    """The error of the var token at ``i``, which starts no letter token.
+
+    An index error is raised here; any other error is returned.
+    """
+    _, val, pos = tokens[i]
+    _index(val[1:], pos)
+    kind, _, pos = tokens[i + 1]
+    if kind != "colon":
+        return ParseError("expected ':' between index and element name", pos)
+    kind, _, pos = tokens[i + 2]
+    if kind == "int":
+        return ParseError("element names are words, not numbers", pos)
+    # a name token here would have made the three tokens one letter
+    return ParseError("expected a group element name", pos)
 
 
 def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
@@ -197,6 +247,7 @@ def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
     if len(tokens) == 1 and tokens[0][:2] == ("int", "0"):
         return GPolynomial.zero()
     tokens.append((None, None, -1))  # end of input; no lookahead reads past it
+    variables: dict = {}  # letter token text -> GVar, for this call only
     terms: dict = {}  # summed in place; a zero sum drops its word
     kind = tokens[0][0]
     negative = kind == "minus"
@@ -218,30 +269,17 @@ def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
             else:
                 coeff = field.coerce(num)
                 i += 1
+            kind, val, pos = tokens[i]
         letters = []
-        while tokens[i][0] == "var":
-            _, val, pos = tokens[i]
-            index = _int(val[1:], pos)
-            if index < 1:
-                raise ParseError("variable indices start at 1", pos)
-            kind, _, pos = tokens[i + 1]
-            if kind != "colon":
-                raise ParseError("expected ':' between index and element name", pos)
-            kind, val, pos = tokens[i + 2]
-            if kind == "int":
-                raise ParseError("element names are words, not numbers", pos)
-            if kind != "name":
-                raise ParseError("expected a group element name", pos)
-            try:
-                element = group.index_of(val)
-            except GroupError:
-                raise ParseError(
-                    f"unknown group element {val!r}; known: {', '.join(group.names)}", pos
-                ) from None
-            star = tokens[i + 3][0] == "star"
-            letters.append(GVar(index, element, star))
-            i += 4 if star else 3
-        kind, _, pos = tokens[i]
+        while kind == "letter":
+            var = variables.get(val)
+            if var is None:
+                var = variables[val] = _letter(_TOKEN.match(text, pos), group)
+            letters.append(var)
+            i += 1
+            kind, val, pos = tokens[i]
+        if kind == "var":
+            raise _malformed_letter(tokens, i)
         if not letters:
             raise ParseError("a term needs at least one variable", pos)
         add_term(terms, GMonomial(letters), -coeff if negative else coeff)

@@ -6,9 +6,12 @@ of the grading's pattern for g.  Its starred companion is the transpose.
 Products of generic matrices are extremely sparse: at most one nonzero entry
 per row, always a single monomial with coefficient one.  The word kernel
 ``word_rows`` reads them off the grading's hat table in one pass, and
-every evaluation goes through it.  Honest multiplication (``__matmul__`` on
-the ``generic_matrix*`` matrices) is kept only as the independent oracle
-that ``selftest`` and the tests compare the kernel against.
+every evaluation goes through it.  The kernel writes each variable as a plain
+(slot, row, col) triple, which is equal, hash-equal and order-equal to the
+:class:`EntryVar` of the same triple, so readers index it by position.
+Honest multiplication (``__matmul__`` on the ``generic_matrix*`` matrices,
+whose variables are :class:`EntryVar`) is kept only as the independent
+oracle that ``selftest`` and the tests compare the kernel against.
 
 (row, col) pairs are 0-based.  Every in-range pair hosts a variable, because
 (row, col) determines the unique group element g_row^{-1} g_col whose pattern
@@ -38,7 +41,11 @@ class EntryVar(NamedTuple):
 
 
 class CMonomial:
-    """A commutative monomial: a multiset of entry variables, stored sorted."""
+    """A commutative monomial: a multiset of entry variables, stored sorted.
+
+    A variable is an :class:`EntryVar` or the plain (slot, row, col) triple of
+    the word kernel; the two are interchangeable.
+    """
 
     __slots__ = ("vars",)
 
@@ -68,9 +75,10 @@ class CMonomial:
         if not self.vars:
             return "1"
         parts = []
-        for v, grp in groupby(self.vars):
+        for (slot, row, col), grp in groupby(self.vars):
             k = len(list(grp))
-            parts.append(v.render() if k == 1 else f"{v.render()}^{k}")
+            text = f"y[{slot},{row},{col}]"
+            parts.append(text if k == 1 else f"{text}^{k}")
         return "*".join(parts)
 
     def __repr__(self) -> str:
@@ -250,7 +258,9 @@ def word_rows(word: Sequence[tuple], grading: Grading) -> list:
     (start, end, variables) per surviving start row, in increasing order:
     the generic product's entry at (start, end) is the monomial of the
     variables, variables[p] = y[slot, a, b] for factor p stepping from row
-    a to row b (y[slot, b, a] if starred).  Empty exactly for identities.
+    a to row b (y[slot, b, a] if starred).  Each variable is the plain
+    triple (slot, row, col), not an :class:`EntryVar`.  Empty exactly for
+    identities.
 
     Linear in the length of the word: each walk appends to a list of
     variables of its own, which becomes a tuple on return.
@@ -266,7 +276,7 @@ def word_rows(word: Sequence[tuple], grading: Grading) -> list:
         for start, row, variables in walks:
             col = step[row]
             if col is not None:
-                variables.append(EntryVar(slot, col, row) if star else EntryVar(slot, row, col))
+                variables.append((slot, col, row) if star else (slot, row, col))
                 alive.append((start, col, variables))
         walks = alive
         if not walks:
@@ -316,7 +326,7 @@ def row_trace(start: int, word: Sequence[SignedElement], grading: Grading) -> Ro
     """The kernel walk of one starting row through a signed word; error if it dies."""
     for first, _end, variables in word_rows([(0, *se) for se in word], grading):
         if first == start:
-            s = (start, *(v.row if se.star else v.col for v, se in zip(variables, word)))
+            s = (start, *(v[1] if se.star else v[2] for v, se in zip(variables, word)))
             plain = [grading.hats[se.element] for se in word]
             return RowTrace(start, s, tuple(h[a] for h, a in zip(plain, s)))
     letters = " ".join(se.render(grading.group) for se in word)

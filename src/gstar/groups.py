@@ -23,6 +23,10 @@ class Group:
     identity: int
     inverse: tuple[int, ...]
     _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    # the text of each rendered letter, filled by GMonomial.render
+    letter_texts: dict = field(
+        init=False, repr=False, hash=False, compare=False, default_factory=dict
+    )
 
     @property
     def order(self) -> int:

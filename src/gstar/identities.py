@@ -84,7 +84,7 @@ def witness_for_word(word: Sequence[SignedElement], grading: Grading) -> Optiona
     if not rows:
         return None
     start, end, variables = rows[0]
-    units = tuple((v.row, v.col) for v in variables)
+    units = tuple((row, col) for _, row, col in variables)
     result = unit_product([(b, a) if se.star else (a, b) for (a, b), se in zip(units, word)])
     if result != (start, end):
         raise InternalCheckError(f"witness product {result} does not telescope")
@@ -219,7 +219,7 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
     start, _, wanted = word_rows(m1.letters, grading)[0]
     word = m2.letters
     edges = list(next(v for s, _, v in word_rows(word, grading) if s == start))
-    rows = [start, *(e.row if v.star else e.col for v, e in zip(word, edges))]
+    rows = [start, *(e[1] if v.star else e[2] for v, e in zip(word, edges))]
     chain: list[DerivationStep] = []
 
     def rewrite(kind: str, i: int, j: int, k: Optional[int] = None) -> None:
@@ -240,7 +240,7 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
             continue
         v, e = rows[p], wanted[p]
         q = edges.index(e, p)
-        if e.row == e.col:
+        if e[1] == e[2]:
             if word[q].star != letter.star:
                 rewrite("star", q, q + 1)
             if q > p:

@@ -306,6 +306,21 @@ def test_check_flags_uncertified_identity(capsys):
     assert component["identity_terms"][0]["subword"] is None
 
 
+def test_letter_names_come_from_each_call_config(tmp_path, capsys):
+    # two configs with one table and different element names, run in one
+    # process: each report names the letters by its own config
+    reports = []
+    for names in (["e", "a"], ["e", "t"]):
+        config = tmp_path / f"z2_{names[1]}.json"
+        config.write_text(json.dumps({"group": {"elements": names, "table": [[0, 1], [1, 0]]},
+                                      "tuple": names}))
+        text = f"x1:{names[1]} x2:e - x2:e x1:{names[1]}"
+        code, payload, _ = run_json(["check", "--config", str(config), text], capsys)
+        assert code == 0
+        reports.append(payload["expression"])
+    assert reports == ["x1:a x2:e - x2:e x1:a", "x1:t x2:e - x2:e x1:t"]
+
+
 def test_leading_dash_operand_returns_usage_error(capsys):
     # argparse reads "-x1:a" as an option; main returns 2 instead of exiting
     code, out, err = run(["check", "--config", str(CONFIGS / "z2.json"), "-x1:a"], capsys)

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +21,10 @@ from gstar import (
     star_polynomial,
     variable,
 )
+from gstar.errors import GroupError
 from gstar.freealg import GPolynomial
-from gstar.rings import RATIONALS, PrimeField
+from gstar.groups import make_from_table
+from gstar.rings import RATIONALS, PrimeField, add_term
 from gstar.sampling import random_grading, random_monomial
 
 
@@ -304,3 +308,133 @@ def test_variable_builder(z2):
     a = z2.index_of("a")
     assert variable(3, a) == parse_poly("x3:a", z2)
     assert variable(3, a, star=True) == parse_poly("x3:a*", z2)
+
+
+# ---------------------------------------------------------------------------
+# the letter-token parser against the three-token parser it replaced
+
+# the three-token grammar: a letter is a var, a colon, a name and an optional star
+_REFERENCE_TOKEN = re.compile(r"(?P<var>x\d+)|(?P<int>\d+)|(?P<colon>:)|(?P<star>\*)|(?P<plus>\+)"
+                              r"|(?P<minus>-)|(?P<slash>/)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                              r"|(?P<bad>\S)")
+
+
+def _reference_int(digits, pos):
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("too many digits in a number", pos) from None
+
+
+def _reference_parse(text, group, field=RATIONALS):
+    """The parser as it was before letters became one token: the oracle."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _REFERENCE_TOKEN.finditer(text)]
+    for kind, val, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", pos)
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    if len(tokens) == 1 and tokens[0][:2] == ("int", "0"):
+        return GPolynomial.zero()
+    tokens.append((None, None, -1))
+    terms = {}
+    kind = tokens[0][0]
+    negative = kind == "minus"
+    i = 1 if kind in ("plus", "minus") else 0
+    while True:
+        kind, val, pos = tokens[i]
+        coeff = field.one
+        if kind == "int":
+            num = _reference_int(val, pos)
+            if tokens[i + 1][0] == "slash":
+                kind, den, pos = tokens[i + 2]
+                if kind != "int":
+                    raise ParseError("expected a denominator after '/'", pos)
+                den = _reference_int(den, pos)
+                if not den:
+                    raise ParseError("a denominator must be nonzero", pos)
+                coeff = field.coerce(Fraction(num, den))
+                i += 3
+            else:
+                coeff = field.coerce(num)
+                i += 1
+        letters = []
+        while tokens[i][0] == "var":
+            _, val, pos = tokens[i]
+            index = _reference_int(val[1:], pos)
+            if index < 1:
+                raise ParseError("variable indices start at 1", pos)
+            kind, _, pos = tokens[i + 1]
+            if kind != "colon":
+                raise ParseError("expected ':' between index and element name", pos)
+            kind, val, pos = tokens[i + 2]
+            if kind == "int":
+                raise ParseError("element names are words, not numbers", pos)
+            if kind != "name":
+                raise ParseError("expected a group element name", pos)
+            try:
+                element = group.index_of(val)
+            except GroupError:
+                raise ParseError(
+                    f"unknown group element {val!r}; known: {', '.join(group.names)}", pos
+                ) from None
+            star = tokens[i + 3][0] == "star"
+            letters.append(GVar(index, element, star))
+            i += 4 if star else 3
+        kind, _, pos = tokens[i]
+        if not letters:
+            raise ParseError("a term needs at least one variable", pos)
+        add_term(terms, GMonomial(letters), -coeff if negative else coeff)
+        if kind is None:
+            return GPolynomial(terms)
+        if kind not in ("plus", "minus"):
+            raise ParseError("expected '+', '-' or end of expression", pos)
+        negative = kind == "minus"
+        i += 1
+
+
+def _outcome(parse, text, group, field):
+    """The terms of the parse, or the class, message and position of its error."""
+    try:
+        return "terms", parse(text, group, field).terms
+    except Exception as err:  # the class is part of the outcome
+        return "error", type(err).__name__, str(err), getattr(err, "position", None)
+
+
+# Z4 with element names that start with 'x': 'x' and 'x_2' can be written
+# after a colon, 'x2a' cannot, because x<digits> is reserved for indices
+X_NAMES = make_from_table(["e", "x", "x_2", "x2a"], [[(i + j) % 4 for j in range(4)] for i in range(4)])
+DIFF_PIECES = [
+    "x1", "x2", "x12", "x0", "x00", "x007", "x" + "9" * 5000, "x",
+    "e", "x_2", "x2a", "xa", "q", ":", "*", "**", "+", "-", "/",
+    "0", "00", "1", "3", "5", "10", "25", "@", "^", "é", "(",
+    "x1:x", "x2 : x_2*", "x3:e *", "x1:x2a", "x4 :x2", "1/0", "2/5", "3/10",
+]
+DIFF_SPACES = ["", "", " ", "\t", "\n", " \t "]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DIFF_SPACES), st.sampled_from(DIFF_PIECES)),
+                max_size=14).map(lambda pairs: "".join(w + p for w, p in pairs)),
+       st.sampled_from(["q", "modp:5"]))
+@example("x1:x2a", "q")
+@example("x1 : x2", "q")
+@example("x1:x_2 x2 :\tx* - 1/5 x1:e", "modp:5")
+@example("x" + "0" * 4999 + "1:x", "q")
+def test_parse_matches_three_token_parser(text, ring):
+    field = RATIONALS if ring == "q" else PrimeField(5)
+    assert (_outcome(parse_poly, text, X_NAMES, field)
+            == _outcome(_reference_parse, text, X_NAMES, field))
+
+
+def test_letter_text_is_per_group():
+    # the same letter renders with each group's own element names, in either
+    # order, so no rendering is shared between groups by the letter alone
+    table = [[0, 1], [1, 0]]
+    first, second = make_from_table(["e", "a"], table), make_from_table(["e", "t"], table)
+    word = GMonomial([GVar(1, 1), GVar(2, 0, True)])
+    assert word.render(first) == "x1:a x2:e*"
+    assert word.render(second) == "x1:t x2:e*"
+    assert word.render(first) == "x1:a x2:e*"
+    f = GPolynomial({word: RATIONALS.coerce(-2)})
+    assert (format_poly(f, second), format_poly(f, first)) == ("-2 x1:t x2:e*", "-2 x1:a x2:e*")

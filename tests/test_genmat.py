@@ -28,6 +28,7 @@ from gstar.errors import ShapeError
 from gstar.genmat import evaluation_key
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import random_grading, random_multihomogeneous_poly, random_slotted_word
+from gstar.selftest import _honest_product
 
 
 def var_poly(slot, row, col, one=None):
@@ -364,6 +365,25 @@ def test_word_kernel_matches_matmul(seed, ring, size):
     assert evaluate_monomial(mono, grading, field) == honest
     key = evaluation_key(mono.letters, grading)
     assert tuple(((s, e), ((v, field.one),)) for s, e, v in key) == honest.canonical_key()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
+def test_kernel_triples_render_as_entry_vars(seed, ring):
+    """The kernel's plain (slot, row, col) triples render as the honest
+    product's EntryVars do, powers included, over Q and F_5."""
+    field = RATIONALS if ring == "q" else PrimeField(5)
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=5)
+    word = surviving_word(rng, grading, rng.randint(1, 12))
+    closed = closed_form_product(word, grading, field)
+    honest = _honest_product(word, grading, field)
+    assert not honest.is_zero
+    for matrix, kind in ((closed, tuple), (honest, EntryVar)):
+        for poly in matrix.entries.values():
+            ((mono, _),) = poly.terms_sorted()
+            assert {type(v) for v in mono.vars} == {kind}
+    assert closed.render() == honest.render()
 
 
 def test_fast_paths_never_multiply_matrices(monkeypatch):
