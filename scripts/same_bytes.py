@@ -10,8 +10,10 @@ by default, which between them run check, eval, congruent, enumerate and
 selftest), ``info --json`` on every config in ``configs/`` and
 ``bench/configs/``, the degree-6 listings of z4 and Klein (147,888 words
 each), ``info`` and ``enumerate --max-deg 4`` on a grading whose element
-names need escaping, ``congruent`` on the five pairs of
-``DEEP_DERIVATIONS``, ``eval`` and ``check`` on the long words of
+names need escaping, ``selftest`` over both rings and the three
+``SELFTEST_SEEDS`` on that grading and on ``configs/s3_rot.json`` (the
+two gradings the bench's selftest requests leave out), ``congruent`` on
+the five pairs of ``DEEP_DERIVATIONS``, ``eval`` and ``check`` on the long words of
 ``long_word`` on z4 and Klein, and ``eval`` and ``check`` on the malformed
 and whitespace-heavy ``ODD_EXPRESSIONS`` on z2 and Klein (most exit 2, so
 their stderr is compared) are run twice, once with ``--json`` as given and once
@@ -48,6 +50,11 @@ ESCAPED_GRADING = {
               "table": [[(i + j) % 5 for j in range(5)] for i in range(5)]},
     "tuple": ESCAPED_NAMES[:3],
 }
+
+# Seeds of the selftest runs on the escaped-name grading and on S3 with the
+# rotation tuple, each over both rings
+SELFTEST_SEEDS = (1, 2, 3)
+SELFTEST_RINGS = ("q", "modp:5")
 
 # Pairs of degree 6 and 7 whose derivations need four steps or more: the
 # all-neutral reversals on Z2 and two mostly neutral pairs; and the
@@ -165,6 +172,12 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
         ["enumerate", "--config", str(escaped), "--json", "--max-deg", "4"],
     ):
         argvs += [argv, toggled(argv)]
+    for config in ("configs/s3_rot.json", str(escaped)):
+        for ring in SELFTEST_RINGS:
+            for seed in SELFTEST_SEEDS:
+                argv = ["selftest", "--config", config, "--json", "--coeff", ring,
+                        "--seed", str(seed)]
+                argvs += [argv, toggled(argv)]
     for config, first, second in DEEP_DERIVATIONS:
         argv = ["congruent", "--config", config, "--json", first, second]
         argvs += [argv, toggled(argv)]

@@ -43,7 +43,7 @@ from .genmat import (
     evaluation_key,
     generic_matrix,
     generic_matrix_signed,
-    generic_matrix_star,
+    honest_product,
     row_trace,
     star_omega,
     word_rows,

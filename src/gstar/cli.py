@@ -19,13 +19,13 @@ from pathlib import Path
 from .errors import GstarError, InternalCheckError, ParseError, ResourceCapError
 from .freealg import format_poly, multihomogeneous_components, parse_poly
 from .freealg import evaluate as evaluate_poly
+from .genmat import evaluation_key
 from .gradings import Grading, SignedElement, grading_from_json
 from .identities import (
     basis_reduce,
     congruent_mod_neutral,
     derivation_mod_neutral,
     enumerate_monomial_identities,
-    word_is_identity,
 )
 from .rings import parse_field
 from .selftest import run_selftest
@@ -151,7 +151,7 @@ def cmd_congruent(args, grading, field, out) -> int:
         "first": m1.render(grading.group),
         "second": m2.render(grading.group),
     }
-    if any(word_is_identity(m.signed_word(), grading) for m in (m1, m2)):
+    if not all(evaluation_key(m.letters, grading) for m in (m1, m2)):
         payload["congruent"] = None
         payload["note"] = "congruence is only defined for non-identity monomials"
         _emit(payload, args, out)

@@ -9,9 +9,12 @@ per row, always a single monomial with coefficient one.  The word kernel
 every evaluation goes through it.  The kernel writes each variable as a plain
 (slot, row, col) triple, which is equal, hash-equal and order-equal to the
 :class:`EntryVar` of the same triple, so readers index it by position.
-Honest multiplication (``__matmul__`` on the ``generic_matrix*`` matrices,
-whose variables are :class:`EntryVar`) is kept only as the independent
-oracle that ``selftest`` and the tests compare the kernel against.
+
+``honest_product`` is the independent oracle that ``selftest`` and the tests
+compare the kernel against: it multiplies the generic matrices of the
+factors with ``SparseMatrix.__matmul__``.  It follows the definition rather
+than the kernel: a starred factor is the plain generic matrix transposed, so
+the oracle never reads the hat table at an inverse element.
 
 (row, col) pairs are 0-based.  Every in-range pair hosts a variable, because
 (row, col) determines the unique group element g_row^{-1} g_col whose pattern
@@ -21,7 +24,9 @@ passes through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import matmul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import GradingError, ShapeError, TraceDomainError, VariableError
@@ -220,34 +225,31 @@ def star_omega(v: EntryVar, grading: Grading) -> EntryVar:
     return EntryVar(v.slot, new_row, v.row)
 
 
-def generic_matrix(slot: int, g: int, grading: Grading, field=RATIONALS) -> SparseMatrix:
-    """The generic matrix A(slot, g): fresh variables along the pattern of g."""
-    one = field.one
-    entries = {}
-    for i in sorted(grading.d_set(g)):
-        j = grading.hat(g)(i)
-        entries[(i, j)] = CPolynomial.from_var(EntryVar(slot, i, j), one)
-    return SparseMatrix(grading.n, entries)
-
-
-def generic_matrix_star(slot: int, g: int, grading: Grading, field=RATIONALS) -> SparseMatrix:
-    """The starred generic matrix: same variables transposed into g^{-1}'s pattern."""
-    one = field.one
-    ginv = grading.group.inv(g)
-    entries = {}
-    for i in sorted(grading.d_set(ginv)):
-        j = grading.hat(ginv)(i)
-        # row i carries the variable of the plain matrix at (j, i)
-        entries[(i, j)] = CPolynomial.from_var(EntryVar(slot, j, i), one)
-    return SparseMatrix(grading.n, entries)
-
-
 def generic_matrix_signed(
     slot: int, letter: SignedElement, grading: Grading, field=RATIONALS
 ) -> SparseMatrix:
-    if letter.star:
-        return generic_matrix_star(slot, letter.element, grading, field)
-    return generic_matrix(slot, letter.element, grading, field)
+    """The generic matrix of one factor: y[slot,i,j] at (i, j) along the
+    plain pattern of the letter's element, or at (j, i) if it is starred."""
+    one = field.one
+    hat = grading.hat(letter.element)
+    entries = {}
+    for i in hat.domain():
+        j = hat(i)
+        entries[(j, i) if letter.star else (i, j)] = CPolynomial.from_var(EntryVar(slot, i, j), one)
+    return SparseMatrix(grading.n, entries)
+
+
+def generic_matrix(slot: int, g: int, grading: Grading, field=RATIONALS) -> SparseMatrix:
+    """The generic matrix A(slot, g): fresh variables along the pattern of g."""
+    return generic_matrix_signed(slot, SignedElement(g, False), grading, field)
+
+
+def honest_product(
+    word: Sequence[tuple[int, SignedElement]], grading: Grading, field=RATIONALS
+) -> SparseMatrix:
+    """The product of the generic matrices of a nonempty word's (slot,
+    letter) factors, by sparse matrix multiplication."""
+    return reduce(matmul, (generic_matrix_signed(slot, se, grading, field) for slot, se in word))
 
 
 def word_rows(word: Sequence[tuple], grading: Grading) -> list:

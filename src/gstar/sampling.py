@@ -13,7 +13,7 @@ from .freealg import GMonomial, GPolynomial, GVar
 from .gradings import Grading, SignedElement, build_grading
 from .groups import Group, make_cyclic, make_from_table
 from .genmat import evaluation_key
-from .identities import _rewrites, word_is_identity
+from .identities import _rewrites
 
 
 def klein_group() -> Group:
@@ -177,7 +177,8 @@ def random_multihomogeneous_poly(
         m = shuffled_monomial(rng, base)
         budget -= 1
         sign = one if rng.random() < 0.5 else -one
-        if word_is_identity(m.signed_word(), grading):
+        key = evaluation_key(m.letters, grading)
+        if not key:
             add(m, sign)
             continue
         if force_identity or rng.random() < 0.5:
@@ -195,7 +196,6 @@ def random_multihomogeneous_poly(
                 continue
             if force_identity:
                 continue
-        key = evaluation_key(m.letters, grading)
         if key in singleton_classes:
             continue
         if add(m, sign):

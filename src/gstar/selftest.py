@@ -16,7 +16,8 @@ from .freealg import (
     evaluate_monomial,
     star_polynomial,
 )
-from .genmat import SparseMatrix, closed_form_product, generic_matrix_signed
+from .errors import PreconditionError
+from .genmat import closed_form_product, honest_product
 from .gradings import Grading, SignedElement, compose_targets
 from .identities import (
     basis_reduce,
@@ -62,15 +63,6 @@ class ScanReport:
         return not self.failures
 
 
-def _honest_product(slotted, grading: Grading, field) -> SparseMatrix:
-    """The generic product of (slot, letter) factors by sparse matrix products."""
-    direct = None
-    for slot, se in slotted:
-        m = generic_matrix_signed(slot, se, grading, field)
-        direct = m if direct is None else direct @ m
-    return direct
-
-
 def exhaustive_word_scan(
     grading: Grading,
     max_degree: int,
@@ -82,23 +74,26 @@ def exhaustive_word_scan(
     For each word the scan maintains, along the search tree, (a) the
     composed partial injection, (b) a row-by-row evaluation walk through the
     generic matrix patterns, and (c) a matrix-unit fold per starting row.
+    The tree starts at the empty word (identity composition, every row
+    alive, fold e(s,s) at row s), and every letter takes the same step.
     It asserts that the three agree: the word evaluates to zero exactly when
     the composition dies, and otherwise every surviving start row folds to
     the predicted matrix unit.  Every ``crosscheck_stride``-th word is also
-    evaluated through the sparse-matrix product and the closed form, which
+    evaluated through ``honest_product`` and the closed form, which
     exercises the full coefficient path of the given field.
     """
+    if max_degree < 1:
+        raise PreconditionError("max_degree must be at least 1")
     alphabet = [
         (se, grading.hat_signed(se).targets) for se in grading.signed_alphabet()
     ]
-    n = grading.n
     failures: list[str] = []
     counter = {"words": 0, "identities": 0, "crosschecks": 0}
 
     def crosscheck(word: tuple[SignedElement, ...]) -> None:
         counter["crosschecks"] += 1
         slotted = [(p + 1, se) for p, se in enumerate(word)]
-        direct = _honest_product(slotted, grading, field)
+        direct = honest_product(slotted, grading, field)
         if closed_form_product(slotted, grading, field) != direct:
             failures.append(f"closed form mismatch on {word}")
             return
@@ -133,8 +128,8 @@ def exhaustive_word_scan(
         if crosscheck_stride and counter["words"] % crosscheck_stride == 0:
             crosscheck(word)
 
-    def rec(word, comp, alive, fold, depth) -> None:
-        if depth == max_degree:
+    def rec(word, comp, alive, fold) -> None:
+        if len(word) == max_degree:
             return
         for se, step in alphabet:
             new_comp = compose_targets(comp, step)
@@ -154,20 +149,12 @@ def exhaustive_word_scan(
                     continue
                 new_fold.append((s, prod[0], prod[1]))
             new_word = word + (se,)
-            visit(new_word, new_comp, new_alive, tuple(new_fold))
-            rec(new_word, new_comp, new_alive, tuple(new_fold), depth + 1)
+            new_fold = tuple(new_fold)
+            visit(new_word, new_comp, new_alive, new_fold)
+            rec(new_word, new_comp, new_alive, new_fold)
 
-    # degree-one seeds: the fold starts as the first unit itself
-    for se, step in alphabet:
-        alive = tuple((s, step[s]) for s in range(n) if step[s] is not None)
-        fold = []
-        for s in range(n):
-            nxt = step[s]
-            if nxt is None:
-                continue
-            fold.append((s, s, nxt))
-        visit((se,), step, alive, tuple(fold))
-        rec((se,), step, alive, tuple(fold), 1)
+    rows = range(grading.n)
+    rec((), tuple(rows), tuple((s, s) for s in rows), tuple((s, s, s) for s in rows))
     return ScanReport(
         counter["words"], counter["identities"], counter["crosschecks"], failures
     )
@@ -239,7 +226,7 @@ def _suite_product_oracle(
     for k in range(words):
         length = rng.randint(1, 8)
         slotted = random_slotted_word(rng, grading, length, repeat_slots=(k % 7 == 0))
-        direct = _honest_product(slotted, grading, field)
+        direct = honest_product(slotted, grading, field)
         if closed_form_product(slotted, grading, field) != direct:
             problems.append(f"closed form mismatch on word {k}")
             continue

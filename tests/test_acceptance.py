@@ -28,7 +28,7 @@ from gstar import (
     congruent_mod_neutral,
     derivation_mod_neutral,
     enumerate_monomial_identities,
-    generic_matrix_signed,
+    honest_product,
     is_identity,
     is_monomial_identity,
     minimal_identities_up_to,
@@ -58,15 +58,6 @@ def report(number, name, t0, budget, detail=""):
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE {number} {name}: PASS ({elapsed:.2f}s / {budget}s) {detail}")
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget"
-
-
-def _honest_product(slotted, grading):
-    """The product of generic matrices by sparse matrix multiplication."""
-    product = None
-    for slot, se in slotted:
-        m = generic_matrix_signed(slot, se, grading)
-        product = m if product is None else product @ m
-    return product
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +104,7 @@ def test_criterion_3_closed_form_oracle():
             se for _s, se in random_slotted_word(rng, grading, length)
         )]
         closed = closed_form_product(word, grading)
-        assert closed == _honest_product(word, grading)
+        assert closed == honest_product(word, grading)
         rows = [r for r, _c in closed.entries]
         assert len(rows) == len(set(rows)), "a row carries two entries"
         letters = [se for _s, se in word]
@@ -137,7 +128,7 @@ def test_criterion_3_closed_form_oracle():
         words_checked += 1
         if words_checked % 3 == 0:
             scrambled = random_slotted_word(rng, grading, length, repeat_slots=True)
-            assert closed_form_product(scrambled, grading) == _honest_product(
+            assert closed_form_product(scrambled, grading) == honest_product(
                 scrambled, grading
             )
     report(3, "closed form vs product oracle", t0, 30, f"{words_checked} words")
@@ -326,7 +317,7 @@ def test_criterion_7_degree_bound_probe():
         ]
         for word in dict.fromkeys(representatives + exhaustive):
             spelled = " ".join(se.render(grading.group) for se in word)
-            assert _honest_product(enumerate(word, 1), grading).is_zero, (
+            assert honest_product(enumerate(word, 1), grading).is_zero, (
                 f"{name}: ({spelled}) is not an identity"
             )
             mono = word_monomial(word)
@@ -337,7 +328,7 @@ def test_criterion_7_degree_bound_probe():
             assert bounds is not None, f"{name}: ({spelled}) lacks a block certificate"
             assert len(bounds) - 1 <= bound, f"{name}: ({spelled}) needs {bounds}"
             condensed = _condensed_word(word, bounds, grading.group)
-            assert _honest_product(enumerate(condensed, 1), grading).is_zero, (
+            assert honest_product(enumerate(condensed, 1), grading).is_zero, (
                 f"{name}: ({spelled}) condensed by {bounds} is not an identity"
             )
         if representatives:

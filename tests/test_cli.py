@@ -365,10 +365,9 @@ def test_seed_belongs_to_selftest_only(capsys):
     assert "unrecognized arguments: --seed" in err
 
 
-def test_derivation_state_budget_exits_3(monkeypatch, capsys):
-    # the derivation is built, not searched for: under a state budget of 50
-    # the degree-10 all-neutral reversal still answers, one swap per letter
-    monkeypatch.setattr("gstar.identities.STATE_BUDGET", 50)
+def test_congruent_degree_10_reversal_answers_with_swaps(capsys):
+    # the derivation is built, not searched for: the degree-10 all-neutral
+    # reversal answers with exit 0, one swap per letter
     first = " ".join(f"x{i}:e" for i in range(1, 11))
     second = " ".join(f"x{i}:e" for i in range(10, 0, -1))
     code, out, err = run(["congruent", "--config", str(CONFIGS / "z2.json"), "--json",

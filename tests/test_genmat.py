@@ -20,7 +20,7 @@ from gstar import (
     evaluate_monomial,
     generic_matrix,
     generic_matrix_signed,
-    generic_matrix_star,
+    honest_product,
     row_trace,
     star_omega,
 )
@@ -28,7 +28,6 @@ from gstar.errors import ShapeError
 from gstar.genmat import evaluation_key
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import random_grading, random_multihomogeneous_poly, random_slotted_word
-from gstar.selftest import _honest_product
 
 
 def var_poly(slot, row, col, one=None):
@@ -107,7 +106,7 @@ def test_generic_matrix_off_support_is_zero(gr_z6, z6):
 
 def test_star_matrix_z2(gr_z2, z2):
     a = z2.index_of("a")
-    m = generic_matrix_star(1, a, gr_z2)
+    m = generic_matrix_signed(1, SignedElement(a, True), gr_z2)
     assert m.nonzero_items() == [
         ((0, 1), var_poly(1, 1, 0)),
         ((1, 0), var_poly(1, 0, 1)),
@@ -115,17 +114,24 @@ def test_star_matrix_z2(gr_z2, z2):
 
 
 def test_star_matrix_is_transpose_everywhere():
+    # the starred matrix is built by transposing the plain pattern of g; it
+    # must sit on the pattern of g^-1, row i carrying y[3, hat(g^-1)(i), i]
     rng = random.Random(11)
     for _ in range(25):
         grading = random_grading(rng)
         for g in grading.support_sorted():
-            assert generic_matrix_star(3, g, grading) == generic_matrix(3, g, grading).transpose()
+            starred = generic_matrix_signed(3, SignedElement(g, True), grading)
+            assert starred == generic_matrix(3, g, grading).transpose()
+            ginv = grading.hat(grading.group.inv(g))
+            assert starred == SparseMatrix(grading.n, {
+                (i, ginv(i)): var_poly(3, ginv(i), i) for i in ginv.domain()
+            })
 
 
 def test_star_matrix_neutral_fixed(gradings):
     for grading in gradings.values():
-        e = grading.group.identity
-        assert generic_matrix_star(2, e, grading) == generic_matrix(2, e, grading)
+        e = SignedElement(grading.group.identity, True)
+        assert generic_matrix_signed(2, e, grading) == generic_matrix(2, e.element, grading)
 
 
 def test_entry_count_matches_pattern_size(gradings):
@@ -171,7 +177,7 @@ def test_star_omega_matches_starred_matrix_rows(gradings):
     for grading in gradings.values():
         for g in grading.support_sorted():
             plain = generic_matrix(1, g, grading)
-            starred = generic_matrix_star(1, g, grading)
+            starred = generic_matrix_signed(1, SignedElement(g, True), grading)
             star_rows = {r: p for (r, _c), p in starred.entries.items()}
             for (r, _c), p in plain.entries.items():
                 ((mono, _),) = p.terms_sorted()
@@ -273,14 +279,6 @@ def test_closed_form_single_letter(gr_z6, z6):
     assert closed_form_product([(1, e)], gr_z6) == generic_matrix(1, z6.identity, gr_z6)
 
 
-def oracle_product(word, grading, field=RATIONALS):
-    acc = None
-    for slot, se in word:
-        m = generic_matrix_signed(slot, se, grading, field)
-        acc = m if acc is None else acc @ m
-    return acc
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_closed_form_matches_matmul(seed):
@@ -288,7 +286,7 @@ def test_closed_form_matches_matmul(seed):
     grading = random_grading(rng)
     word = random_slotted_word(rng, grading, rng.randint(1, 8), repeat_slots=rng.random() < 0.3)
     closed = closed_form_product(word, grading)
-    assert closed == oracle_product(word, grading)
+    assert closed == honest_product(word, grading)
     rows = [r for r, _ in closed.entries]
     assert len(rows) == len(set(rows))
 
@@ -299,7 +297,7 @@ def test_closed_form_matches_matmul_modp():
     for _ in range(40):
         grading = random_grading(rng)
         word = random_slotted_word(rng, grading, rng.randint(1, 6))
-        assert closed_form_product(word, grading, field) == oracle_product(word, grading, field)
+        assert closed_form_product(word, grading, field) == honest_product(word, grading, field)
 
 
 def test_product_entries_are_homogeneous():
@@ -358,7 +356,7 @@ def test_word_kernel_matches_matmul(seed, ring, size):
              SignedElement(rng.randrange(grading.group.order), rng.random() < 0.5))
             for _ in range(length)
         ]
-    honest = oracle_product(word, grading, field)
+    honest = honest_product(word, grading, field)
     assert size == "short" or not honest.is_zero
     mono = GMonomial([GVar(slot, se.element, se.star) for slot, se in word])
     assert closed_form_product(word, grading, field) == honest
@@ -377,7 +375,7 @@ def test_kernel_triples_render_as_entry_vars(seed, ring):
     grading = random_grading(rng, max_n=5)
     word = surviving_word(rng, grading, rng.randint(1, 12))
     closed = closed_form_product(word, grading, field)
-    honest = _honest_product(word, grading, field)
+    honest = honest_product(word, grading, field)
     assert not honest.is_zero
     for matrix, kind in ((closed, tuple), (honest, EntryVar)):
         for poly in matrix.entries.values():
@@ -409,5 +407,5 @@ def test_fast_paths_never_multiply_matrices(monkeypatch):
         evaluate(f, grading, field)
         basis_reduce(f, grading)
     assert calls == []
-    oracle_product(random_slotted_word(rng, grading, 3), grading)
+    honest_product(random_slotted_word(rng, grading, 3), grading)
     assert calls, "the counter does not see the oracle"

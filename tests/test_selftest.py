@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from gstar.errors import PreconditionError
 from gstar.rings import PrimeField, RATIONALS
 from gstar.sampling import (
     congruent_partner,
@@ -33,6 +36,12 @@ def test_scan_counts_z2(gr_z2):
     assert scan.identities == 0
     assert scan.passed
     assert scan.crosschecks == 340 // 5
+
+
+@pytest.mark.parametrize("max_degree", [0, -1])
+def test_scan_rejects_degree_below_one(gr_z2, max_degree):
+    with pytest.raises(PreconditionError):
+        exhaustive_word_scan(gr_z2, max_degree)
 
 
 def test_scan_finds_identities(gr_z6):
