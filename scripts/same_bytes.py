@@ -17,8 +17,10 @@ the five pairs of ``DEEP_DERIVATIONS``, ``eval`` and ``check`` on the long words
 ``long_word`` on z4 and Klein, and ``eval`` and ``check`` on the malformed
 and whitespace-heavy ``ODD_EXPRESSIONS`` on z2 and Klein (most exit 2, so
 their stderr is compared) are run twice, once with ``--json`` as given and once
-toggled, through ``gstar.cli.main`` in one child process per tree: this
-checkout's ``src/`` and REV's.  The exit code, stdout and stderr of every
+toggled; the usage, help and error runs of ``error_runs``, which reach the
+parser and the error boundary of ``main``, are run once.  All go through
+``gstar.cli.main`` in one child process per tree: this checkout's ``src/``
+and REV's.  The exit code, stdout and stderr of every
 run are compared.  Degree-bound probe requests call library functions
 rather than the CLI, so they are counted and skipped.  ``bench/`` is only
 read.
@@ -42,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("check", "enumerate", "congruent", "selftest")
+COMMANDS = ("info", "check", "eval", "congruent", "enumerate", "selftest")
 
 # Z5 with element names that JSON escapes and that text mode quotes
 ESCAPED_NAMES = ["e", 'a"b', "c\\d", "\u00e9", "f'g"]
@@ -127,6 +130,33 @@ def long_word(degree: int) -> list:
     return letters
 
 
+def error_runs(tmp: str) -> list:
+    """Argv that exit at the parser or at main's error boundary, or that give
+    congruent's note; a config that is not JSON is written to tmp."""
+    not_json = Path(tmp) / "not_json.json"
+    not_json.write_text("{not json", encoding="utf-8")
+    z2, z6 = "configs/z2.json", "configs/z6_3tuple.json"
+    return [
+        [], ["--help"], *([command, "--help"] for command in COMMANDS),
+        ["bogus", "--config", z2],
+        ["check", "--config", z2],
+        ["check", "--config", z2, "--seed", "3", "x1:a"],
+        ["check", "--config", z2, "-x1:a"],
+        ["enumerate", "--config", z2, "--max-deg", "x"],
+        ["info", "--config", z2, "--coeff", "modp:4"],
+        ["info", "--config", z2, "--coeff", "zz"],
+        ["info", "--config", "no/such/config.json"],
+        ["info", "--config", "no/such/config.json", "--coeff", "zz"],
+        ["info", "--config", str(not_json)],
+        ["info", "--config", z2, "extra"],
+        # x1:a3 is a monomial identity on z6_3tuple
+        ["congruent", "--config", z6, "x1:a3", "x1:a"],
+        ["congruent", "--config", z6, "--json", "x1:a3", "x1:a"],
+        ["congruent", "--config", z6, "x1:a", "x1:a3"],
+        ["congruent", "--config", z6, "--json", "x1:a", "x1:a3"],
+    ]
+
+
 # Reads a JSON list of argv lists on stdin and prints one line per argv:
 # the exit code and the sha256 of stdout and of stderr.  An exception that
 # escapes main is recorded in place of the exit code.
@@ -154,14 +184,15 @@ def toggled(argv: list) -> list:
 
 
 def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
-    """Every CLI argv of the given passes, of info and of the extra listings,
-    twice; and the probes skipped.  The escaped-name grading is written to tmp."""
+    """The error runs once, every CLI argv of the given passes, of info and of
+    the extra listings twice; and the probes skipped.  The escaped-name
+    grading is written to tmp."""
     sys.path.insert(0, str(ROOT / "bench"))
     import gen
 
     escaped = Path(tmp) / "escaped.json"
     escaped.write_text(json.dumps(ESCAPED_GRADING), encoding="utf-8")
-    argvs, probes = [], 0
+    argvs, probes = error_runs(tmp), 0
     for config in sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("bench/configs/*.json")):
         argv = ["info", "--config", str(config.relative_to(ROOT)), "--json"]
         argvs += [argv, toggled(argv)]
@@ -204,6 +235,10 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
     return argvs, probes
 
 
+def subcommand(argv: list) -> str:
+    return argv[0] if argv and argv[0] in COMMANDS else "(no subcommand)"
+
+
 def extract_src(rev: str, into: str) -> Path:
     blob = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
                           check=True, capture_output=True).stdout
@@ -242,9 +277,9 @@ def main(argv=None) -> int:
     differing = [a for a, x, y in zip(argvs, ours, theirs) if x != y]
     print(f"{len(argvs)} CLI runs compared against {args.rev}; {probes} probe requests "
           f"skipped (not CLI requests); {len(differing)} differ")
-    for command in sorted({a[0] for a in argvs}):
-        runs = sum(a[0] == command for a in argvs)
-        print(f"  {command}: {runs} runs, {sum(a[0] == command for a in differing)} differ")
+    for name in sorted(set(map(subcommand, argvs))):
+        runs = sum(subcommand(a) == name for a in argvs)
+        print(f"  {name}: {runs} runs, {sum(subcommand(a) == name for a in differing)} differ")
     if differing:
         print("first differing argv: " + json.dumps(differing[0]))
         return 1

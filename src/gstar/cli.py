@@ -4,6 +4,11 @@ Subcommands: info, check, eval, congruent, enumerate, selftest.  Exit codes:
 0 success (verdicts are payload, never exit codes), 2 input error, 3 resource
 cap exceeded, 4 internal invariant or selftest failure.  JSON output is
 canonical: identical inputs and seed produce byte-identical reports.
+
+The handlers only compose library calls.  ``_emit`` adds ``schema`` and
+``command`` to every report; ``enumerate``, which writes its report itself,
+writes the same two keys.  The ``note`` that ``congruent`` gives for an
+identity input is the library's precondition message.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import GstarError, InternalCheckError, ParseError, ResourceCapError
+from .errors import GstarError, InternalCheckError, ParseError, PreconditionError, ResourceCapError
 from .freealg import format_poly, multihomogeneous_components, parse_poly
 from .freealg import evaluate as evaluate_poly
-from .genmat import evaluation_key
 from .gradings import Grading, SignedElement, grading_from_json
 from .identities import (
     basis_reduce,
@@ -39,6 +43,8 @@ EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict, args, out) -> None:
+    """Write the report: the payload with the schema tag and the command name."""
+    payload = {"schema": SCHEMA, "command": args.command, **payload}
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
     else:
@@ -68,8 +74,6 @@ def cmd_info(args, grading, field, out) -> int:
     group = grading.group
     support = grading.support_sorted()
     payload = {
-        "schema": SCHEMA,
-        "command": "info",
         "group": {"order": group.order, "elements": list(group.names)},
         "tuple": [group.name_of(g) for g in grading.defining_tuple],
         "n": grading.n,
@@ -92,25 +96,17 @@ def cmd_info(args, grading, field, out) -> int:
 def cmd_check(args, grading, field, out) -> int:
     poly = parse_poly(args.expression, grading.group, field)
     components = multihomogeneous_components(poly)
-    comp_reports = []
-    overall = True
-    certified = True
-    for comp in components:
-        red = basis_reduce(comp, grading)
-        overall = overall and red.is_identity
-        if red.is_identity:
-            certified = certified and red.fully_certified
-        entry = red.to_json(grading.group)
-        entry["component"] = format_poly(comp, grading.group)
-        comp_reports.append(entry)
+    reductions = [basis_reduce(comp, grading) for comp in components]
+    identity = all(red.is_identity for red in reductions)
     payload = {
-        "schema": SCHEMA,
-        "command": "check",
         "expression": format_poly(poly, grading.group),
         "coefficients": field.name,
-        "identity": overall,
-        "fully_certified": overall and certified,
-        "components": comp_reports,
+        "identity": identity,
+        "fully_certified": identity and all(red.fully_certified for red in reductions),
+        "components": [
+            {**red.to_json(grading.group), "component": format_poly(comp, grading.group)}
+            for comp, red in zip(components, reductions)
+        ],
     }
     _emit(payload, args, out)
     return EXIT_OK
@@ -120,8 +116,6 @@ def cmd_eval(args, grading, field, out) -> int:
     poly = parse_poly(args.expression, grading.group, field)
     matrix = evaluate_poly(poly, grading, field)
     payload = {
-        "schema": SCHEMA,
-        "command": "eval",
         "expression": format_poly(poly, grading.group),
         "coefficients": field.name,
         "n": grading.n,
@@ -145,18 +139,11 @@ def _single_monomial(text: str, grading: Grading, field):
 def cmd_congruent(args, grading, field, out) -> int:
     m1 = _single_monomial(args.first, grading, field)
     m2 = _single_monomial(args.second, grading, field)
-    payload: dict = {
-        "schema": SCHEMA,
-        "command": "congruent",
-        "first": m1.render(grading.group),
-        "second": m2.render(grading.group),
-    }
-    if not all(evaluation_key(m.letters, grading) for m in (m1, m2)):
-        payload["congruent"] = None
-        payload["note"] = "congruence is only defined for non-identity monomials"
-        _emit(payload, args, out)
-        return EXIT_OK
-    flag = congruent_mod_neutral(m1, m2, grading)
+    payload: dict = {"first": m1.render(grading.group), "second": m2.render(grading.group)}
+    try:
+        flag = congruent_mod_neutral(m1, m2, grading)
+    except PreconditionError as err:  # an identity input: congruence is undefined
+        flag, payload["note"] = None, str(err)
     payload["congruent"] = flag
     if flag:
         chain = derivation_mod_neutral(m1, m2, grading)
@@ -185,7 +172,7 @@ def cmd_enumerate(args, grading, field, out) -> int:
     }
     tokens = [{se: f"x{p}:{name}" for se, name in names.items()} for p in range(1, max_deg + 1)]
     head = {
-        "command": "enumerate",
+        "command": args.command,
         "count": len(words),
         "max_degree": max_deg,
         # words come out by length, so the last one is the longest
@@ -234,8 +221,7 @@ def cmd_enumerate(args, grading, field, out) -> int:
 
 def cmd_selftest(args, grading, field, out) -> int:
     report = run_selftest(grading, field, seed=args.seed)
-    payload = {"schema": SCHEMA, "command": "selftest", **report.to_json()}
-    _emit(payload, args, out)
+    _emit(report.to_json(), args, out)
     return EXIT_OK if report.passed else EXIT_INTERNAL
 
 
@@ -246,40 +232,37 @@ def build_parser() -> argparse.ArgumentParser:
         "algebras with the transpose involution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, required=True, help="grading config JSON")
+    common.add_argument("--coeff", default="q", help="coefficient ring: q or modp:P")
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, required=True, help="grading config JSON")
-        p.add_argument("--coeff", default="q", help="coefficient ring: q or modp:P")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    p = sub.add_parser("info", help="describe the grading: support, patterns")
-    common(p)
+    p = sub.add_parser("info", parents=[common], help="describe the grading: support, patterns")
     p.set_defaults(handler=cmd_info)
 
-    p = sub.add_parser("check", help="identity test with a basis certificate")
-    common(p)
+    p = sub.add_parser("check", parents=[common], help="identity test with a basis certificate")
     p.add_argument("expression")
     p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("eval", help="print the generic evaluation of an expression")
-    common(p)
+    p = sub.add_parser(
+        "eval", parents=[common], help="print the generic evaluation of an expression"
+    )
     p.add_argument("expression")
     p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("congruent", help="congruence of two monomials, with derivation")
-    common(p)
+    p = sub.add_parser(
+        "congruent", parents=[common], help="congruence of two monomials, with derivation"
+    )
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(handler=cmd_congruent)
 
-    p = sub.add_parser("enumerate", help="monomial identities up to a degree")
-    common(p)
+    p = sub.add_parser("enumerate", parents=[common], help="monomial identities up to a degree")
     p.add_argument("--max-deg", type=int, default=None, help="degree bound (default 2n-1)")
     p.add_argument("--minimal", action="store_true", help="only subword-minimal words")
     p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("selftest", help="run every module's invariant suite")
-    common(p)
+    p = sub.add_parser("selftest", parents=[common], help="run every module's invariant suite")
     p.add_argument("--seed", type=int, default=1, help="seed for randomized suites")
     p.set_defaults(handler=cmd_selftest)
 
@@ -299,10 +282,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT if err.code else EXIT_OK
     try:
         field = parse_field(args.coeff)
-    except GstarError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         with open(args.config, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         return args.handler(args, grading_from_json(obj), field, sys.stdout)

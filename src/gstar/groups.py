@@ -1,9 +1,9 @@
 """Finite groups given by an explicit Cayley table.
 
 Elements are dense indices 0..order-1 internally; names exist only at the
-input/output boundary.  Construction validates every axiom exhaustively
-(Latin square, identity, inverses, associativity), which is why the order
-is capped at desk scale.
+input/output boundary.  Construction validates the axioms exhaustively
+(Latin square, identity, associativity) and reads the inverses off the
+table, which is why the order is capped at desk scale.
 """
 
 from __future__ import annotations
@@ -98,18 +98,9 @@ def _validate(names: Sequence[str], table: Sequence[Sequence[int]]):
                         f"({names[a]}*{names[b]})*{names[c]} != {names[a]}*({names[b]}*{names[c]})"
                     )
 
-    inverse = [0] * n
-    for a in range(n):
-        found = None
-        for b in range(n):
-            if table[a][b] == identity and table[b][a] == identity:
-                found = b
-                break
-        if found is None:
-            raise GroupError(f"element {names[a]} has no two-sided inverse")
-        inverse[a] = found
-
-    return identity, tuple(inverse)
+    # Row a is a permutation, so a*b = e has exactly one solution b; with
+    # associativity, checked above, that right inverse is also a left inverse.
+    return identity, tuple(row.index(identity) for row in table)
 
 
 def make_from_table(

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from gstar.cli import _print_text, main
+from gstar.errors import PreconditionError
+from gstar.freealg import parse_poly
 from gstar.gradings import grading_from_json
-from gstar.identities import enumerate_monomial_identities
+from gstar.identities import congruent_mod_neutral, enumerate_monomial_identities
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -127,13 +129,53 @@ def test_congruent_negative(capsys):
     assert payload["congruent"] is False
 
 
-def test_congruent_identity_inputs_yield_note(capsys):
+# x1:a3 is a monomial identity on z6_3tuple (a3 is off the support), x1:a is not
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize("first, second", [("x1:a3", "x1:a"), ("x1:a", "x1:a3"),
+                                           ("x1:a3", "x1:a3")],
+                         ids=["identity-first", "identity-second", "both-identities"])
+def test_congruent_identity_inputs_yield_note(first, second, as_json, capsys):
+    config = CONFIGS / "z6_3tuple.json"
+    grading = grading_from_json(json.loads(config.read_text(encoding="utf-8")))
+    m1, m2 = (parse_poly(text, grading.group).terms_sorted()[0][0] for text in (first, second))
+    with pytest.raises(PreconditionError) as raised:
+        congruent_mod_neutral(m1, m2, grading)
+    argv = ["congruent", "--config", str(config), first, second]
+    code, out, err = run(argv + ["--json"] * as_json, capsys)
+    assert code == 0 and err == ""
+    if as_json:
+        payload = json.loads(out)
+        assert payload["congruent"] is None and "derivation" not in payload
+        assert payload["note"] == str(raised.value)
+    else:
+        lines = out.splitlines()
+        assert "congruent: None" in lines and f"note: {raised.value}" in lines
+        assert not any(line.startswith("derivation") for line in lines)
+
+
+# word_rows walks per request: congruent_mod_neutral walks both words, and
+# on a congruent pair derivation_mod_neutral walks them twice more
+@pytest.mark.parametrize("first, second, congruent, walks",
+                         [("x1:e x2:e x3:a", "x2:e x1:e x3:a", True, 6),
+                          ("x1:a x1:a*", "x1:a* x1:a", False, 2)],
+                         ids=["congruent", "not-congruent"])
+def test_congruent_walks_each_word_no_more_than_the_library_does(
+        first, second, congruent, walks, capsys, monkeypatch):
+    import gstar.genmat
+    import gstar.identities
+
+    calls = []
+
+    def counting(word, grading, _inner=gstar.genmat.word_rows):
+        calls.append(word)
+        return _inner(word, grading)
+
+    for module in (gstar.genmat, gstar.identities):
+        monkeypatch.setattr(module, "word_rows", counting)
     code, payload, _ = run_json(
-        ["congruent", "--config", str(CONFIGS / "z6_3tuple.json"), "x1:a3", "x1:a3"],
-        capsys,
-    )
-    assert code == 0
-    assert payload["congruent"] is None
+        ["congruent", "--config", str(CONFIGS / "z2.json"), first, second], capsys)
+    assert code == 0 and payload["congruent"] is congruent
+    assert len(calls) <= walks
 
 
 def test_enumerate_defaults_to_basis_bound(capsys):

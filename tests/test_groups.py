@@ -1,8 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstar import GroupError, group_from_json, make_cyclic, make_from_table
+from gstar.sampling import standard_gradings
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_trivial_group():
@@ -131,3 +137,22 @@ def test_cyclic_axioms_exhaustive(order):
             for b in g.elements():
                 for c in g.elements():
                     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+
+
+def suite_groups():
+    """Every group the suite builds: the standard family and the config files."""
+    groups = {name: grading.group for name, grading in standard_gradings().items()}
+    for path in sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("bench/configs/*.json")):
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        groups[str(path.relative_to(ROOT))] = group_from_json(obj["group"])
+    return groups
+
+
+SUITE_GROUPS = suite_groups()
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_GROUPS))
+def test_inverse_read_off_table_is_two_sided(name):
+    group = SUITE_GROUPS[name]
+    for a in group.elements():
+        assert group.mul(a, group.inv(a)) == group.mul(group.inv(a), a) == group.identity
