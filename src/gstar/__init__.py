@@ -17,7 +17,6 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
     ShapeError,
-    TraceDomainError,
     VariableError,
 )
 from .freealg import (
@@ -27,7 +26,6 @@ from .freealg import (
     evaluate,
     evaluate_monomial,
     format_poly,
-    gdegree,
     multihomogeneous_components,
     parse_poly,
     star_polynomial,
@@ -37,15 +35,11 @@ from .genmat import (
     CMonomial,
     CPolynomial,
     EntryVar,
-    RowTrace,
     SparseMatrix,
     closed_form_product,
     evaluation_key,
-    generic_matrix,
     generic_matrix_signed,
     honest_product,
-    row_trace,
-    star_omega,
     word_rows,
 )
 from .gradings import (
@@ -77,7 +71,6 @@ from .identities import (
     subword_identity_certificate,
     verify_basis,
     witness_for_word,
-    word_is_identity,
     word_monomial,
 )
 from .rings import RATIONALS, Fp, PrimeField, Rationals, parse_field

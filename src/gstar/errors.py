@@ -23,10 +23,6 @@ class ShapeError(GstarError, ValueError):
     """Matrix operands of incompatible sizes."""
 
 
-class TraceDomainError(GstarError, ValueError):
-    """A starting row outside the domain of the composed partial injection."""
-
-
 class PreconditionError(GstarError, ValueError):
     """An operation was called outside its stated precondition."""
 

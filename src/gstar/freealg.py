@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import GroupError, ParseError, PreconditionError, VariableError
 from .genmat import CMonomial, CPolynomial, SparseMatrix, rows_matrix, word_rows
-from .gradings import Grading, SignedElement, signed_degree
+from .gradings import Grading, SignedElement
 from .groups import Group
 from .rings import RATIONALS, SparseSum, add_term, format_coeff
 
@@ -101,16 +101,6 @@ class GMonomial:
             f"x{v.index}:{v.element}" + ("*" if v.star else "") for v in self.letters
         )
         return f"GMonomial({inner})"
-
-
-def gdegree(mono: GMonomial, group: Group) -> int:
-    """Graded degree of a word: the ordered product of its letter degrees."""
-    if not len(mono):
-        raise PreconditionError("the empty word has no graded degree here")
-    acc = group.identity
-    for v in mono:
-        acc = group.mul(acc, signed_degree(v.element, v.star, group))
-    return acc
 
 
 class GPolynomial(SparseSum):

@@ -23,13 +23,12 @@ passes through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
 from operator import matmul
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import GradingError, ShapeError, TraceDomainError, VariableError
+from .errors import GradingError, ShapeError
 from .gradings import Grading, SignedElement
 from .rings import RATIONALS, SparseSum, add_term, format_coeff
 
@@ -157,12 +156,6 @@ class SparseMatrix:
             add_term(out, pos, p)
         return SparseMatrix(self.n, out)
 
-    def __neg__(self) -> "SparseMatrix":
-        return SparseMatrix(self.n, {pos: -p for pos, p in self.entries.items()})
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + (-other)
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check(other)
         by_row: dict[int, list] = {}
@@ -190,9 +183,6 @@ class SparseMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset((pos, p.canonical_key()) for pos, p in self.entries.items())))
-
     def render(self) -> str:
         if self.is_zero:
             return "0"
@@ -200,29 +190,6 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix(n={self.n}, nnz={len(self.entries)})"
-
-
-def star_omega(v: EntryVar, grading: Grading) -> EntryVar:
-    """The starred companion of an entry variable.
-
-    For v = y[j, k, hat(g)(k)] the star is y[j, hat(g^{-1})(k), k]: the
-    variable that occupies row k of the starred generic matrix for g.  The
-    map is partial: it needs k in the image of hat(g).  It is an involution
-    exactly on variables whose element g satisfies g = g^{-1} (so everywhere
-    over groups of exponent 2, and on the diagonal, where g is neutral).
-    """
-    n = grading.n
-    if not (0 <= v.row < n and 0 <= v.col < n):
-        raise VariableError(f"{v.render()} is outside a {n}x{n} grading")
-    g = grading.degree_of_unit(v.row, v.col)
-    ginv = grading.group.inv(g)
-    new_row = grading.hat(ginv)(v.row)
-    if new_row is None:
-        raise VariableError(
-            f"{v.render()} has no starred companion: row {v.row} is not in the "
-            f"image of the pattern for {grading.group.name_of(g)}"
-        )
-    return EntryVar(v.slot, new_row, v.row)
 
 
 def generic_matrix_signed(
@@ -237,11 +204,6 @@ def generic_matrix_signed(
         j = hat(i)
         entries[(j, i) if letter.star else (i, j)] = CPolynomial.from_var(EntryVar(slot, i, j), one)
     return SparseMatrix(grading.n, entries)
-
-
-def generic_matrix(slot: int, g: int, grading: Grading, field=RATIONALS) -> SparseMatrix:
-    """The generic matrix A(slot, g): fresh variables along the pattern of g."""
-    return generic_matrix_signed(slot, SignedElement(g, False), grading, field)
 
 
 def honest_product(
@@ -305,34 +267,6 @@ def evaluation_key(word: Sequence[tuple], grading: Grading) -> tuple:
     identities.  Every entry is monic, so no coefficient field is involved.
     """
     return tuple((start, end, tuple(sorted(v))) for start, end, v in word_rows(word, grading))
-
-
-@dataclass(frozen=True)
-class RowTrace:
-    """The index bookkeeping of one surviving row of a generic product.
-
-    ``s`` has length m+1: s[0] is the starting row and s[p+1] is the row
-    reached after the letter at position p (signed hat map applied).  ``t``
-    has length m: t[p] is the plain hat image of s[p] under the position-p
-    element, which is the column of the position's variable for plain
-    letters; for starred letters it can be undefined (None) even though the
-    product survives, and the position's variable is y[slot, s[p+1], s[p]].
-    """
-
-    start: int
-    s: tuple[int, ...]
-    t: tuple[Optional[int], ...]
-
-
-def row_trace(start: int, word: Sequence[SignedElement], grading: Grading) -> RowTrace:
-    """The kernel walk of one starting row through a signed word; error if it dies."""
-    for first, _end, variables in word_rows([(0, *se) for se in word], grading):
-        if first == start:
-            s = (start, *(v[1] if se.star else v[2] for v, se in zip(variables, word)))
-            plain = [grading.hats[se.element] for se in word]
-            return RowTrace(start, s, tuple(h[a] for h, a in zip(plain, s)))
-    letters = " ".join(se.render(grading.group) for se in word)
-    raise TraceDomainError(f"row {start} leaves the domain of the word {letters}")
 
 
 def closed_form_product(

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import GradingError, PreconditionError
-from .groups import Group, group_from_json
+from .groups import Group, group_from_json, is_plain_int
 
 
 def signed_degree(element: int, star: bool, group: Group) -> int:
@@ -64,15 +64,6 @@ class PartialInjection:
     @classmethod
     def identity(cls, n: int) -> "PartialInjection":
         return cls(range(n))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "PartialInjection":
-        t: list[Optional[int]] = [None] * n
-        for i, j in pairs:
-            if t[i] is not None:
-                raise PreconditionError(f"duplicate source {i}")
-            t[i] = j
-        return cls(t)
 
     @property
     def n(self) -> int:
@@ -254,7 +245,12 @@ def build_grading(group: Group, entries: Sequence[int | str]) -> Grading:
         raise GradingError("the defining tuple must be nonempty")
     indices = []
     for x in entries:
-        indices.append(group.index_of(x) if isinstance(x, str) else x)
+        if isinstance(x, str):
+            indices.append(group.index_of(x))
+        elif is_plain_int(x):
+            indices.append(x)
+        else:
+            raise GradingError(f"tuple entry {x!r} must be an element name or index")
     for g in indices:
         if not 0 <= g < group.order:
             raise GradingError(f"tuple entry {g} is not an element index")
@@ -271,4 +267,6 @@ def grading_from_json(obj: dict) -> Grading:
     if not isinstance(obj, dict) or "group" not in obj or "tuple" not in obj:
         raise GradingError('grading config needs "group" and "tuple" fields')
     group = group_from_json(obj["group"])
+    if not isinstance(obj["tuple"], list):
+        raise GradingError('"tuple" must be a list of element names or indices')
     return build_grading(group, obj["tuple"])

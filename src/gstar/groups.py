@@ -56,19 +56,28 @@ class Group:
         return f"Group({', '.join(self.names)})"
 
 
+def is_plain_int(v) -> bool:
+    """An int in the JSON sense: JSON's true and false are bools, not 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _validate(names: Sequence[str], table: Sequence[Sequence[int]]):
     n = len(names)
     if n == 0:
         raise GroupError("a group needs at least the identity element")
     if n > MAX_GROUP_ORDER:
         raise GroupError(f"order {n} exceeds the configured cap {MAX_GROUP_ORDER}")
+    if not all(isinstance(name, str) for name in names):
+        raise GroupError("element names must be strings")
     if len(set(names)) != n:
         raise GroupError("element names must be pairwise distinct")
-    if len(table) != n or any(len(row) != n for row in table):
+    if len(table) != n or any(
+        not isinstance(row, (list, tuple)) or len(row) != n for row in table
+    ):
         raise GroupError(f"table must be {n}x{n} to match the element list")
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not is_plain_int(v) or not 0 <= v < n:
                 raise GroupError(f"table[{i}][{j}] = {v!r} is not an element index")
 
     # Latin square: each row and each column is a permutation.
@@ -128,6 +137,9 @@ def make_cyclic(order: int) -> Group:
     """The cyclic group of the given order, elements named e, a, a2, ..."""
     if order < 1:
         raise GroupError(f"order must be a positive integer, got {order}")
+    if order > MAX_GROUP_ORDER:
+        # before the table is built: its size is quadratic in the order
+        raise GroupError(f"order {order} exceeds the configured cap {MAX_GROUP_ORDER}")
     table = [[(i + j) % order for j in range(order)] for i in range(order)]
     return make_from_table(cyclic_names(order), table)
 
@@ -138,9 +150,12 @@ def group_from_json(obj: dict) -> Group:
         raise GroupError(f"group description must be an object, got {type(obj).__name__}")
     if "cyclic" in obj:
         m = obj["cyclic"]
-        if not isinstance(m, int):
+        if not is_plain_int(m):
             raise GroupError(f"cyclic order must be an integer, got {m!r}")
         return make_cyclic(m)
     if "elements" in obj and "table" in obj:
-        return make_from_table(obj["elements"], obj["table"])
+        names, table = obj["elements"], obj["table"]
+        if not isinstance(names, list) or not isinstance(table, list):
+            raise GroupError('"elements" and "table" must be lists')
+        return make_from_table(names, table)
     raise GroupError('group description needs either "cyclic" or "elements"+"table"')

@@ -38,13 +38,6 @@ STATE_BUDGET = 500_000
 # words and witnesses
 
 
-def word_is_identity(word: Sequence[SignedElement], grading: Grading) -> bool:
-    """Identity test on the signed word alone; variable indices are irrelevant."""
-    if not word:
-        raise PreconditionError("the empty word is not a monomial")
-    return grading.compose_signed(word).is_empty
-
-
 def word_monomial(word: Sequence[SignedElement]) -> GMonomial:
     """The index-free representative: fresh variable indices 1, 2, ... along the word."""
     return GMonomial(

@@ -233,11 +233,6 @@ class SparseSum:
                 add_term(out, m1 * m2, c1 * c2)
         return type(self)(out)
 
-    def scale(self, coeff):
-        if not coeff:
-            return self.zero()
-        return type(self)({m: c * coeff for m, c in self.terms.items()})
-
     def terms_sorted(self) -> list:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
 

@@ -185,10 +185,15 @@ def _suite_group_axioms(grading: Grading, rng: random.Random) -> SuiteResult:
 
 def _suite_hat_maps(grading: Grading, rng: random.Random) -> SuiteResult:
     g = grading.group
+    labels = grading.defining_tuple
     problems = []
     for x in grading.support_sorted():
         h = grading.hat(x)
-        if set(h.domain()) != grading.d_set(x) or set(h.image()) != grading.im_set(x):
+        # by definition from the tuple: i in the domain iff g_i x is a label,
+        # j in the image iff g_j x^{-1} is one
+        domain = {i for i, gi in enumerate(labels) if g.mul(gi, x) in labels}
+        image = {j for j, gj in enumerate(labels) if g.mul(gj, g.inv(x)) in labels}
+        if set(h.domain()) != domain or set(h.image()) != image:
             problems.append(f"domain/image mismatch for {g.name_of(x)}")
         if grading.hat(g.inv(x)) != h.inverse():
             problems.append(f"inverse law fails for {g.name_of(x)}")

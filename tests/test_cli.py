@@ -61,6 +61,37 @@ def test_corrupt_config_is_input_error(tmp_path, capsys):
     assert "distinct" in err
 
 
+Z2_TABLE = [[0, 1], [1, 0]]
+MALFORMED_CONFIGS = {
+    "float-tuple-entry": {"group": {"cyclic": 3}, "tuple": ["e", 1.0]},
+    "null-tuple-entry": {"group": {"cyclic": 3}, "tuple": ["e", None]},
+    "list-tuple-entry": {"group": {"cyclic": 3}, "tuple": [["e"]]},
+    "bool-tuple-entry": {"group": {"cyclic": 2}, "tuple": [0, True]},
+    "string-tuple": {"group": {"cyclic": 3}, "tuple": "ea"},
+    "object-tuple": {"group": {"cyclic": 3}, "tuple": {"e": 1}},
+    "int-name-unknown-entry": {"group": {"elements": ["e", 7], "table": Z2_TABLE},
+                               "tuple": ["e", "b"]},
+    "int-name-index-tuple": {"group": {"elements": ["e", 7], "table": Z2_TABLE},
+                             "tuple": [0, 1]},
+    "string-elements": {"group": {"elements": "ea", "table": Z2_TABLE}, "tuple": ["e"]},
+    "bool-cyclic-order": {"group": {"cyclic": True}, "tuple": ["e"]},
+    "bool-table-entries": {"group": {"elements": ["e", "a"], "table": [[0, True], [True, 0]]},
+                           "tuple": ["e", "a"]},
+    "number-table-row": {"group": {"elements": ["e"], "table": [0]}, "tuple": ["e"]},
+}
+
+
+@pytest.mark.parametrize("command", ["info", "enumerate"])
+@pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_is_one_line_input_error(config, command, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_check_identity_reports_certificate(capsys):
     code, payload, _ = run_json(
         ["check", "--config", str(CONFIGS / "z2.json"), "x1:e x2:e - x2:e x1:e"],

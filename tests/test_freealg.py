@@ -10,12 +10,11 @@ from gstar import (
     GMonomial,
     GVar,
     ParseError,
-    PreconditionError,
+    SignedElement,
     VariableError,
     evaluate,
     format_poly,
-    gdegree,
-    generic_matrix,
+    generic_matrix_signed,
     multihomogeneous_components,
     parse_poly,
     star_polynomial,
@@ -26,21 +25,6 @@ from gstar.freealg import GPolynomial
 from gstar.groups import make_from_table
 from gstar.rings import RATIONALS, PrimeField, add_term
 from gstar.sampling import random_grading, random_monomial
-
-
-def test_gdegree_examples(z2, z6):
-    a = z2.index_of("a")
-    m = GMonomial([GVar(1, a), GVar(2, a)])
-    assert gdegree(m, z2) == z2.identity
-    m2 = GMonomial([GVar(1, a), GVar(2, a, star=True)])
-    assert gdegree(m2, z2) == z2.identity
-    a6 = z6.index_of("a")
-    m3 = GMonomial([GVar(1, a6), GVar(2, a6)])
-    assert gdegree(m3, z6) == z6.index_of("a2")
-    m4 = GMonomial([GVar(1, a6, star=True)])
-    assert gdegree(m4, z6) == z6.index_of("a5")
-    with pytest.raises(PreconditionError):
-        gdegree(GMonomial([]), z6)
 
 
 def test_star_reverses_and_toggles(z6):
@@ -103,7 +87,8 @@ def test_evaluate_neutral_star_difference_is_zero(gr_z2, z2):
 def test_evaluate_z2_product(gr_z2, z2):
     f = parse_poly("x1:a x2:a", z2)
     a = z2.index_of("a")
-    expected = generic_matrix(1, a, gr_z2) @ generic_matrix(2, a, gr_z2)
+    expected = (generic_matrix_signed(1, SignedElement(a), gr_z2)
+                @ generic_matrix_signed(2, SignedElement(a), gr_z2))
     assert evaluate(f, gr_z2) == expected
 
 

@@ -12,17 +12,12 @@ from gstar import (
     GVar,
     SignedElement,
     SparseMatrix,
-    TraceDomainError,
-    VariableError,
     basis_reduce,
     closed_form_product,
     evaluate,
     evaluate_monomial,
-    generic_matrix,
     generic_matrix_signed,
     honest_product,
-    row_trace,
-    star_omega,
 )
 from gstar.errors import ShapeError
 from gstar.genmat import evaluation_key
@@ -40,13 +35,13 @@ def var_poly(slot, row, col, one=None):
 
 def test_cpolynomial_ring_laws():
     one = RATIONALS.one
-    p = var_poly(1, 0, 1) + var_poly(2, 1, 0).scale(one * 2)
+    p = var_poly(1, 0, 1) + var_poly(2, 1, 0) * CPolynomial({CMonomial(()): one * 2})
     q = var_poly(1, 0, 1) - var_poly(3, 0, 0)
     assert p + q == q + p
     assert (p + q) - q == p
     assert p * q == q * p
     assert not (p - p)
-    assert (p * q).scale(-one) == p * (-q)
+    assert (p * q) * CPolynomial({CMonomial(()): -one}) == p * (-q)
 
 
 def test_matrix_identity_and_transpose_laws():
@@ -87,7 +82,7 @@ def test_cmonomial_render_groups_powers():
 
 def test_generic_matrix_z2(gr_z2, z2):
     a = z2.index_of("a")
-    m = generic_matrix(1, a, gr_z2)
+    m = generic_matrix_signed(1, SignedElement(a), gr_z2)
     assert m.nonzero_items() == [
         ((0, 1), var_poly(1, 0, 1)),
         ((1, 0), var_poly(1, 1, 0)),
@@ -96,12 +91,12 @@ def test_generic_matrix_z2(gr_z2, z2):
 
 def test_generic_matrix_neutral_is_diagonal(gradings):
     for grading in gradings.values():
-        m = generic_matrix(1, grading.group.identity, grading)
+        m = generic_matrix_signed(1, SignedElement(grading.group.identity), grading)
         assert set(m.entries) == {(i, i) for i in range(grading.n)}
 
 
 def test_generic_matrix_off_support_is_zero(gr_z6, z6):
-    assert generic_matrix(1, z6.index_of("a3"), gr_z6).is_zero
+    assert generic_matrix_signed(1, SignedElement(z6.index_of("a3")), gr_z6).is_zero
 
 
 def test_star_matrix_z2(gr_z2, z2):
@@ -121,7 +116,7 @@ def test_star_matrix_is_transpose_everywhere():
         grading = random_grading(rng)
         for g in grading.support_sorted():
             starred = generic_matrix_signed(3, SignedElement(g, True), grading)
-            assert starred == generic_matrix(3, g, grading).transpose()
+            assert starred == generic_matrix_signed(3, SignedElement(g), grading).transpose()
             ginv = grading.hat(grading.group.inv(g))
             assert starred == SparseMatrix(grading.n, {
                 (i, ginv(i)): var_poly(3, ginv(i), i) for i in ginv.domain()
@@ -131,13 +126,14 @@ def test_star_matrix_is_transpose_everywhere():
 def test_star_matrix_neutral_fixed(gradings):
     for grading in gradings.values():
         e = SignedElement(grading.group.identity, True)
-        assert generic_matrix_signed(2, e, grading) == generic_matrix(2, e.element, grading)
+        plain = SignedElement(e.element)
+        assert generic_matrix_signed(2, e, grading) == generic_matrix_signed(2, plain, grading)
 
 
 def test_entry_count_matches_pattern_size(gradings):
     for grading in gradings.values():
         for g in grading.support_sorted():
-            m = generic_matrix(1, g, grading)
+            m = generic_matrix_signed(1, SignedElement(g), grading)
             assert len(m.entries) == len(grading.d_set(g))
             for pos, p in m.entries.items():
                 ((mono, coeff),) = p.terms_sorted()
@@ -157,99 +153,7 @@ def test_each_variable_belongs_to_one_element(gradings):
 
 
 # ---------------------------------------------------------------------------
-# the star map on entry variables
-
-
-def test_star_omega_swap_in_z2(gr_z2):
-    assert star_omega(EntryVar(1, 0, 1), gr_z2) == EntryVar(1, 1, 0)
-
-
-def test_star_omega_fixes_diagonal(gradings):
-    for grading in gradings.values():
-        for i in range(grading.n):
-            v = EntryVar(4, i, i)
-            assert star_omega(v, grading) == v
-
-
-def test_star_omega_matches_starred_matrix_rows(gradings):
-    # star of the row-k entry of the plain matrix is the row-k entry of the
-    # starred matrix, whenever the starred matrix has that row
-    for grading in gradings.values():
-        for g in grading.support_sorted():
-            plain = generic_matrix(1, g, grading)
-            starred = generic_matrix_signed(1, SignedElement(g, True), grading)
-            star_rows = {r: p for (r, _c), p in starred.entries.items()}
-            for (r, _c), p in plain.entries.items():
-                ((mono, _),) = p.terms_sorted()
-                if r in star_rows:
-                    image = star_omega(mono.vars[0], grading)
-                    ((expected, _),) = star_rows[r].terms_sorted()
-                    assert image == expected.vars[0]
-
-
-def test_star_omega_involutive_on_involution_components():
-    rng = random.Random(3)
-    checked = 0
-    while checked < 100:
-        grading = random_grading(rng)
-        group = grading.group
-        r = rng.randrange(grading.n)
-        c = rng.randrange(grading.n)
-        g = grading.degree_of_unit(r, c)
-        if group.inv(g) != g:
-            continue
-        v = EntryVar(rng.randint(1, 5), r, c)
-        assert star_omega(star_omega(v, grading), grading) == v
-        checked += 1
-
-
-def test_star_omega_partial_case(gr_z6):
-    # row 0 never meets the starred pattern of a2 in the (e, a, a2) grading
-    with pytest.raises(VariableError):
-        star_omega(EntryVar(1, 0, 2), gr_z6)
-    with pytest.raises(VariableError):
-        star_omega(EntryVar(1, 0, 5), gr_z6)
-
-
-# ---------------------------------------------------------------------------
-# row traces and the closed-form product
-
-
-def test_row_trace_z2(gr_z2, z2):
-    a = SignedElement(z2.index_of("a"), False)
-    tr = row_trace(0, [a, a], gr_z2)
-    assert tr.s == (0, 1, 0)
-    assert tr.t == (1, 0)
-
-
-def test_row_trace_neutral(gr_z6, z6):
-    e = SignedElement(z6.identity, False)
-    for k in range(3):
-        tr = row_trace(k, [e], gr_z6)
-        assert tr.s == (k, k)
-        assert tr.t == (k,)
-
-
-def test_row_trace_plain_then_star(gr_z6, z6):
-    a = z6.index_of("a")
-    word = [SignedElement(a, False), SignedElement(a, True)]
-    tr = row_trace(0, word, gr_z6)
-    assert tr.s == (0, 1, 0)
-    # the second entry follows the plain hat map of the position's element
-    assert tr.t == (1, 2)
-
-
-def test_row_trace_star_slot_can_lack_plain_image(gr_z6, z6):
-    word = [SignedElement(z6.index_of("a"), True)]
-    tr = row_trace(2, word, gr_z6)
-    assert tr.s == (2, 1)
-    assert tr.t == (None,)
-
-
-def test_row_trace_outside_domain(gr_z6, z6):
-    a = SignedElement(z6.index_of("a"), False)
-    with pytest.raises(TraceDomainError):
-        row_trace(2, [a], gr_z6)
+# the closed-form product
 
 
 def test_closed_form_z2(gr_z2, z2):
@@ -276,7 +180,7 @@ def test_closed_form_dead_word_is_zero(gr_z6, z6):
 
 def test_closed_form_single_letter(gr_z6, z6):
     e = SignedElement(z6.identity, False)
-    assert closed_form_product([(1, e)], gr_z6) == generic_matrix(1, z6.identity, gr_z6)
+    assert closed_form_product([(1, e)], gr_z6) == generic_matrix_signed(1, e, gr_z6)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,6 @@ from gstar import (
     evaluation_key,
     grading_from_json,
     make_cyclic,
-    word_is_identity,
 )
 from gstar.sampling import random_grading
 
@@ -100,8 +99,6 @@ def test_letters_outside_the_group_rejected(gr_z6, z6, element, star):
     for word in ([bad], [SignedElement(z6.identity), bad]):
         with pytest.raises(GradingError):
             gr_z6.compose_signed(word)
-        with pytest.raises(GradingError):
-            word_is_identity(word, gr_z6)
         mono = GMonomial([GVar(p, se.element, se.star) for p, se in enumerate(word, 1)])
         with pytest.raises(GradingError):
             evaluate_monomial(mono, gr_z6)
@@ -135,10 +132,16 @@ def test_compose_plain_then_star_restricts_identity(gradings):
 def test_hat_laws_exhaustive(gradings):
     for grading in gradings.values():
         group = grading.group
+        labels = grading.defining_tuple
         for g in grading.support_sorted():
             h = grading.hat(g)
-            assert set(h.domain()) == grading.d_set(g)
-            assert set(h.image()) == grading.im_set(g)
+            # the domain and image by definition from the defining tuple
+            assert set(h.domain()) == {
+                i for i, gi in enumerate(labels) if group.mul(gi, g) in labels
+            }
+            assert set(h.image()) == {
+                j for j, gj in enumerate(labels) if group.mul(gj, group.inv(g)) in labels
+            }
             assert len(h.domain()) == len(h.image())
             assert grading.hat(group.inv(g)) == h.inverse()
         for g in grading.off_support():
@@ -162,7 +165,7 @@ def test_hat_laws_exhaustive(gradings):
 
 
 def test_partial_injection_basics():
-    p = PartialInjection.from_pairs(3, [(0, 2), (2, 1)])
+    p = PartialInjection([2, None, 1])
     assert p.domain() == (0, 2)
     assert p.image() == (1, 2)
     assert p.inverse().as_dict() == {2: 0, 1: 2}

@@ -73,6 +73,18 @@ def test_order_cap():
     make_cyclic(64)  # at the cap is fine
 
 
+def test_cyclic_order_cap_checked_before_the_table_is_built(monkeypatch):
+    # {"cyclic": 100000} would otherwise build a table of 10^10 entries
+    import gstar.groups
+
+    def unreachable(names, table):
+        raise AssertionError("a table was built past the cap")
+
+    monkeypatch.setattr(gstar.groups, "make_from_table", unreachable)
+    with pytest.raises(GroupError, match="cap"):
+        make_cyclic(65)
+
+
 def test_latin_square_violation_names_row():
     with pytest.raises(GroupError, match="row 0"):
         make_from_table(["e", "a"], [[0, 0], [1, 0]])

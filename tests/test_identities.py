@@ -32,7 +32,6 @@ from gstar import (
     subword_identity_certificate,
     verify_basis,
     witness_for_word,
-    word_is_identity,
     word_monomial,
 )
 from gstar.freealg import GMonomial, GPolynomial
@@ -106,7 +105,7 @@ def test_threeway_agreement_small_exhaustive(gr_z2, z2):
     for _ in range(3):
         words += [w + (l,) for w in words if len(w) == max(len(x) for x in words) for l in alphabet]
     for word in words:
-        dead = word_is_identity(word, gr_z2)
+        dead = gr_z2.compose_signed(word).is_empty
         m = word_monomial(word)
         assert evaluate_monomial(m, gr_z2).is_zero == dead
         assert (witness_for_word(word, gr_z2) is None) == dead
@@ -579,7 +578,7 @@ def test_z6_minimal_includes_cubed_letter(gr_z6, z6):
                 if (i, j) != (0, len(w)) and len(w) > 1:
                     sub = w[i:j]
                     if all(x.element in gr_z6.support for x in sub):
-                        assert not word_is_identity(sub, gr_z6)
+                        assert not gr_z6.compose_signed(sub).is_empty
 
 
 def test_z4_no_identities_below_degree_three(gr_z4):
@@ -596,7 +595,7 @@ def test_enumeration_is_sorted_and_full_mode_supersets_minimal(gr_z6):
     assert keys == sorted(keys)
     for w in full:
         if all(l.element in gr_z6.support for l in w):
-            assert word_is_identity(w, gr_z6)
+            assert gr_z6.compose_signed(w).is_empty
 
 
 def test_enumeration_degree_cap():
@@ -721,10 +720,10 @@ def _reference_identities(grading, max_degree, minimal):
     words = [(SignedElement(g, False),) for g in grading.off_support()]
     for length in range(1, max_degree + 1):
         for word in itertools.product(grading.signed_alphabet(), repeat=length):
-            if not word_is_identity(word, grading):
+            if not grading.compose_signed(word).is_empty:
                 continue
             if minimal and any(
-                word_is_identity(word[i:j], grading)
+                grading.compose_signed(word[i:j]).is_empty
                 for i in range(length)
                 for j in range(i + 1, length + 1)
                 if j - i < length
