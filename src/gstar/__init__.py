@@ -34,7 +34,6 @@ from .freealg import (
 from .genmat import (
     CMonomial,
     CPolynomial,
-    EntryVar,
     SparseMatrix,
     closed_form_product,
     evaluation_key,

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import GroupError, ParseError, PreconditionError, VariableError
 from .genmat import CMonomial, CPolynomial, SparseMatrix, rows_matrix, word_rows
-from .gradings import Grading, SignedElement
+from .gradings import Grading
 from .groups import Group
 from .rings import RATIONALS, SparseSum, add_term, format_coeff
 
@@ -83,9 +83,6 @@ class GMonomial:
         for index, element, _ in self.letters:
             counts[index, element] = counts.get((index, element), 0) + 1
         return tuple(sorted(counts.items()))
-
-    def signed_word(self) -> tuple[SignedElement, ...]:
-        return tuple(SignedElement(v.element, v.star) for v in self.letters)
 
     def render(self, group: Group) -> str:
         # a word with a letter new to the group's memo renders its letters into it

@@ -6,9 +6,9 @@ of the grading's pattern for g.  Its starred companion is the transpose.
 Products of generic matrices are extremely sparse: at most one nonzero entry
 per row, always a single monomial with coefficient one.  The word kernel
 ``word_rows`` reads them off the grading's hat table in one pass, and
-every evaluation goes through it.  The kernel writes each variable as a plain
-(slot, row, col) triple, which is equal, hash-equal and order-equal to the
-:class:`EntryVar` of the same triple, so readers index it by position.
+every evaluation goes through it.  An entry variable is the plain
+(slot, row, col) triple, and a letter the plain (slot, element, star) triple,
+such as a :class:`~gstar.freealg.GVar`, on every path.
 
 ``honest_product`` is the independent oracle that ``selftest`` and the tests
 compare the kernel against: it multiplies the generic matrices of the
@@ -26,34 +26,19 @@ from __future__ import annotations
 from functools import reduce
 from itertools import groupby
 from operator import matmul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import GradingError, ShapeError
-from .gradings import Grading, SignedElement
+from .gradings import Grading
 from .rings import RATIONALS, SparseSum, add_term, format_coeff
 
 
-class EntryVar(NamedTuple):
-    """A commuting variable y[slot,row,col]; the triple is its full identity."""
-
-    slot: int
-    row: int
-    col: int
-
-    def render(self) -> str:
-        return f"y[{self.slot},{self.row},{self.col}]"
-
-
 class CMonomial:
-    """A commutative monomial: a multiset of entry variables, stored sorted.
-
-    A variable is an :class:`EntryVar` or the plain (slot, row, col) triple of
-    the word kernel; the two are interchangeable.
-    """
+    """A commutative monomial: a multiset of (slot, row, col) entry variables, stored sorted."""
 
     __slots__ = ("vars",)
 
-    def __init__(self, variables: Sequence[EntryVar]):
+    def __init__(self, variables: Sequence[tuple]):
         self.vars = tuple(sorted(variables))
 
     @property
@@ -96,10 +81,6 @@ class CPolynomial(SparseSum):
     """A finite sum coeff * monomial in the entry variables; see :class:`SparseSum`."""
 
     __slots__ = ()
-
-    @classmethod
-    def from_var(cls, v: EntryVar, one) -> "CPolynomial":
-        return cls({CMonomial([v]): one})
 
     def canonical_key(self) -> tuple:
         return tuple((m.vars, c) for m, c in self.terms_sorted())
@@ -192,26 +173,24 @@ class SparseMatrix:
         return f"SparseMatrix(n={self.n}, nnz={len(self.entries)})"
 
 
-def generic_matrix_signed(
-    slot: int, letter: SignedElement, grading: Grading, field=RATIONALS
-) -> SparseMatrix:
-    """The generic matrix of one factor: y[slot,i,j] at (i, j) along the
-    plain pattern of the letter's element, or at (j, i) if it is starred."""
+def generic_matrix_signed(letter: tuple, grading: Grading, field=RATIONALS) -> SparseMatrix:
+    """The generic matrix of one (slot, element, star) letter: y[slot,i,j]
+    at (i, j) along the plain pattern of the element, or at (j, i) if it is
+    starred."""
+    slot, element, star = letter
     one = field.one
-    hat = grading.hat(letter.element)
+    hat = grading.hat(element)
     entries = {}
     for i in hat.domain():
         j = hat(i)
-        entries[(j, i) if letter.star else (i, j)] = CPolynomial.from_var(EntryVar(slot, i, j), one)
+        entries[(j, i) if star else (i, j)] = CPolynomial({CMonomial([(slot, i, j)]): one})
     return SparseMatrix(grading.n, entries)
 
 
-def honest_product(
-    word: Sequence[tuple[int, SignedElement]], grading: Grading, field=RATIONALS
-) -> SparseMatrix:
+def honest_product(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> SparseMatrix:
     """The product of the generic matrices of a nonempty word's (slot,
-    letter) factors, by sparse matrix multiplication."""
-    return reduce(matmul, (generic_matrix_signed(slot, se, grading, field) for slot, se in word))
+    element, star) letters, by sparse matrix multiplication."""
+    return reduce(matmul, (generic_matrix_signed(letter, grading, field) for letter in word))
 
 
 def word_rows(word: Sequence[tuple], grading: Grading) -> list:
@@ -222,9 +201,7 @@ def word_rows(word: Sequence[tuple], grading: Grading) -> list:
     (start, end, variables) per surviving start row, in increasing order:
     the generic product's entry at (start, end) is the monomial of the
     variables, variables[p] = y[slot, a, b] for factor p stepping from row
-    a to row b (y[slot, b, a] if starred).  Each variable is the plain
-    triple (slot, row, col), not an :class:`EntryVar`.  Empty exactly for
-    identities.
+    a to row b (y[slot, b, a] if starred).  Empty exactly for identities.
 
     Linear in the length of the word: each walk appends to a list of
     variables of its own, which becomes a tuple on return.
@@ -269,13 +246,10 @@ def evaluation_key(word: Sequence[tuple], grading: Grading) -> tuple:
     return tuple((start, end, tuple(sorted(v))) for start, end, v in word_rows(word, grading))
 
 
-def closed_form_product(
-    word: Sequence[tuple[int, SignedElement]], grading: Grading, field=RATIONALS
-) -> SparseMatrix:
+def closed_form_product(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> SparseMatrix:
     """Product of generic matrices computed without matrix multiplication.
 
-    ``word`` is a sequence of (slot, letter) pairs, one per factor; the
+    ``word`` holds (slot, element, star) letters, one per factor; the
     entries are the word kernel's rows.
     """
-    rows = word_rows([(slot, *se) for slot, se in word], grading)
-    return rows_matrix(rows, grading.n, field.one)
+    return rows_matrix(word_rows(word, grading), grading.n, field.one)

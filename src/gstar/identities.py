@@ -7,10 +7,10 @@ congruent modulo the neutral ideal (the two-sided closure of the neutral
 commutator and the neutral star relation under grading- and star-preserving
 substitutions) exactly when their generic evaluations share a nonzero entry
 at a shared position, which forces the full evaluations to agree.  Reducing
-a strongly multi-homogeneous polynomial therefore means: split off the
-monomial identities (each with a short contiguous identity subword as its
-certificate, when one exists) and partition the rest by generic evaluation;
-the polynomial is an identity precisely when every class sums to zero.
+a polynomial therefore means: split off the monomial identities (each with
+a short contiguous identity subword as its certificate, when one exists)
+and partition the rest by generic evaluation; the polynomial is an identity
+precisely when every class sums to zero.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
-from .freealg import evaluate_monomial  # noqa: F401  (re-exported for callers)
 from .freealg import GMonomial, GPolynomial, GVar, evaluate, variable
 from .genmat import evaluation_key, word_rows
 from .gradings import CompositionGraph, Grading, SignedElement, signed_degree
@@ -32,6 +31,7 @@ Word = tuple[SignedElement, ...]
 ENUM_DEGREE_CAP = 12
 ENUM_NODE_BUDGET = 5_000_000
 STATE_BUDGET = 500_000
+_NON_IDENTITY = "congruence is only defined for non-identity monomials"
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +71,16 @@ def unit_product(units: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
     return (a, b)
 
 
-def witness_for_word(word: Sequence[SignedElement], grading: Grading) -> Optional[MonomialWitness]:
-    """The units of the first surviving kernel row; None for identities."""
-    rows = word_rows([(0, *se) for se in word], grading)
+def witness_for_word(word: Sequence[tuple], grading: Grading) -> Optional[MonomialWitness]:
+    """The units of the first surviving kernel row of a word of (slot,
+    element, star) letters; None for identities."""
+    rows = word_rows(word, grading)
     if not rows:
         return None
     start, end, variables = rows[0]
     units = tuple((row, col) for _, row, col in variables)
-    result = unit_product([(b, a) if se.star else (a, b) for (a, b), se in zip(units, word)])
+    result = unit_product([(b, a) if star else (a, b)
+                           for (a, b), (_, _, star) in zip(units, word)])
     if result != (start, end):
         raise InternalCheckError(f"witness product {result} does not telescope")
     return MonomialWitness(start, units, result)
@@ -95,7 +97,7 @@ class IdentityVerdict:
 
 def is_monomial_identity(mono: GMonomial, grading: Grading) -> IdentityVerdict:
     """Monomial identity test via the word kernel, with a witness otherwise."""
-    witness = witness_for_word(mono.signed_word(), grading)
+    witness = witness_for_word(mono.letters, grading)
     return IdentityVerdict(witness is None, witness=witness)
 
 
@@ -121,7 +123,7 @@ def congruent_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> boo
     e1 = evaluation_key(m1.letters, grading)
     e2 = evaluation_key(m2.letters, grading)
     if not e1 or not e2:
-        raise PreconditionError("congruence is only defined for non-identity monomials")
+        raise PreconditionError(_NON_IDENTITY)
     shared = not set(e1).isdisjoint(e2)
     if shared != (e1 == e2):
         raise InternalCheckError("shared entry without full evaluation equality")
@@ -205,13 +207,19 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
       the first such d.
 
     The chain is built, not searched for, and is not in general a shortest
-    one; it is empty when the words are equal.
+    one; it is empty when the words are equal.  The words must be
+    congruent: m2 must have an entry at m1's first start row that equals
+    m1's, and that one shared entry forces equal evaluations.
     """
-    if not congruent_mod_neutral(m1, m2, grading):
+    rows1, rows2 = word_rows(m1.letters, grading), word_rows(m2.letters, grading)
+    if not rows1 or not rows2:
+        raise PreconditionError(_NON_IDENTITY)
+    start, end, wanted = rows1[0]
+    edges = next((list(v) for s, t, v in rows2
+                  if s == start and t == end and sorted(v) == sorted(wanted)), None)
+    if edges is None:
         raise PreconditionError("derivation requires congruent monomials")
-    start, _, wanted = word_rows(m1.letters, grading)[0]
     word = m2.letters
-    edges = list(next(v for s, _, v in word_rows(word, grading) if s == start))
     rows = [start, *(e[1] if v.star else e[2] for v, e in zip(word, edges))]
     chain: list[DerivationStep] = []
 
@@ -352,7 +360,7 @@ def subword_identity_certificate(
     conclude anything.
     """
     graph, group = grading.composition_graph, grading.group
-    degrees = [se.degree(group) for se in mono.signed_word()]
+    degrees = [signed_degree(element, star, group) for _, element, star in mono.letters]
     best, max_len = None, 2 * grading.n - 1
     for start in range(len(degrees)):
         state = 0
@@ -378,12 +386,11 @@ def block_certificate(
     boundaries (i_0 < i_1 < ... < i_s) or None.
     """
     max_blocks = 2 * grading.n - 1
-    word = mono.signed_word()
     group = grading.group
     graph = grading.composition_graph
     step, empty = graph.step, graph.empty
-    length = len(word)
-    degrees = [se.degree(group) for se in word]
+    degrees = [signed_degree(element, star, group) for _, element, star in mono.letters]
+    length = len(degrees)
     for start in range(length):
         # state: (position, composition state after the blocks closed so
         #         far, blocks closed); an open block accumulates a degree
@@ -437,7 +444,7 @@ class CongruenceClass:
 
 @dataclass(frozen=True)
 class BasisReduction:
-    """Result of reducing a strongly multi-homogeneous polynomial.
+    """Result of reducing a polynomial against the basis.
 
     ``is_identity`` holds exactly when every congruence class sums to zero;
     the classes plus the certified monomial identity terms are the
@@ -462,23 +469,20 @@ class BasisReduction:
 
 
 def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
-    """Reduce a strongly multi-homogeneous polynomial against the basis.
+    """Reduce a polynomial against the basis.
 
     Monomial identity terms are separated and annotated with a contiguous
     identity subword of degree at most 2n-1 when one exists; the remaining
     terms are partitioned by generic evaluation (the evaluation key), which
     classifies them up to congruence modulo the neutral ideal.  The class
     sums only add coefficients of ``f``, so no coefficient field is passed.
+    The input need not be multi-homogeneous: a kernel variable (k, a, b)
+    names its letter's (index, element) as (k, g_a^{-1} g_b), so equal keys
+    imply equal multidegrees and no class crosses two components.
     """
     terms = f.terms_sorted()
     if not terms:
         return BasisReduction((), (), True)
-    degrees = {m.multidegree() for m, _ in terms}
-    if len(degrees) > 1:
-        raise PreconditionError(
-            "basis_reduce needs a strongly multi-homogeneous input; "
-            "split with multihomogeneous_components first"
-        )
     identity_terms = []
     buckets: dict[tuple, list] = {}
     for mono, coeff in terms:

@@ -88,14 +88,14 @@ def random_signed_word(
 
 def random_slotted_word(
     rng: random.Random, grading: Grading, length: int, repeat_slots: bool = False
-) -> list[tuple[int, SignedElement]]:
+) -> list[GVar]:
     word = random_signed_word(rng, grading, length)
     if repeat_slots and length > 1:
         slots = [rng.randint(1, max(1, length - 1)) for _ in range(length)]
     else:
         slots = list(range(1, length + 1))
         rng.shuffle(slots)
-    return list(zip(slots, word))
+    return [GVar(slot, se.element, se.star) for slot, se in zip(slots, word)]
 
 
 def random_monomial(

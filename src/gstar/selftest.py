@@ -18,7 +18,7 @@ from .freealg import (
 )
 from .errors import PreconditionError
 from .genmat import closed_form_product, honest_product
-from .gradings import Grading, SignedElement, compose_targets
+from .gradings import Grading, SignedElement, compose_targets, signed_degree
 from .identities import (
     basis_reduce,
     congruent_mod_neutral,
@@ -92,16 +92,15 @@ def exhaustive_word_scan(
 
     def crosscheck(word: tuple[SignedElement, ...]) -> None:
         counter["crosschecks"] += 1
-        slotted = [(p + 1, se) for p, se in enumerate(word)]
-        direct = honest_product(slotted, grading, field)
-        if closed_form_product(slotted, grading, field) != direct:
+        mono = word_monomial(word)
+        direct = honest_product(mono.letters, grading, field)
+        if closed_form_product(mono.letters, grading, field) != direct:
             failures.append(f"closed form mismatch on {word}")
             return
-        mono = word_monomial(word)
         if evaluate_monomial(mono, grading, field) != direct:
             failures.append(f"evaluation mismatch on {word}")
         if not direct.is_zero:
-            w = witness_for_word(word, grading)
+            w = witness_for_word(mono.letters, grading)
             folded = unit_product(
                 [(u[1], u[0]) if se.star else u for u, se in zip(w.units, word)]
             )
@@ -239,8 +238,8 @@ def _suite_product_oracle(
         if len(rows) != len(set(rows)):
             problems.append(f"row uniqueness fails on word {k}")
         deg = grading.group.identity
-        for _slot, se in slotted:
-            deg = grading.group.mul(deg, se.degree(grading.group))
+        for _, element, star in slotted:
+            deg = grading.group.mul(deg, signed_degree(element, star, grading.group))
         for (r, c), poly in direct.entries.items():
             terms = poly.terms_sorted()
             if len(terms) != 1 or terms[0][1] != field.one:

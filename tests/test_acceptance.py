@@ -22,12 +22,12 @@ import time
 import zlib
 
 from gstar import (
-    EntryVar,
     SignedElement,
     closed_form_product,
     congruent_mod_neutral,
     derivation_mod_neutral,
     enumerate_monomial_identities,
+    evaluate_monomial,
     honest_product,
     is_identity,
     is_monomial_identity,
@@ -37,7 +37,7 @@ from gstar import (
     word_monomial,
 )
 from gstar.freealg import GMonomial, GVar
-from gstar.identities import basis_reduce, block_certificate, evaluate_monomial
+from gstar.identities import basis_reduce, block_certificate
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import (
     crossed_product_grading,
@@ -102,17 +102,16 @@ def test_criterion_3_closed_form_oracle():
     while words_checked < 1200:
         grading = random_grading(rng, max_n=5)
         length = rng.randint(1, 8)
-        word = [(p + 1, se) for p, se in enumerate(
-            se for _s, se in random_slotted_word(rng, grading, length)
-        )]
+        word = [GVar(p, element, star) for p, (_, element, star)
+                in enumerate(random_slotted_word(rng, grading, length), 1)]
         closed = closed_form_product(word, grading)
         assert closed == honest_product(word, grading)
         rows = [r for r, _c in closed.entries]
         assert len(rows) == len(set(rows)), "a row carries two entries"
         steps = []
-        for slot, se in word:
-            hat = grading.hat(se.element)
-            steps.append((slot, se.star, hat.inverse() if se.star else hat))
+        for slot, element, star in word:
+            hat = grading.hat(element)
+            steps.append((slot, star, hat.inverse() if star else hat))
         walked = {}
         for start in range(grading.n):
             row, variables = start, []
@@ -120,7 +119,7 @@ def test_criterion_3_closed_form_oracle():
                 nxt = step(row)
                 if nxt is None:
                     break
-                variables.append(EntryVar(slot, nxt, row) if star else EntryVar(slot, row, nxt))
+                variables.append((slot, nxt, row) if star else (slot, row, nxt))
                 row = nxt
             else:
                 walked[(start, row)] = variables
@@ -130,7 +129,7 @@ def test_criterion_3_closed_form_oracle():
             assert coeff == RATIONALS.one
             by_slot = sorted(mono.vars)
             assert len(by_slot) == length
-            for (slot, _se), got, expected in zip(word, by_slot, walked[pos]):
+            for (slot, _, _), got, expected in zip(word, by_slot, walked[pos]):
                 assert got == expected, f"slot {slot} factor mismatch"
         words_checked += 1
         if words_checked % 3 == 0:
@@ -157,7 +156,8 @@ def test_criterion_4_monomial_threeway_exhaustive():
     rng = random.Random(404)
     for _ in range(300):
         grading = rng.choice(list(SMALL.values()))
-        word = [se for _s, se in random_slotted_word(rng, grading, rng.randint(1, 6))]
+        word = [SignedElement(element, star) for _, element, star
+                in random_slotted_word(rng, grading, rng.randint(1, 6))]
         dead = grading.compose_signed(word).is_empty
         indices = [rng.randint(1, 3) for _ in word]
         mono = GMonomial([GVar(i, se.element, se.star) for i, se in zip(indices, word)])
@@ -206,9 +206,7 @@ def test_criterion_5_congruence_soundness_completeness():
                     mono = GMonomial(
                         [GVar(k, se.element, se.star) for k, se in zip(pattern, letters)]
                     )
-                    matrix = closed_form_product(
-                        list(zip(pattern, letters)), grading
-                    )
+                    matrix = closed_form_product(mono.letters, grading)
                     key = matrix.canonical_key()
                     cid = class_ids.setdefault(key, len(class_ids))
                     classes.setdefault(cid, []).append(mono)
@@ -324,10 +322,10 @@ def test_criterion_7_degree_bound_probe():
         ]
         for word in dict.fromkeys(representatives + exhaustive):
             spelled = " ".join(se.render(grading.group) for se in word)
-            assert honest_product(enumerate(word, 1), grading).is_zero, (
+            mono = word_monomial(word)
+            assert honest_product(mono.letters, grading).is_zero, (
                 f"{name}: ({spelled}) is not an identity"
             )
-            mono = word_monomial(word)
             assert subword_identity_certificate(mono, grading) is None, (
                 f"{name}: ({spelled}) has a contiguous identity subword"
             )
@@ -335,7 +333,7 @@ def test_criterion_7_degree_bound_probe():
             assert bounds is not None, f"{name}: ({spelled}) lacks a block certificate"
             assert len(bounds) - 1 <= bound, f"{name}: ({spelled}) needs {bounds}"
             condensed = _condensed_word(word, bounds, grading.group)
-            assert honest_product(enumerate(condensed, 1), grading).is_zero, (
+            assert honest_product(word_monomial(condensed).letters, grading).is_zero, (
                 f"{name}: ({spelled}) condensed by {bounds} is not an identity"
             )
         if representatives:
@@ -375,8 +373,8 @@ def test_criterion_8_characteristic_independence():
         assert len({(s.words, s.identities) for s in scans}) == 1
         rng = random.Random(5003)
         for _ in range(400):
-            word = [se for _s, se in random_slotted_word(rng, grading, rng.randint(1, 6))]
-            mono = word_monomial(word)
+            # word_monomial reads .element and .star, which a GVar has too
+            mono = word_monomial(random_slotted_word(rng, grading, rng.randint(1, 6)))
             verdicts = {
                 evaluate_monomial(mono, grading, field).is_zero for field in fields
             }

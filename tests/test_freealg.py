@@ -10,7 +10,6 @@ from gstar import (
     GMonomial,
     GVar,
     ParseError,
-    SignedElement,
     VariableError,
     evaluate,
     format_poly,
@@ -87,8 +86,7 @@ def test_evaluate_neutral_star_difference_is_zero(gr_z2, z2):
 def test_evaluate_z2_product(gr_z2, z2):
     f = parse_poly("x1:a x2:a", z2)
     a = z2.index_of("a")
-    expected = (generic_matrix_signed(1, SignedElement(a), gr_z2)
-                @ generic_matrix_signed(2, SignedElement(a), gr_z2))
+    expected = generic_matrix_signed(GVar(1, a), gr_z2) @ generic_matrix_signed(GVar(2, a), gr_z2)
     assert evaluate(f, gr_z2) == expected
 
 

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from gstar import (
     CMonomial,
     CPolynomial,
-    EntryVar,
     GMonomial,
     GVar,
-    SignedElement,
     SparseMatrix,
     basis_reduce,
     closed_form_product,
@@ -18,6 +16,7 @@ from gstar import (
     evaluate_monomial,
     generic_matrix_signed,
     honest_product,
+    witness_for_word,
 )
 from gstar.errors import ShapeError
 from gstar.genmat import evaluation_key
@@ -26,7 +25,7 @@ from gstar.sampling import random_grading, random_multihomogeneous_poly, random_
 
 
 def var_poly(slot, row, col, one=None):
-    return CPolynomial.from_var(EntryVar(slot, row, col), one or RATIONALS.one)
+    return CPolynomial({CMonomial([(slot, row, col)]): one or RATIONALS.one})
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +71,7 @@ def test_matrix_shape_mismatch():
 
 
 def test_cmonomial_render_groups_powers():
-    m = CMonomial([EntryVar(1, 0, 1), EntryVar(1, 0, 1), EntryVar(2, 1, 0)])
+    m = CMonomial([(1, 0, 1), (1, 0, 1), (2, 1, 0)])
     assert m.render() == "y[1,0,1]^2*y[2,1,0]"
 
 
@@ -82,7 +81,7 @@ def test_cmonomial_render_groups_powers():
 
 def test_generic_matrix_z2(gr_z2, z2):
     a = z2.index_of("a")
-    m = generic_matrix_signed(1, SignedElement(a), gr_z2)
+    m = generic_matrix_signed(GVar(1, a), gr_z2)
     assert m.nonzero_items() == [
         ((0, 1), var_poly(1, 0, 1)),
         ((1, 0), var_poly(1, 1, 0)),
@@ -91,17 +90,17 @@ def test_generic_matrix_z2(gr_z2, z2):
 
 def test_generic_matrix_neutral_is_diagonal(gradings):
     for grading in gradings.values():
-        m = generic_matrix_signed(1, SignedElement(grading.group.identity), grading)
+        m = generic_matrix_signed(GVar(1, grading.group.identity), grading)
         assert set(m.entries) == {(i, i) for i in range(grading.n)}
 
 
 def test_generic_matrix_off_support_is_zero(gr_z6, z6):
-    assert generic_matrix_signed(1, SignedElement(z6.index_of("a3")), gr_z6).is_zero
+    assert generic_matrix_signed(GVar(1, z6.index_of("a3")), gr_z6).is_zero
 
 
 def test_star_matrix_z2(gr_z2, z2):
     a = z2.index_of("a")
-    m = generic_matrix_signed(1, SignedElement(a, True), gr_z2)
+    m = generic_matrix_signed((1, a, True), gr_z2)
     assert m.nonzero_items() == [
         ((0, 1), var_poly(1, 1, 0)),
         ((1, 0), var_poly(1, 0, 1)),
@@ -115,8 +114,8 @@ def test_star_matrix_is_transpose_everywhere():
     for _ in range(25):
         grading = random_grading(rng)
         for g in grading.support_sorted():
-            starred = generic_matrix_signed(3, SignedElement(g, True), grading)
-            assert starred == generic_matrix_signed(3, SignedElement(g), grading).transpose()
+            starred = generic_matrix_signed(GVar(3, g, True), grading)
+            assert starred == generic_matrix_signed(GVar(3, g), grading).transpose()
             ginv = grading.hat(grading.group.inv(g))
             assert starred == SparseMatrix(grading.n, {
                 (i, ginv(i)): var_poly(3, ginv(i), i) for i in ginv.domain()
@@ -125,15 +124,15 @@ def test_star_matrix_is_transpose_everywhere():
 
 def test_star_matrix_neutral_fixed(gradings):
     for grading in gradings.values():
-        e = SignedElement(grading.group.identity, True)
-        plain = SignedElement(e.element)
-        assert generic_matrix_signed(2, e, grading) == generic_matrix_signed(2, plain, grading)
+        e = grading.group.identity
+        assert generic_matrix_signed(GVar(2, e, True), grading) == generic_matrix_signed(
+            GVar(2, e), grading)
 
 
 def test_entry_count_matches_pattern_size(gradings):
     for grading in gradings.values():
         for g in grading.support_sorted():
-            m = generic_matrix_signed(1, SignedElement(g), grading)
+            m = generic_matrix_signed(GVar(1, g), grading)
             assert len(m.entries) == len(grading.d_set(g))
             for pos, p in m.entries.items():
                 ((mono, coeff),) = p.terms_sorted()
@@ -157,30 +156,26 @@ def test_each_variable_belongs_to_one_element(gradings):
 
 
 def test_closed_form_z2(gr_z2, z2):
-    a = SignedElement(z2.index_of("a"), False)
-    m = closed_form_product([(1, a), (2, a)], gr_z2)
+    a = z2.index_of("a")
+    m = closed_form_product([GVar(1, a), GVar(2, a)], gr_z2)
     expected = SparseMatrix(
         2,
         {
-            (0, 0): CPolynomial(
-                {CMonomial([EntryVar(1, 0, 1), EntryVar(2, 1, 0)]): RATIONALS.one}
-            ),
-            (1, 1): CPolynomial(
-                {CMonomial([EntryVar(1, 1, 0), EntryVar(2, 0, 1)]): RATIONALS.one}
-            ),
+            (0, 0): CPolynomial({CMonomial([(1, 0, 1), (2, 1, 0)]): RATIONALS.one}),
+            (1, 1): CPolynomial({CMonomial([(1, 1, 0), (2, 0, 1)]): RATIONALS.one}),
         },
     )
     assert m == expected
 
 
 def test_closed_form_dead_word_is_zero(gr_z6, z6):
-    a = SignedElement(z6.index_of("a"), False)
-    assert closed_form_product([(1, a), (2, a), (3, a)], gr_z6).is_zero
+    a = z6.index_of("a")
+    assert closed_form_product([GVar(1, a), GVar(2, a), GVar(3, a)], gr_z6).is_zero
 
 
 def test_closed_form_single_letter(gr_z6, z6):
-    e = SignedElement(z6.identity, False)
-    assert closed_form_product([(1, e)], gr_z6) == generic_matrix_signed(1, e, gr_z6)
+    e = GVar(1, z6.identity)
+    assert closed_form_product([e], gr_z6) == generic_matrix_signed(e, gr_z6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,8 +206,8 @@ def test_product_entries_are_homogeneous():
         group = grading.group
         word = random_slotted_word(rng, grading, rng.randint(1, 6))
         deg = group.identity
-        for _slot, se in word:
-            d = group.inv(se.element) if se.star else se.element
+        for _slot, element, star in word:
+            d = group.inv(element) if star else element
             deg = group.mul(deg, d)
         product = closed_form_product(word, grading)
         for (r, c), _p in product.entries.items():
@@ -230,13 +225,13 @@ def surviving_word(rng, grading, length):
     row = rng.randrange(grading.n)
     word = []
     for _ in range(length):
-        se = SignedElement(group.identity, rng.random() < 0.5)
+        element, star = group.identity, rng.random() < 0.5
         if rng.random() < 0.3:
-            g = SignedElement(rng.randrange(group.order), rng.random() < 0.5)
-            col = grading.hats[group.inv(g.element) if g.star else g.element][row]
+            g, g_star = rng.randrange(group.order), rng.random() < 0.5
+            col = grading.hats[group.inv(g) if g_star else g][row]
             if col is not None:
-                se, row = g, col
-        word.append((rng.randint(1, 6), se))
+                element, star, row = g, g_star, col
+        word.append(GVar(rng.randint(1, 6), element, star))
     return word
 
 
@@ -256,13 +251,13 @@ def test_word_kernel_matches_matmul(seed, ring, size):
     else:
         length = rng.randint(1, 8)
         word = [
-            (rng.randint(1, max(1, length // 2)),
-             SignedElement(rng.randrange(grading.group.order), rng.random() < 0.5))
+            GVar(rng.randint(1, max(1, length // 2)),
+                 rng.randrange(grading.group.order), rng.random() < 0.5)
             for _ in range(length)
         ]
     honest = honest_product(word, grading, field)
     assert size == "short" or not honest.is_zero
-    mono = GMonomial([GVar(slot, se.element, se.star) for slot, se in word])
+    mono = GMonomial(word)
     assert closed_form_product(word, grading, field) == honest
     assert evaluate_monomial(mono, grading, field) == honest
     key = evaluation_key(mono.letters, grading)
@@ -272,8 +267,9 @@ def test_word_kernel_matches_matmul(seed, ring, size):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
 def test_kernel_triples_render_as_entry_vars(seed, ring):
-    """The kernel's plain (slot, row, col) triples render as the honest
-    product's EntryVars do, powers included, over Q and F_5."""
+    """The kernel and the honest product both hold each entry variable as a
+    plain (slot, row, col) tuple and render alike, powers included, over Q
+    and F_5."""
     field = RATIONALS if ring == "q" else PrimeField(5)
     rng = random.Random(seed)
     grading = random_grading(rng, max_n=5)
@@ -281,11 +277,33 @@ def test_kernel_triples_render_as_entry_vars(seed, ring):
     closed = closed_form_product(word, grading, field)
     honest = honest_product(word, grading, field)
     assert not honest.is_zero
-    for matrix, kind in ((closed, tuple), (honest, EntryVar)):
+    for matrix in (closed, honest):
         for poly in matrix.entries.values():
             ((mono, _),) = poly.terms_sorted()
-            assert {type(v) for v in mono.vars} == {kind}
+            assert {type(v) for v in mono.vars} == {tuple}
     assert closed.render() == honest.render()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_letters_evaluate_as_plain_triples(seed):
+    """A letter is its (slot, element, star) triple: the oracle, the closed
+    form and the witness give equal results on a GMonomial's letters and on
+    the same letters as plain tuples, dead words included."""
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=5)
+    for word in (surviving_word(rng, grading, rng.randint(1, 12)),
+                 random_slotted_word(rng, grading, rng.randint(1, 6), repeat_slots=True)):
+        letters = GMonomial(word).letters
+        plain = [tuple(v) for v in letters]
+        assert {type(v) for v in plain} == {tuple}
+        honest = honest_product(letters, grading)
+        assert honest_product(plain, grading) == honest
+        assert closed_form_product(plain, grading) == honest
+        assert closed_form_product(letters, grading) == honest
+        witness = witness_for_word(letters, grading)
+        assert witness_for_word(plain, grading) == witness
+        assert (witness is None) == honest.is_zero
 
 
 def test_fast_paths_never_multiply_matrices(monkeypatch):

@@ -82,8 +82,7 @@ def test_witness_z2(gr_z2, z2, mono):
 
 
 def test_witness_with_star(gr_z6, z6):
-    word = letters(z6, "a a*")
-    w = witness_for_word(word, gr_z6)
+    w = witness_for_word(word_monomial(letters(z6, "a a*")).letters, gr_z6)
     assert w.start == 0
     # the starred position is assigned the transposed unit
     assert w.units == ((0, 1), (0, 1))
@@ -108,7 +107,7 @@ def test_threeway_agreement_small_exhaustive(gr_z2, z2):
         dead = gr_z2.compose_signed(word).is_empty
         m = word_monomial(word)
         assert evaluate_monomial(m, gr_z2).is_zero == dead
-        assert (witness_for_word(word, gr_z2) is None) == dead
+        assert (witness_for_word(m.letters, gr_z2) is None) == dead
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +224,17 @@ def test_trivial_derivation_is_empty(gr_z2, z2, mono):
     assert derivation_mod_neutral(mono("x1:e", z2), mono("x1:e", z2), gr_z2) == []
 
 
-def test_derivation_precondition(gr_z2, z2, mono):
-    with pytest.raises(PreconditionError):
+def test_derivation_precondition(gr_z2, z2, gr_z6, z6, mono):
+    with pytest.raises(PreconditionError, match="requires congruent monomials"):
         derivation_mod_neutral(mono("x1:a x1:a*", z2), mono("x1:a* x1:a", z2), gr_z2)
+    # an identity input (a3 is off the support) raises congruent_mod_neutral's error
+    for first, second in (("x1:a3", "x1:a"), ("x1:a", "x1:a3")):
+        m1, m2 = mono(first, z6), mono(second, z6)
+        with pytest.raises(PreconditionError) as raised:
+            congruent_mod_neutral(m1, m2, gr_z6)
+        with pytest.raises(PreconditionError) as derived:
+            derivation_mod_neutral(m1, m2, gr_z6)
+        assert str(derived.value) == str(raised.value)
 
 
 def _reversal(degree, group, mono):
@@ -499,10 +506,33 @@ def test_padded_identity_is_flagged_not_certified(gr_z4, z4, mono):
     assert bounds is not None and len(bounds) - 1 <= 2 * gr_z4.n - 1
 
 
-def test_reduce_requires_multihomogeneous(gr_z2, z2):
-    f = parse_poly("x1:a + x1:a x2:a", z2)
-    with pytest.raises(PreconditionError):
-        basis_reduce(f, gr_z2)
+def test_reduce_needs_no_multihomogeneous_split():
+    """A kernel variable (k, a, b) names its letter's (index, element), so
+    equal evaluation keys imply equal multidegrees: reducing a sum of
+    multi-homogeneous polynomials at once gives the verdict of the generic
+    evaluation and of the components together, and exactly the union of
+    the components' classes and identity terms."""
+    rng = random.Random(2717)
+    mixed = 0
+    for _ in range(400):
+        grading = random_grading(rng, max_n=4)
+        f = GPolynomial({})
+        for _ in range(rng.randint(1, 4)):
+            part = random_multihomogeneous_poly(rng, grading, RATIONALS,
+                                                force_identity=rng.random() < 0.5)
+            if part is not None:
+                f = f + part
+        components = multihomogeneous_components(f)
+        mixed += len(components) > 1
+        red = basis_reduce(f, grading)
+        parts = [basis_reduce(c, grading) for c in components]
+        assert red.is_identity == is_identity(f, grading).is_identity
+        assert red.is_identity == all(p.is_identity for p in parts)
+        for field in ("classes", "identity_terms"):
+            whole = getattr(red, field)
+            union = [x for p in parts for x in getattr(p, field)]
+            assert len(whole) == len(union) and set(whole) == set(union)
+    assert mixed > 200
 
 
 def test_reduce_zero_polynomial(gr_z2):

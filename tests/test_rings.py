@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gstar.freealg import GMonomial, GPolynomial, GVar
-from gstar.genmat import CMonomial, CPolynomial, EntryVar
+from gstar.genmat import CMonomial, CPolynomial
 from gstar.rings import (
     PRIME_TEST_LIMIT,
     RATIONALS,
@@ -77,7 +77,7 @@ def test_fp_field_laws(x, y, p):
 
 # sums of terms: the free algebra and the entry-variable ring share one implementation
 WORDS = [GMonomial([GVar(i, g, star)]) for i in (1, 2) for g in (0, 1) for star in (False, True)]
-ENTRY_MONOMIALS = [CMonomial([EntryVar(slot, 0, c)]) for slot in (1, 2) for c in range(4)]
+ENTRY_MONOMIALS = [CMonomial([(slot, 0, c)]) for slot in (1, 2) for c in range(4)]
 TERM_DICTS = st.dictionaries(st.integers(0, 7), st.integers(-6, 6), max_size=5)
 
 
