@@ -103,6 +103,17 @@ ODD_EXPRESSIONS = [
     ("q", "1" * 5000 + " x1:a"),
     ("modp:5", "1/5 x1:a + x2:e"),
     ("modp:5", "2/3 x1:a - 4 x1 : a"),
+    # at the edge of the split tokenizer: a chunk that is no whole token,
+    # a separator that str.split and the regex both take for whitespace,
+    # and unicode digits, which only the regex reads
+    ("q", "x1:a *"),
+    ("q", "x1 :a"),
+    ("q", "2x1:a"),
+    ("q", "3/2x1:a"),
+    ("q", "x1:a x2:e"),
+    ("q", "x1:a\x1cx2:e"),
+    ("q", "\u0663 x1:a"),
+    ("q", "x\u0661:a"),
 ]
 
 # Degrees of the long words checked with eval and check on z4 and Klein;

@@ -39,6 +39,7 @@ from .genmat import (
     evaluation_key,
     generic_matrix_signed,
     honest_product,
+    iter_rows,
     word_rows,
 )
 from .gradings import (

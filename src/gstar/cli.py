@@ -6,8 +6,8 @@ cap exceeded, 4 internal invariant or selftest failure.  JSON output is
 canonical: identical inputs and seed produce byte-identical reports.
 
 The handlers only compose library calls.  ``_emit`` adds ``schema`` and
-``command`` to every report; ``enumerate``, which writes its report itself,
-writes the same two keys.  The ``note`` that ``congruent`` gives for an
+``command`` to every report and writes its JSON through ``_json_pieces``;
+``enumerate``, which writes its report itself, writes the same two keys.  The ``note`` that ``congruent`` gives for an
 identity input is the library's precondition message.
 """
 
@@ -43,12 +43,67 @@ EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict, args, out) -> None:
-    """Write the report: the payload with the schema tag and the command name."""
+    """Write the report: the payload with the schema tag and the command name.
+
+    In JSON mode the bytes are those of ``json.dumps(payload,
+    sort_keys=True, indent=2)`` and a newline, written by ``_json_pieces``.
+    """
     payload = {"schema": SCHEMA, "command": args.command, **payload}
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        pieces: list = []
+        _json_pieces(payload, pieces, "\n")
+        pieces.append("\n")
+        out.write("".join(pieces))
     else:
         _print_text(payload, out)
+
+
+def _json_pieces(value, pieces: list, newline: str) -> None:
+    """Append the JSON text of ``value`` with sorted keys and an indent of
+    two spaces; ``newline`` is a newline and the indentation of the
+    enclosing container.
+
+    Any ``indent`` makes ``json.dumps`` use its pure-Python encoder, so the
+    indentation is written here and strings go through the C escaper.  A
+    value holds dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else raises TypeError.
+    """
+    if isinstance(value, str):
+        pieces.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            pieces.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_pieces(value[key], pieces, inner)
+            sep = "," + inner
+        pieces.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            pieces.append(sep)
+            _json_pieces(item, pieces, inner)
+            sep = "," + inner
+        pieces.append(newline + "]")
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _print_text(payload: dict, out, indent: int = 0) -> None:

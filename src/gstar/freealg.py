@@ -14,16 +14,20 @@ The expression grammar accepted by :func:`parse_poly` (a lone '0' is zero):
     coefficient := int ['/' nonzero int]
 
 Juxtaposition is the noncommutative product.  A factor (a letter) is one
-token, so parsing does one regex match and one dict lookup per letter.
-Whitespace may separate any two tokens and the parts of a letter, and every
-malformed input raises :class:`ParseError`; over F_p a denominator
-divisible by p raises :class:`FieldError` instead.
+token.  When every whitespace-separated chunk of the text is a whole
+letter, integer, fraction or sign, the tokens come from ``str.split``, and
+parsing does a few dict lookups per letter; any other text is scanned by
+one regex.  Whitespace may separate any two tokens and the parts of a
+letter, and every malformed input raises :class:`ParseError`; over F_p a
+denominator divisible by p raises :class:`FieldError` instead.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import GroupError, ParseError, PreconditionError, VariableError
@@ -44,13 +48,17 @@ class GVar(NamedTuple):
         return f"x{self.index}:{group.name_of(self.element)}" + ("*" if self.star else "")
 
 
+_index_element = itemgetter(0, 1)
+
+
 class GMonomial:
     """A nonempty noncommutative word of free variables."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_text")
 
     def __init__(self, letters: Sequence[GVar]):
         self.letters = tuple(letters)
+        self._text = None  # (group, text) of the last rendering
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -78,20 +86,24 @@ class GMonomial:
         )
 
     def multidegree(self) -> tuple:
-        """Counts of each (index, element) pair, starred and plain pooled."""
-        counts: dict = {}
-        for index, element, _ in self.letters:
-            counts[index, element] = counts.get((index, element), 0) + 1
-        return tuple(sorted(counts.items()))
+        """The (index, element) pair of every letter, sorted: starred and
+        plain letters pooled, each pair as often as it occurs."""
+        return tuple(sorted(map(_index_element, self.letters)))
 
     def render(self, group: Group) -> str:
-        # a word with a letter new to the group's memo renders its letters into it
+        # the word keeps its text for the group it last rendered with, so a
+        # report renders each of its words once; a word with a letter new to
+        # the group's memo renders its letters into it
+        if self._text is not None and self._text[0] is group:
+            return self._text[1]
         texts = group.letter_texts
         try:
-            return " ".join([texts[v] for v in self.letters])
+            text = " ".join([texts[v] for v in self.letters])
         except KeyError:
             texts.update((v, v.render(group)) for v in self.letters)
-            return self.render(group)
+            text = " ".join([texts[v] for v in self.letters])
+        self._text = (group, text)
+        return text
 
     def __repr__(self) -> str:
         inner = " ".join(
@@ -135,7 +147,12 @@ def multihomogeneous_components(f: GPolynomial) -> list[GPolynomial]:
     buckets: dict[tuple, dict] = {}
     for m, c in f.terms.items():
         buckets.setdefault(m.multidegree(), {})[m] = c
-    return [GPolynomial(buckets[key]) for key in sorted(buckets)]
+    return [GPolynomial(buckets[key]) for key in sorted(buckets, key=_pair_counts)]
+
+
+def _pair_counts(multidegree: tuple) -> tuple:
+    """((index, element), count) per distinct pair: the order of the components."""
+    return tuple((pair, len(list(run))) for pair, run in groupby(multidegree))
 
 
 def _check_elements(f: GPolynomial, grading: Grading) -> None:
@@ -177,6 +194,62 @@ def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
 _TOKEN = re.compile(r"(?P<letter>x(\d+)\s*:\s*((?!x\d)[A-Za-z_][A-Za-z0-9_]*)(?:\s*(\*))?)"
                     r"|(?P<var>x\d+)|(?P<int>\d+)|(?P<colon>:)|(?P<star>\*)|(?P<plus>\+)"
                     r"|(?P<minus>-)|(?P<slash>/)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)")
+
+
+# A chunk of text between whitespace whose tokens need no scan by _TOKEN: a
+# lone sign, or an optional sign and then a letter with no whitespace inside
+# or an ASCII integer or fraction.  Any other chunk sends the whole text to
+# _TOKEN.  An accepted chunk holds exactly the tokens that _TOKEN finds
+# there, because only a letter token spans whitespace, and no accepted chunk
+# ends inside a letter or starts with the star that could end one.
+_CHUNK = re.compile(r"([+-]?)(?:(x[0-9]+:(?!x[0-9])[A-Za-z_][A-Za-z0-9_]*\*?)|([0-9]+)(?:/([0-9]+))?)"
+                    r"|[+-]")
+_SIGN = {"+": "plus", "-": "minus"}
+
+
+def _chunk_kind(chunk: str):
+    """The kind of a chunk that ``_CHUNK`` accepts as one token, the
+    (kind, text, offset) tokens of one it accepts as several, else None."""
+    match = _CHUNK.fullmatch(chunk)
+    if match is None:
+        return None
+    sign, letter, num, den = match.groups()
+    if sign is None:  # a lone sign
+        return _SIGN[chunk]
+    tokens = [(_SIGN[sign], sign, 0)] if sign else []
+    at = len(sign)
+    if letter:
+        tokens.append(("letter", letter, at))
+    else:
+        tokens.append(("int", num, at))
+        if den is not None:
+            at += len(num)
+            tokens += [("slash", "/", at), ("int", den, at + 1)]
+    return tokens[0][0] if len(tokens) == 1 else tokens
+
+
+def _split_tokens(text: str):
+    """The tokens of a text whose chunks ``_CHUNK`` all accepts, else None.
+
+    Each distinct chunk is classified once per call, and each chunk is
+    found in the text from the end of the one before it.
+    """
+    tokens = []
+    kinds: dict = {}  # chunk -> _chunk_kind(chunk), for this call only
+    cursor = 0
+    for chunk in text.split():
+        kind = kinds.get(chunk)
+        if kind is None:
+            kind = kinds[chunk] = _chunk_kind(chunk)
+            if kind is None:
+                return None
+        pos = text.find(chunk, cursor)
+        cursor = pos + len(chunk)
+        if isinstance(kind, str):
+            tokens.append((kind, chunk, pos))
+        else:
+            tokens += [(part, val, pos + at) for part, val, at in kind]
+    return tokens
 
 
 def _int(digits: str, pos: int) -> int:
@@ -225,10 +298,12 @@ def _malformed_letter(tokens: list, i: int) -> ParseError:
 
 def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
     """Parse an expression in the grammar above; see :func:`format_poly`."""
-    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
-    for kind, val, pos in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {val!r}", pos)
+    tokens = _split_tokens(text)
+    if tokens is None:
+        tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
+        for kind, val, pos in tokens:
+            if kind == "bad":
+                raise ParseError(f"unexpected character {val!r}", pos)
     if not tokens:
         raise ParseError("empty expression", 0)
     if len(tokens) == 1 and tokens[0][:2] == ("int", "0"):

@@ -5,10 +5,11 @@ matrix for (slot, g) places one fresh variable on each position (i, hat(g)(i))
 of the grading's pattern for g.  Its starred companion is the transpose.
 Products of generic matrices are extremely sparse: at most one nonzero entry
 per row, always a single monomial with coefficient one.  The word kernel
-``word_rows`` reads them off the grading's hat table in one pass, and
-every evaluation goes through it.  An entry variable is the plain
-(slot, row, col) triple, and a letter the plain (slot, element, star) triple,
-such as a :class:`~gstar.freealg.GVar`, on every path.
+``iter_rows`` reads them off the grading's hat table one start row at a
+time, and every evaluation goes through it (``word_rows`` lists its rows).
+An entry variable is the plain (slot, row, col) triple, and a letter the
+plain (slot, element, star) triple, such as a :class:`~gstar.freealg.GVar`,
+on every path.
 
 ``honest_product`` is the independent oracle that ``selftest`` and the tests
 compare the kernel against: it multiplies the generic matrices of the
@@ -193,40 +194,40 @@ def honest_product(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> 
     return reduce(matmul, (generic_matrix_signed(letter, grading, field) for letter in word))
 
 
-def word_rows(word: Sequence[tuple], grading: Grading) -> list:
-    """The word kernel: walk every start row through a slotted word at once.
+def iter_rows(word: Sequence[tuple], grading: Grading):
+    """The word kernel: walk each start row through a slotted word in turn.
 
     ``word`` holds (slot, element, star) triples, such as a GMonomial's
-    letters; each moves the rows along the hat of its signed degree.  Returns
-    (start, end, variables) per surviving start row, in increasing order:
-    the generic product's entry at (start, end) is the monomial of the
-    variables, variables[p] = y[slot, a, b] for factor p stepping from row
-    a to row b (y[slot, b, a] if starred).  Empty exactly for identities.
-
-    Linear in the length of the word: each walk appends to a list of
-    variables of its own, which becomes a tuple on return.
+    letters; each moves a row along the hat of its signed degree.  Every
+    element is range-checked and every letter's hat row looked up once,
+    before the first walk.  Yields (start, end, variables) per surviving
+    start row, lazily and in increasing order of start: the generic
+    product's entry at (start, end) is the monomial of the variables,
+    variables[p] = y[slot, a, b] for factor p stepping from row a to row b
+    (y[slot, b, a] if starred).  Yields nothing exactly for identities.
     """
     hats, order, inverse = grading.hats, grading.group.order, grading.group.inverse
-    walks = [(row, row, []) for row in range(grading.n)]
-    letters = iter(word)
-    for slot, element, star in letters:
+    steps = []
+    for slot, element, star in word:
         if not 0 <= element < order:
             raise GradingError(f"element index {element} outside the group")
-        step = hats[inverse[element] if star else element]
-        alive = []
-        for start, row, variables in walks:
+        steps.append((slot, hats[inverse[element] if star else element], star))
+    for start in range(grading.n):
+        row, variables = start, []
+        for slot, step, star in steps:
             col = step[row]
-            if col is not None:
-                variables.append((slot, col, row) if star else (slot, row, col))
-                alive.append((start, col, variables))
-        walks = alive
-        if not walks:
-            # the walk is dead; the letters after it are only range-checked
-            for _, element, _ in letters:
-                if not 0 <= element < order:
-                    raise GradingError(f"element index {element} outside the group")
-            break
-    return [(start, end, tuple(variables)) for start, end, variables in walks]
+            if col is None:
+                break
+            variables.append((slot, col, row) if star else (slot, row, col))
+            row = col
+        else:
+            yield start, row, tuple(variables)
+
+
+def word_rows(word: Sequence[tuple], grading: Grading) -> list:
+    """Every row of :func:`iter_rows`: empty exactly for identities, linear
+    in the length of the word."""
+    return list(iter_rows(word, grading))
 
 
 def rows_matrix(rows: list, n: int, one) -> SparseMatrix:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import GMonomial, GPolynomial, GVar, evaluate, variable
-from .genmat import evaluation_key, word_rows
+from .genmat import evaluation_key, iter_rows, word_rows
 from .gradings import CompositionGraph, Grading, SignedElement, signed_degree
 from .groups import Group
 from .rings import RATIONALS, format_coeff
@@ -74,10 +74,10 @@ def unit_product(units: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
 def witness_for_word(word: Sequence[tuple], grading: Grading) -> Optional[MonomialWitness]:
     """The units of the first surviving kernel row of a word of (slot,
     element, star) letters; None for identities."""
-    rows = word_rows(word, grading)
-    if not rows:
+    first = next(iter_rows(word, grading), None)
+    if first is None:
         return None
-    start, end, variables = rows[0]
+    start, end, variables = first
     units = tuple((row, col) for _, row, col in variables)
     result = unit_product([(b, a) if star else (a, b)
                            for (a, b), (_, _, star) in zip(units, word)])
@@ -476,9 +476,12 @@ def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
     terms are partitioned by generic evaluation (the evaluation key), which
     classifies them up to congruence modulo the neutral ideal.  The class
     sums only add coefficients of ``f``, so no coefficient field is passed.
-    The input need not be multi-homogeneous: a kernel variable (k, a, b)
-    names its letter's (index, element) as (k, g_a^{-1} g_b), so equal keys
-    imply equal multidegrees and no class crosses two components.
+    A term's key is the first row of its evaluation (``iter_rows``), with
+    the variables sorted, or () for an identity: one shared entry forces
+    equal evaluations, so the first rows agree exactly when the evaluation
+    keys do.  The input need not be multi-homogeneous: a kernel variable
+    (k, a, b) names its letter's (index, element) as (k, g_a^{-1} g_b), so
+    equal keys imply equal multidegrees and no class crosses two components.
     """
     terms = f.terms_sorted()
     if not terms:
@@ -486,12 +489,13 @@ def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
     identity_terms = []
     buckets: dict[tuple, list] = {}
     for mono, coeff in terms:
-        key = evaluation_key(mono.letters, grading)
-        if key:
-            buckets.setdefault(key, []).append((mono, coeff))
-        else:
+        row = next(iter_rows(mono.letters, grading), None)
+        if row is None:
             cert = subword_identity_certificate(mono, grading)
             identity_terms.append(IdentityTerm(mono, coeff, cert))
+        else:
+            start, end, variables = row
+            buckets.setdefault((start, end, tuple(sorted(variables))), []).append((mono, coeff))
     classes = []
     for key in sorted(buckets, key=lambda k: buckets[k][0][0].sort_key()):
         members = buckets[key]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gstar.cli import _print_text, main
+from gstar.cli import SCHEMA, _emit, _json_pieces, _print_text, main
 from gstar.errors import PreconditionError
 from gstar.freealg import parse_poly
 from gstar.gradings import grading_from_json
@@ -753,3 +753,35 @@ def test_info_bytes_pinned(config, digest, capsys):
     code, out, _ = run(["info", "--config", str(config), "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the JSON report writer
+
+WRITER_PAYLOAD = {
+    "empty_dict": {},
+    "empty_list": [],
+    "empty_tuple": (),
+    "nested": {"b": [{"y": [], "x": {}}, ("t", 1, [[]])], "a": {"z": {"deep": [None]}}},
+    "caf\u00e9 \u2603 \U0001d11e": "\u00e9\u2603\U0001d11e\x00\x1f\x7f\"\\/\n\t ",
+    "\x01\t\"key\"\\": ["\x85", "\ud800", ""],
+    "flags": [True, False, None],
+    "ints": [0, -1, 2**64, -(2**64) - 1, 10**40],
+    "": "empty key",
+}
+
+
+def test_json_writer_matches_json_dumps():
+    """_emit writes the bytes of json.dumps(sort_keys=True, indent=2) and a
+    newline, past the escapes, nestings and ints json.dumps handles itself."""
+    args = type("Args", (), {"json": True, "command": "check"})()
+    out = io.StringIO()
+    _emit(dict(WRITER_PAYLOAD), args, out)
+    expected = {"schema": SCHEMA, "command": "check", **WRITER_PAYLOAD}
+    assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "int key"}, {"a": {1, 2}}, b"bytes"])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_pieces(value, [], "\n")

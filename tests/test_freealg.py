@@ -19,6 +19,7 @@ from gstar import (
     star_polynomial,
     variable,
 )
+from gstar import freealg
 from gstar.errors import GroupError
 from gstar.freealg import GPolynomial
 from gstar.groups import make_from_table
@@ -60,6 +61,9 @@ def test_multihomogeneous_components(z2):
     comps = multihomogeneous_components(f)
     assert len(comps) == 2
     assert sum(comps[1:], comps[0]) == f
+    # components come in the order of their counts per (index, element)
+    # pair: one x1 and one x2 before two of x1
+    assert [list(c.terms) for c in comps] == [[GMonomial([x1a, x2a])], [GMonomial([x1a, x1a])]]
 
     g = GPolynomial(
         {
@@ -421,3 +425,52 @@ def test_letter_text_is_per_group():
     assert word.render(first) == "x1:a x2:e*"
     f = GPolynomial({word: RATIONALS.coerce(-2)})
     assert (format_poly(f, second), format_poly(f, first)) == ("-2 x1:t x2:e*", "-2 x1:a x2:e*")
+
+
+# ---------------------------------------------------------------------------
+# the split tokenizer against the regex scan
+
+# chunks the split path takes, drawn three times as often as the rest
+SPLIT_WHOLE = ["x1:a", "x2:e*", "x12:a", "x0:a", "x1:x", "-x1:a", "+", "-", "0", "25", "3/2", "1/0"]
+SPLIT_PIECES = SPLIT_WHOLE * 3 + [
+    "x1:x2a", "x1:", "x1", ":a", "a", ":", "*", "/", "2/", "/3",
+    "\u0663", "\u00b2", "x\u0661:a", "x1:\u00e9",
+]
+# str.split and the regex's \s take all of these but the last, a zero-width
+# space, for whitespace
+SPLIT_SEPARATORS = ["", " ", " ", "  ", "\t", "\x1c", "\x85", "\xa0", "\u2003", "\u200b"]
+
+
+def _scanned(text):
+    return [(m.lastgroup, m[0], m.start()) for m in freealg._TOKEN.finditer(text)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SPLIT_SEPARATORS), st.sampled_from(SPLIT_PIECES)),
+                max_size=12).map(lambda pairs: "".join(w + p for w, p in pairs)),
+       st.sampled_from(SPLIT_SEPARATORS))
+@example("x1:a *", "")
+@example("x1 :a", "")
+@example("\u00b2 x1:a", "")
+@example("-3/2 x1:a x2:e*\t+ x1:e", " ")
+def test_split_tokens_match_the_regex_scan(text, tail):
+    """Wherever the split path answers, it gives the regex's (kind, text,
+    position) tokens."""
+    text += tail
+    tokens = freealg._split_tokens(text)
+    if tokens is not None:
+        assert tokens == _scanned(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
+def test_format_poly_takes_the_split_path(seed, ring):
+    field = RATIONALS if ring == "q" else PrimeField(5)
+    rng = random.Random(seed)
+    grading = random_grading(rng)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        m = random_monomial(rng, grading, rng.randint(1, 4), allow_off_support=True)
+        terms[m] = field.coerce(Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7])))
+    text = format_poly(GPolynomial(terms), grading.group)
+    assert freealg._split_tokens(text) == _scanned(text)

@@ -19,7 +19,7 @@ from gstar import (
     witness_for_word,
 )
 from gstar.errors import ShapeError
-from gstar.genmat import evaluation_key
+from gstar.genmat import evaluation_key, iter_rows, word_rows
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import random_grading, random_multihomogeneous_poly, random_slotted_word
 
@@ -331,3 +331,35 @@ def test_fast_paths_never_multiply_matrices(monkeypatch):
     assert calls == []
     honest_product(random_slotted_word(rng, grading, 3), grading)
     assert calls, "the counter does not see the oracle"
+
+
+def _walk_all_rows(word, grading):
+    """Every start row walked through the word at once, one letter at a
+    time, along the letter's hat as a dict, inverted when starred."""
+    walks = [(row, row, ()) for row in range(grading.n)]
+    for slot, element, star in word:
+        step = grading.hat(element).as_dict()
+        if star:
+            step = {col: row for row, col in step.items()}
+        walks = [
+            (start, step[row], variables + ((slot, step[row], row) if star else (slot, row, step[row]),))
+            for start, row, variables in walks if row in step
+        ]
+    return walks
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_word_rows_walk_every_start_row(seed):
+    """The kernel, which walks one start row at a time, gives the rows of
+    a walk of all start rows at once, in start order, on surviving and
+    dead words; its lazy form yields the same rows."""
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=5)
+    for word in (surviving_word(rng, grading, rng.randint(1, 30)),
+                 random_slotted_word(rng, grading, rng.randint(1, 6), repeat_slots=True),
+                 [GVar(rng.randint(1, 3), rng.randrange(grading.group.order), rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 8))]):
+        rows = word_rows(word, grading)
+        assert rows == _walk_all_rows(word, grading)
+        assert list(iter_rows(word, grading)) == rows

@@ -36,7 +36,8 @@ from gstar import (
 )
 from gstar.freealg import GMonomial, GPolynomial
 from gstar.identities import _profile_moves, _rewrites, _word_key, block_certificate
-from gstar.rings import RATIONALS
+from gstar.genmat import evaluation_key
+from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import (
     congruent_partner,
     random_grading,
@@ -817,3 +818,28 @@ def test_degree_bound_probe_pinned(name):
         cert = block_certificate(word_monomial(word), grading) if len(word) > bound else None
         rows.append([[se.render(grading.group) for se in word], list(cert) if cert else None])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_PROBES[name]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
+def test_reduce_classes_are_the_evaluation_key_partition(seed, ring):
+    """basis_reduce keys a term by the first row of its evaluation alone;
+    its classes are the partition of the non-identity terms by the whole
+    evaluation key, and its identity terms the terms whose key is empty."""
+    field = RATIONALS if ring == "q" else PrimeField(5)
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=5)
+    f = GPolynomial({})
+    for _ in range(rng.randint(1, 3)):
+        part = random_multihomogeneous_poly(rng, grading, field,
+                                            force_identity=rng.random() < 0.5)
+        if part is not None:
+            f = f + part
+    by_key: dict = {}
+    for mono in f.terms:
+        by_key.setdefault(evaluation_key(mono.letters, grading), set()).add(mono)
+    red = basis_reduce(f, grading)
+    assert {t.monomial for t in red.identity_terms} == by_key.pop((), set())
+    classes = [frozenset(m for m, _ in c.members) for c in red.classes]
+    assert len(classes) == len(by_key)
+    assert set(classes) == {frozenset(members) for members in by_key.values()}
