@@ -154,6 +154,11 @@ def error_runs(tmp: str) -> list:
         ["check", "--config", z2, "--seed", "3", "x1:a"],
         ["check", "--config", z2, "-x1:a"],
         ["enumerate", "--config", z2, "--max-deg", "x"],
+        # refused: the node budget (exit 3), the degree cap (exit 3) and a
+        # degree below 1 (exit 2)
+        ["enumerate", "--config", "configs/klein.json", "--json", "--max-deg", "8"],
+        ["enumerate", "--config", z2, "--max-deg", "13"],
+        ["enumerate", "--config", z2, "--max-deg", "0"],
         ["info", "--config", z2, "--coeff", "modp:4"],
         ["info", "--config", z2, "--coeff", "zz"],
         ["info", "--config", "no/such/config.json"],

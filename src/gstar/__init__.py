@@ -54,6 +54,7 @@ from .identities import (
     BasisReduction,
     CongruenceClass,
     DerivationStep,
+    IdentityListing,
     IdentityTerm,
     IdentityVerdict,
     MonomialWitness,

@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -26,10 +25,10 @@ from .freealg import format_poly, multihomogeneous_components, parse_poly
 from .freealg import evaluate as evaluate_poly
 from .gradings import Grading, SignedElement, grading_from_json
 from .identities import (
+    IdentityListing,
     basis_reduce,
     congruent_mod_neutral,
     derivation_mod_neutral,
-    enumerate_monomial_identities,
 )
 from .rings import parse_field
 from .selftest import run_selftest
@@ -208,30 +207,30 @@ def cmd_congruent(args, grading, field, out) -> int:
 
 
 def cmd_enumerate(args, grading, field, out) -> int:
-    """List the monomial identities, writing the report one length block at a time.
+    """List the monomial identities, streaming each section from the counts.
 
     The bytes are those that ``_emit`` gives the payload {command, count,
     max_degree, max_identity_degree, minimal_only, monomials, schema,
-    words}, but no payload is built: each letter's name and its token
-    ``x<p>:<name>`` at each position are rendered (in JSON, also escaped)
-    once, and the words of each length go to ``out`` in one write per
-    section.
+    words}, but no payload and no word list is built.  ``count`` and
+    ``max_identity_degree`` come from the count pass of
+    ``IdentityListing``, which charges the whole budget before the first
+    byte is written.  Each letter's name and its token ``x<p>:<name>`` at
+    each position are rendered (in JSON, also escaped) once, and each
+    section is written one first-letter subtree at a time.
     """
     max_deg = args.max_deg if args.max_deg is not None else 2 * grading.n - 1
-    words = enumerate_monomial_identities(grading, max_deg, minimal_only=args.minimal)
+    listing = IdentityListing(grading, max_deg, minimal_only=args.minimal)
+    top = listing.max_identity_degree
     group = grading.group
-    names = {
-        SignedElement(g, star): SignedElement(g, star).render(group)
-        for g in group.elements()
-        for star in (False, True)
-    }
-    tokens = [{se: f"x{p}:{name}" for se, name in names.items()} for p in range(1, max_deg + 1)]
+    # a letter is the code 2g + star
+    names = [SignedElement(g, star).render(group)
+             for g in group.elements() for star in (False, True)]
+    tokens = [[f"x{p}:{name}" for name in names] for p in range(1, top + 1)]
     head = {
         "command": args.command,
-        "count": len(words),
+        "count": listing.count,
         "max_degree": max_deg,
-        # words come out by length, so the last one is the longest
-        "max_identity_degree": len(words[-1]) if words else 0,
+        "max_identity_degree": top,
         "minimal_only": args.minimal,
     }
     if args.json:
@@ -239,25 +238,25 @@ def cmd_enumerate(args, grading, field, out) -> int:
         def escape(text: str) -> str:
             return encode_basestring_ascii(text)[1:-1]
 
-        names = {se: escape(name) for se, name in names.items()}
-        tokens = [{se: escape(token) for se, token in row.items()} for row in tokens]
+        names = [escape(name) for name in names]
+        tokens = [[escape(token) for token in row] for row in tokens]
         opening = "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
         closing = "\n}\n"
         first, sep, last, empty = "[\n    ", ",\n    ", "\n  ]", "[]"
         sections = (
             ('  "monomials": ', tokens, " ", '"', '"'),
-            (f',\n  "schema": {json.dumps(SCHEMA)},\n  "words": ', [names] * max_deg,
+            (f',\n  "schema": {json.dumps(SCHEMA)},\n  "words": ', [names] * top,
              '",\n      "', '[\n      "', '"\n    ]'),
         )
     else:
-        names = {se: repr(name) for se, name in names.items()}
+        names = [repr(name) for name in names]
         opening = "".join(f"{k}: {v}\n" for k, v in head.items())
         closing = "\n"
         first = sep = "\n  "
         last = empty = ""
         sections = (
             ("monomials:", tokens, " ", "", ""),
-            (f"\nschema: {SCHEMA}\nwords:", [names] * max_deg, ", ", "[", "]"),
+            (f"\nschema: {SCHEMA}\nwords:", [names] * top, ", ", "[", "]"),
         )
 
     # a section is its key, the letter table of each position, the text
@@ -265,11 +264,11 @@ def cmd_enumerate(args, grading, field, out) -> int:
     out.write(opening)
     for key, tables, joiner, start, end in sections:
         lead, between = key + first + start, end + sep + start
-        for _, block in groupby(words, len):
-            columns = [map(table.__getitem__, column) for table, column in zip(tables, zip(*block))]
-            out.write(lead + between.join(map(joiner.join, zip(*columns))))
-            lead = between
-        out.write(end + last if words else key + empty)
+        for length in range(1, top + 1):
+            for items in listing.subtrees(length, tables, joiner):
+                out.write(lead + between.join(items))
+                lead = between
+        out.write(end + last if top else key + empty)
     out.write(closing)
     return EXIT_OK
 

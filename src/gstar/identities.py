@@ -10,14 +10,17 @@ at a shared position, which forces the full evaluations to agree.  Reducing
 a polynomial therefore means: split off the monomial identities (each with
 a short contiguous identity subword as its certificate, when one exists)
 and partition the rest by generic evaluation; the polynomial is an identity
-precisely when every class sums to zero.
+precisely when every class sums to zero.  The monomial identities up to a
+degree are counted per composition state and remaining length, then
+streamed by a depth-first walk that enters only states with words left
+to give (``IdentityListing``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import GMonomial, GPolynomial, GVar, evaluate, variable
@@ -520,6 +523,7 @@ def _profile_moves(profile: tuple, alphabet: list, graph: CompositionGraph) -> l
 
     A profile is (full state, frozenset of the states of the proper
     suffixes) of an identity-free word; the empty word has suffixes None.
+    ``alphabet`` holds (letter, degree) pairs, in any form of letter.
     Returns (letter, profile of the extended word) for every letter that
     leaves each proper suffix alive, in alphabet order; a new full state
     that is empty marks a minimal identity, which extends no further.
@@ -530,59 +534,168 @@ def _profile_moves(profile: tuple, alphabet: list, graph: CompositionGraph) -> l
         return []
     row, letter_states = step[full], step[0]
     moves = []
-    for se, col in alphabet:
+    for letter, col in alphabet:
         if suffixes is None:
             new_suffixes = frozenset()
         else:
             new_suffixes = frozenset([letter_states[col]] + [step[s][col] for s in suffixes])
             if empty in new_suffixes:
                 continue
-        moves.append((se, (row[col], new_suffixes)))
+        moves.append((letter, (row[col], new_suffixes)))
     return moves
 
 
-def _words_by_length(
-    graph: CompositionGraph, start, moves, accepting, max_degree: int, node_budget: int
-) -> list[list[Word]]:
-    """For k = 1..max_degree, the words of length k that lead from ``start``
-    to an accepting node, in alphabet order.
+class IdentityListing:
+    """The monomial identities up to a degree: counted by length, listed on demand.
 
-    The words of length k that lead on from a node are listed once per
-    (node, k) and shared by every prefix reaching that node, so the work is
-    proportional to the lists kept.  Against ``node_budget`` the search
-    charges one node per move kept (as soon as a node's moves are taken),
-    one per composition state it adds to ``graph`` (at the same moment and
-    at every later charge), and one per list entry plus one per word (before
-    the list is built).
+    Words run over the signed support alphabet, plus the plain off-support
+    variables as degree-one identities.  A letter is the code 2g + star of
+    the letter g or g*, so codes sort as ``_word_key`` sorts letters.  A word
+    is an identity exactly when it leads from the identity state of the
+    grading's composition graph to the empty one, and for minimal words,
+    when it leads from the empty word's profile (see ``_profile_moves``) to
+    one whose full state is empty.
+
+    The count pass memoises, per node (a state, or a profile for minimal
+    words) and remaining length k, the number of words of length k that lead
+    from the node to an accepting one (the transfer-matrix method, Stanley,
+    Enumerative Combinatorics I, §4.7).  ``lengths[k - 1]`` is the number of
+    identities of length k.  The graph is explored only as far as the count
+    steps, and the whole of ``node_budget`` is charged before anything is
+    listed: one node per move kept (as soon as a node's moves are taken),
+    per count entry, per composition state the pass adds to the graph (at
+    every charge) and per support word to be listed.
+
+    ``subtrees`` then lists the words of one length by a depth-first walk
+    that enters a node only when it still has words to give, so the time is
+    linear in the output and nothing beyond the memo and one first-letter
+    subtree is held.
     """
-    successors: dict = {}
-    memo: dict = {}
-    used = 0
-    graph_base = len(graph.states)
 
-    def charge(nodes: int) -> None:
-        nonlocal used
-        used += nodes
-        if used + len(graph.states) - graph_base > node_budget:
-            raise ResourceCapError(f"enumeration exceeded the node budget {node_budget}")
+    def __init__(
+        self,
+        grading: Grading,
+        max_degree: int,
+        minimal_only: bool = False,
+        node_budget: int = ENUM_NODE_BUDGET,
+    ):
+        if max_degree < 1:
+            raise PreconditionError("max_degree must be at least 1")
+        if max_degree > ENUM_DEGREE_CAP:
+            raise ResourceCapError(
+                f"max_degree {max_degree} exceeds the configured cap {ENUM_DEGREE_CAP}"
+            )
+        graph = grading.composition_graph
+        step, empty = graph.step, graph.empty
+        alphabet = [(2 * se.element + se.star, se.degree(grading.group))
+                    for se in grading.signed_alphabet()]
+        if minimal_only:
+            start = (0, None)
+            moves = lambda profile: _profile_moves(profile, alphabet, graph)
+            accepting = lambda profile: profile[0] == empty
+        else:
+            start = 0
+            moves = lambda state: [(code, step[state][col]) for code, col in alphabet]
+            accepting = lambda state: state == empty
+        # per node id: the node, its moves as (code, child id), the codes of
+        # its moves to an accepting node, and its counts by remaining length
+        ids, nodes = {start: 0}, [start]
+        successors: list = [None]
+        finals: list = [None]
+        counts: list = [None]
+        used, graph_base = 0, len(graph.states)
 
-    def tails(node, k: int) -> list:
-        words = memo.get((node, k))
-        if words is None:
-            if k == 0:
-                words = [()] if accepting(node) else []
-            else:
-                out = successors.get(node)
-                if out is None:
-                    out = successors[node] = moves(node)
-                    charge(len(out))
-                parts = [(se, tails(nxt, k - 1)) for se, nxt in out]
-                charge(1 + sum(len(part) for _, part in parts))
-                words = [(se,) + tail for se, part in parts for tail in part]
-            memo[node, k] = words
-        return words
+        def charge(units: int) -> None:
+            nonlocal used
+            used += units
+            if used + len(graph.states) - graph_base > node_budget:
+                raise ResourceCapError(f"enumeration exceeded the node budget {node_budget}")
 
-    return [tails(start, k) for k in range(1, max_degree + 1)]
+        def expand(node: int) -> None:
+            out, done = [], []
+            for code, child in moves(nodes[node]):
+                cid = ids.get(child)
+                if cid is None:
+                    cid = ids[child] = len(nodes)
+                    nodes.append(child)
+                    successors.append(None)
+                    finals.append(None)
+                    counts.append(None)
+                out.append((code, cid))
+                if accepting(child):
+                    done.append(code)
+            successors[node], finals[node] = out, done
+            counts[node] = [None] * (max_degree + 1)
+            charge(len(out))
+
+        def count(node: int, k: int) -> int:
+            if counts[node] is None:
+                expand(node)
+            row = counts[node]
+            words = row[k]
+            if words is None:
+                if k == 1:
+                    words = len(finals[node])
+                else:
+                    words = sum(count(child, k - 1) for _, child in successors[node])
+                row[k] = words
+                charge(1)
+            return words
+
+        support = [count(0, k) for k in range(1, max_degree + 1)]
+        charge(sum(support))
+        self._successors, self._finals, self._counts = successors, finals, counts
+        self._off_support = [2 * g for g in grading.off_support()]
+        self.lengths = [len(self._off_support) + support[0], *support[1:]]
+
+    @property
+    def count(self) -> int:
+        return sum(self.lengths)
+
+    @property
+    def max_identity_degree(self) -> int:
+        """The largest length with an identity, or 0 when there is none."""
+        return max((k for k, words in enumerate(self.lengths, 1) if words), default=0)
+
+    def subtrees(self, length: int, tables: Sequence, joiner) -> Iterator[list]:
+        """The identities of one length, in alphabet order, one list for each
+        first letter that begins one (one list in all for length 1).
+
+        The word with codes c_1 ... c_k comes out as ``tables[0][c_1] +
+        joiner + ... + joiner + tables[k - 1][c_k]``: with tables of 1-tuples
+        of letters and joiner ``()`` it is the word itself, and with string
+        tables it is the word's text.  A node is entered only when it still
+        has words of the remaining length, and the last letter comes from
+        the node's list of final letters.
+        """
+        successors, finals, counts = self._successors, self._finals, self._counts
+        if length == 1:
+            table = tables[0]
+            words = [table[code] for code in sorted(self._off_support + finals[0])]
+            if words:
+                yield words
+            return
+        last = tables[length - 1]
+        rendered: dict = {}  # node id -> its final letters, rendered at the last position
+
+        def walk(node: int, k: int, prefix, out: list) -> None:
+            if k == 1:
+                ends = rendered.get(node)
+                if ends is None:
+                    ends = rendered[node] = [last[code] for code in finals[node]]
+                out += map(prefix.__add__, ends)
+                return
+            table = tables[length - k]
+            for code, child in successors[node]:
+                if counts[child][k - 1]:
+                    walk(child, k - 1, prefix + table[code] + joiner, out)
+
+        table = tables[0]
+        for code, child in successors[0]:
+            if counts[child][length - 1]:
+                out: list = []
+                walk(child, length - 1, table[code] + joiner, out)
+                yield out
 
 
 def enumerate_monomial_identities(
@@ -591,57 +704,19 @@ def enumerate_monomial_identities(
     minimal_only: bool = False,
     node_budget: int = ENUM_NODE_BUDGET,
 ) -> list[Word]:
-    """All index-free monomial identities up to the given degree.
+    """All index-free monomial identities up to the given degree, as a list.
 
-    Words run over the signed support alphabet, plus the plain off-support
-    variables as degree-one identities, and come out by length, then in
-    alphabet order (``_word_key`` order).  With ``minimal_only`` a word is
-    kept only if no proper contiguous subword is itself an identity.
-
-    The listing walks the grading's composition graph: a word is an
-    identity exactly when it leads from the identity state to the empty
-    one.  Which continuations of a prefix are listed depends only on the
-    prefix's composition state, or for minimal words on its profile (see
-    ``_profile_moves``), so they are built once per state and length and
-    shared; the time is proportional to the output, not to the search
-    tree.  The graph is explored only as far as the listing steps, and
-    ``node_budget`` caps the memory: one node per move kept, per state and
-    length, per suffix kept and per composition state the listing adds to
-    the graph, charged before each list is built.
+    The words of ``IdentityListing`` (which see for the alphabet, the
+    budget and the caps), by length, then in alphabet order (``_word_key``
+    order).  With ``minimal_only`` a word is kept only if no proper
+    contiguous subword is itself an identity.
     """
-    if max_degree < 1:
-        raise PreconditionError("max_degree must be at least 1")
-    if max_degree > ENUM_DEGREE_CAP:
-        raise ResourceCapError(
-            f"max_degree {max_degree} exceeds the configured cap {ENUM_DEGREE_CAP}"
-        )
-    graph = grading.composition_graph
-    step, empty = graph.step, graph.empty
-    alphabet = [(se, se.degree(grading.group)) for se in grading.signed_alphabet()]
-    if minimal_only:
-        by_length = _words_by_length(
-            graph,
-            (0, None),
-            lambda profile: _profile_moves(profile, alphabet, graph),
-            lambda profile: profile[0] == empty,
-            max_degree,
-            node_budget,
-        )
-    else:
-        by_length = _words_by_length(
-            graph,
-            0,
-            lambda state: [(se, step[state][col]) for se, col in alphabet],
-            lambda state: state == empty,
-            max_degree,
-            node_budget,
-        )
-    # the off-support letters join the length-1 words in _word_key order
-    off_support = [(SignedElement(g, False),) for g in grading.off_support()]
-    words = sorted(off_support + by_length[0], key=_word_key)
-    for block in by_length[1:]:
-        words += block
-    return words
+    listing = IdentityListing(grading, max_degree, minimal_only, node_budget)
+    letters = [(SignedElement(g, star),)
+               for g in grading.group.elements() for star in (False, True)]
+    tables = [letters] * max_degree
+    return [word for k in range(1, max_degree + 1)
+            for part in listing.subtrees(k, tables, ()) for word in part]
 
 
 def minimal_identities_up_to(

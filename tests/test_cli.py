@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from gstar.errors import PreconditionError
 from gstar.freealg import parse_poly
 from gstar.gradings import grading_from_json
 from gstar.identities import congruent_mod_neutral, enumerate_monomial_identities
+from gstar.sampling import random_grading
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -237,12 +240,16 @@ def test_enumerate_z6(capsys):
 
 
 def test_enumerate_cap_exceeded(capsys):
-    code, _, err = run(
-        ["enumerate", "--config", str(CONFIGS / "z6_3tuple.json"), "--max-deg", "99"],
-        capsys,
-    )
-    assert code == 3
-    assert "cap" in err
+    # the degree cap, and the node budget, which the count pass charges in
+    # full before the first byte is written
+    for config, max_deg in (("z6_3tuple.json", "99"), ("klein.json", "8")):
+        code, out, err = run(
+            ["enumerate", "--config", str(CONFIGS / config), "--max-deg", max_deg, "--json"],
+            capsys,
+        )
+        assert code == 3
+        assert "cap" in err
+        assert out == ""
 
 
 def test_selftest_z2(capsys):
@@ -648,6 +655,45 @@ def test_enumerate_large_grading_bytes_pinned(tmp_path, capsys):
     )
 
 
+# Runs main on argv in sys.argv[2:] with stdout hashed as it is written,
+# under a 1 GiB address-space limit, and prints the exit code, the byte
+# count, the sha256 and the peak RSS in kB of this process.
+STREAM_CHILD = """
+import hashlib, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from gstar.cli import main
+
+class Sink:
+    def __init__(self):
+        self.digest, self.size = hashlib.sha256(), 0
+    def write(self, text):
+        data = text.encode()
+        self.digest.update(data)
+        self.size += len(data)
+
+sink, real = Sink(), sys.stdout
+sys.stdout = sink
+code = main(sys.argv[2:])
+sys.stdout = real
+print(code, sink.size, sink.digest.hexdigest(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_enumerate_streams_a_large_listing_in_bounded_memory():
+    # Klein at degree 7: 1,454,256 words, 198 MB of JSON.  Holding every
+    # word took 539 MB; the stream holds the count memo and one
+    # first-letter subtree.
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["enumerate", "--config", str(CONFIGS / "klein.json"), "--max-deg", "7", "--json"]
+    done = subprocess.run([sys.executable, "-c", STREAM_CHILD, str(src), *argv],
+                          capture_output=True, text=True, timeout=300, check=True)
+    code, size, digest, peak_kb = done.stdout.split()
+    assert (code, size) == ("0", "197926173")
+    assert digest == "770d60af477a893495db7d7ac2e822a109a28966ed4d1d2090535f31b84e160a"
+    assert int(peak_kb) < 150 * 1024
+
+
 def write_escaped_config(directory: Path) -> Path:
     """Z5 with element names that JSON escapes (a quote, a backslash, a
     non-ASCII letter) and that text mode quotes with double quotes (an
@@ -710,15 +756,38 @@ def assert_same_report(out: str, expected: str) -> None:
                     f"lengths {len(out)} and {len(expected)}")
 
 
+def write_random_config(directory: Path, seed: int) -> Path:
+    """The config of ``random_grading(random.Random(seed), max_n=4)``."""
+    grading = random_grading(random.Random(seed), max_n=4)
+    group = grading.group
+    config = directory / f"random-{seed}.json"
+    config.write_text(json.dumps({
+        "group": {"elements": list(group.names), "table": [list(row) for row in group.table]},
+        "tuple": [group.names[g] for g in grading.defining_tuple],
+    }))
+    return config
+
+
+# random_grading seeds: Z6 with the tuple (e); S3 with (c, rr, e); Z5 with
+# (a2, a3, e, a); Z7 with (a4, a6), whose tuple leaves out the identity.
+# Three of them list off-support letters at length 1.
+RANDOM_GRADING_SEEDS = (1, 5, 21, 28)
+
+
 @pytest.mark.parametrize("minimal", [False, True], ids=["full", "minimal"])
 @pytest.mark.parametrize("max_deg", [1, 2, 3, 4])
-@pytest.mark.parametrize("config", [*sorted(CONFIGS.glob("*.json")), "escaped"],
-                         ids=lambda c: getattr(c, "stem", c))
+@pytest.mark.parametrize(
+    "config",
+    [*sorted(CONFIGS.glob("*.json")), "escaped", *(f"random-{s}" for s in RANDOM_GRADING_SEEDS)],
+    ids=lambda c: getattr(c, "stem", c),
+)
 def test_enumerate_matches_dumped_payload(config, max_deg, minimal, tmp_path, capsys):
     # json.dumps and _print_text of the whole payload are the reference
-    # for the report that cmd_enumerate writes block by block.
+    # for the report that cmd_enumerate streams subtree by subtree.
     if config == "escaped":
         config = write_escaped_config(tmp_path)
+    elif isinstance(config, str):
+        config = write_random_config(tmp_path, int(config.split("-")[1]))
     payload = reference_enumeration(config, max_deg, minimal)
     argv = ["enumerate", "--config", str(config), "--max-deg", str(max_deg)]
     argv += ["--minimal"] * minimal
