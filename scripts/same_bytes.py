@@ -103,7 +103,7 @@ ODD_EXPRESSIONS = [
     ("q", "1" * 5000 + " x1:a"),
     ("modp:5", "1/5 x1:a + x2:e"),
     ("modp:5", "2/3 x1:a - 4 x1 : a"),
-    # at the edge of the split tokenizer: a chunk that is no whole token,
+    # at the edge of the direct parse: a chunk that is no whole token,
     # a separator that str.split and the regex both take for whitespace,
     # and unicode digits, which only the regex reads
     ("q", "x1:a *"),
@@ -114,6 +114,16 @@ ODD_EXPRESSIONS = [
     ("q", "x1:a\x1cx2:e"),
     ("q", "\u0663 x1:a"),
     ("q", "x\u0661:a"),
+    # texts that the direct parse declines at a later step: a number after
+    # letters, two numbers, two signs, a term with no letter, an unknown
+    # element after 299 good terms, a denominator divisible by p
+    ("q", "x1:a 2"),
+    ("q", "2 3 x1:a"),
+    ("q", "- - x1:a"),
+    ("q", "-0"),
+    ("q", "+ x1:a - -x2:e"),
+    ("q", " + ".join(f"{k} x{k}:a x1:e*" for k in range(1, 300)) + " - x1:zz"),
+    ("modp:5", "3/10 x1:a"),
 ]
 
 # Degrees of the long words checked with eval and check on z4 and Klein;

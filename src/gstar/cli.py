@@ -20,8 +20,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import GstarError, InternalCheckError, ParseError, PreconditionError, ResourceCapError
-from .freealg import format_poly, multihomogeneous_components, parse_poly
+from .errors import (ConfigError, GstarError, InternalCheckError, ParseError, PreconditionError,
+                     ResourceCapError)
+from .freealg import format_components, format_poly, multihomogeneous_components, parse_poly
 from .freealg import evaluate as evaluate_poly
 from .gradings import Grading, SignedElement, grading_from_json
 from .identities import (
@@ -152,14 +153,15 @@ def cmd_check(args, grading, field, out) -> int:
     components = multihomogeneous_components(poly)
     reductions = [basis_reduce(comp, grading) for comp in components]
     identity = all(red.is_identity for red in reductions)
+    expression, texts = format_components(poly, components, grading.group)
     payload = {
-        "expression": format_poly(poly, grading.group),
+        "expression": expression,
         "coefficients": field.name,
         "identity": identity,
         "fully_certified": identity and all(red.fully_certified for red in reductions),
         "components": [
-            {**red.to_json(grading.group), "component": format_poly(comp, grading.group)}
-            for comp, red in zip(components, reductions)
+            {**red.to_json(grading.group), "component": text}
+            for text, red in zip(texts, reductions)
         ],
     }
     _emit(payload, args, out)
@@ -323,6 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: Path):
+    """The JSON value in the config file.
+
+    Text that is not UTF-8 or not JSON, an integer past the interpreter's
+    limit on digits and nesting past its recursion limit raise ConfigError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, UnicodeDecodeError included
+        raise ConfigError(str(err)) from None
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call rather than at import."""
@@ -336,16 +351,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT if err.code else EXIT_OK
     try:
         field = parse_field(args.coeff)
-        with open(args.config, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return args.handler(args, grading_from_json(obj), field, sys.stdout)
+        return args.handler(args, grading_from_json(_read_config(args.config)), field, sys.stdout)
     except ResourceCapError as err:
         print(f"resource cap: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalCheckError as err:
         print(f"internal check failed: {err}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (GstarError, OSError, json.JSONDecodeError) as err:
+    except (GstarError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,6 +15,10 @@ class GradingError(GstarError, ValueError):
     """Invalid grading data, e.g. repeated entries in the defining tuple."""
 
 
+class ConfigError(GstarError, ValueError):
+    """A config file that does not decode to a JSON value."""
+
+
 class VariableError(GstarError, ValueError):
     """A variable refers to an element or position the grading cannot host."""
 

@@ -14,9 +14,9 @@ The expression grammar accepted by :func:`parse_poly` (a lone '0' is zero):
     coefficient := int ['/' nonzero int]
 
 Juxtaposition is the noncommutative product.  A factor (a letter) is one
-token.  When every whitespace-separated chunk of the text is a whole
-letter, integer, fraction or sign, the tokens come from ``str.split``, and
-parsing does a few dict lookups per letter; any other text is scanned by
+token.  A text without error whose whitespace-separated chunks are all
+whole letters, integers, fractions and signs is parsed straight from
+``str.split``, at one dict lookup per letter; any other text is scanned by
 one regex.  Whitespace may separate any two tokens and the parts of a
 letter, and every malformed input raises :class:`ParseError`; over F_p a
 denominator divisible by p raises :class:`FieldError` instead.
@@ -196,60 +196,69 @@ _TOKEN = re.compile(r"(?P<letter>x(\d+)\s*:\s*((?!x\d)[A-Za-z_][A-Za-z0-9_]*)(?:
                     r"|(?P<minus>-)|(?P<slash>/)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)")
 
 
-# A chunk of text between whitespace whose tokens need no scan by _TOKEN: a
-# lone sign, or an optional sign and then a letter with no whitespace inside
-# or an ASCII integer or fraction.  Any other chunk sends the whole text to
-# _TOKEN.  An accepted chunk holds exactly the tokens that _TOKEN finds
-# there, because only a letter token spans whitespace, and no accepted chunk
-# ends inside a letter or starts with the star that could end one.
-_CHUNK = re.compile(r"([+-]?)(?:(x[0-9]+:(?!x[0-9])[A-Za-z_][A-Za-z0-9_]*\*?)|([0-9]+)(?:/([0-9]+))?)"
-                    r"|[+-]")
-_SIGN = {"+": "plus", "-": "minus"}
+# A chunk between whitespace that _direct_parse reads: a sign, a letter with
+# no whitespace inside or an ASCII integer or fraction, or a sign and one of
+# those.  _TOKEN finds the same tokens in it, as only a letter token spans
+# whitespace and no such chunk ends inside a letter or starts with its star.
+_WHOLE = re.compile(r"([+-]?)(?:x([0-9]+):((?!x[0-9])[A-Za-z_][A-Za-z0-9_]*)(\*?)"
+                    r"|([0-9]+)(?:/([0-9]+))?)?")
 
 
-def _chunk_kind(chunk: str):
-    """The kind of a chunk that ``_CHUNK`` accepts as one token, the
-    (kind, text, offset) tokens of one it accepts as several, else None."""
-    match = _CHUNK.fullmatch(chunk)
+def _chunk_item(chunk: str, group: Group, field):
+    """The (sign, coefficient, letter) of a chunk, '' or None where absent;
+    None for a chunk that ``_WHOLE`` or the scan rejects."""
+    match = _WHOLE.fullmatch(chunk)
     if match is None:
         return None
-    sign, letter, num, den = match.groups()
-    if sign is None:  # a lone sign
-        return _SIGN[chunk]
-    tokens = [(_SIGN[sign], sign, 0)] if sign else []
-    at = len(sign)
-    if letter:
-        tokens.append(("letter", letter, at))
-    else:
-        tokens.append(("int", num, at))
-        if den is not None:
-            at += len(num)
-            tokens += [("slash", "/", at), ("int", den, at + 1)]
-    return tokens[0][0] if len(tokens) == 1 else tokens
+    sign, index, name, star, num, den = match.groups()
+    try:  # ValueError: too many digits, an unknown name (GroupError), p | den (FieldError)
+        if index is not None:
+            var = GVar(int(index), group.index_of(name), bool(star))
+            return (sign, None, var) if var.index else None
+        if num is not None:
+            return sign, field.coerce(Fraction(int(num), int(den)) if den else int(num)), None
+    except (ValueError, ZeroDivisionError):
+        return None
+    return sign, None, None
 
 
-def _split_tokens(text: str):
-    """The tokens of a text whose chunks ``_CHUNK`` all accepts, else None.
-
-    Each distinct chunk is classified once per call, and each chunk is
-    found in the text from the end of the one before it.
-    """
-    tokens = []
-    kinds: dict = {}  # chunk -> _chunk_kind(chunk), for this call only
-    cursor = 0
+def _direct_parse(text: str, group: Group, field):
+    """The polynomial of a text of ``_WHOLE`` chunks that parses without
+    error, else None; never raises.  Each distinct chunk is read once."""
+    letters: dict = {}  # unsigned letter chunk -> GVar
+    items: dict = {}  # any other chunk -> its _chunk_item
+    terms: dict = {}
+    one = field.one
+    word, neg, coeff, last = [], False, one, None  # the term being read; last: 'sign' or 'num'
     for chunk in text.split():
-        kind = kinds.get(chunk)
-        if kind is None:
-            kind = kinds[chunk] = _chunk_kind(chunk)
-            if kind is None:
+        var = letters.get(chunk)
+        if var is None:
+            item = items.get(chunk) or _chunk_item(chunk, group, field)
+            if item is None:
                 return None
-        pos = text.find(chunk, cursor)
-        cursor = pos + len(chunk)
-        if isinstance(kind, str):
-            tokens.append((kind, chunk, pos))
-        else:
-            tokens += [(part, val, pos + at) for part, val, at in kind]
-    return tokens
+            s, c, var = item
+            if var is not None and not s:
+                letters[chunk] = var
+            else:
+                items[chunk] = item
+                if s:
+                    if word:
+                        add_term(terms, GMonomial(word), -coeff if neg else coeff)
+                        word, coeff = [], one
+                    elif last:
+                        return None
+                    neg, last = s == "-", "sign"
+                if c is not None:
+                    if word or last == "num":
+                        return None
+                    coeff, last = c, "num"
+                if var is None:
+                    continue
+        word.append(var)
+    if not word:
+        return None
+    add_term(terms, GMonomial(word), -coeff if neg else coeff)
+    return GPolynomial(terms)
 
 
 def _int(digits: str, pos: int) -> int:
@@ -297,13 +306,18 @@ def _malformed_letter(tokens: list, i: int) -> ParseError:
 
 
 def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
-    """Parse an expression in the grammar above; see :func:`format_poly`."""
-    tokens = _split_tokens(text)
-    if tokens is None:
-        tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
-        for kind, val, pos in tokens:
-            if kind == "bad":
-                raise ParseError(f"unexpected character {val!r}", pos)
+    """Parse an expression in the grammar above; see :func:`format_poly`.
+    Texts that the direct parse declines go to the scan, which raises."""
+    poly = _direct_parse(text, group, field)
+    return _scan_parse(text, group, field) if poly is None else poly
+
+
+def _scan_parse(text: str, group: Group, field) -> GPolynomial:
+    """Parse the tokens that ``_TOKEN`` finds in the text."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for kind, val, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", pos)
     if not tokens:
         raise ParseError("empty expression", 0)
     if len(tokens) == 1 and tokens[0][:2] == ("int", "0"):
@@ -355,23 +369,33 @@ def parse_poly(text: str, group: Group, field=RATIONALS) -> GPolynomial:
 
 def format_poly(f: GPolynomial, group: Group) -> str:
     """Canonical text form; round-trips through :func:`parse_poly`."""
-    if f.is_zero:
-        return "0"
-    chunks = []
-    for k, (mono, coeff) in enumerate(f.terms_sorted()):
-        neg = _is_negative(coeff)
-        mag = -coeff if neg else coeff
-        body = mono.render(group)
-        piece = body if mag == 1 else f"{format_coeff(mag)} {body}"
-        if k == 0:
-            chunks.append(f"-{piece}" if neg else piece)
-        else:
-            chunks.append(f"- {piece}" if neg else f"+ {piece}")
-    return " ".join(chunks)
+    return _joined([_term_text(m, c, group) for m, c in f.terms_sorted()])
 
 
-def _is_negative(c) -> bool:
+def format_components(f: GPolynomial, components: list, group: Group) -> tuple[str, list]:
+    """``format_poly`` of f and of each part of
+    :func:`multihomogeneous_components`, formatting each term once."""
+    if len(components) < 2:
+        text = format_poly(f, group)
+        return text, [text] * len(components)
+    texts = {m: _term_text(m, c, group) for m, c in f.terms.items()}
+    text, *parts = [_joined([texts[m] for m, _ in g.terms_sorted()]) for g in (f, *components)]
+    return text, parts
+
+
+def _term_text(mono: GMonomial, coeff, group: Group) -> str:
+    """The term as it follows another: '+ x1:a' or '- 2 x1:a'."""
     try:
-        return c < 0
-    except TypeError:
-        return False
+        neg = coeff < 0
+    except TypeError:  # an element of F_p has no sign
+        neg = False
+    mag = -coeff if neg else coeff
+    body = mono.render(group)
+    return ("- " if neg else "+ ") + (body if mag == 1 else f"{format_coeff(mag)} {body}")
+
+
+def _joined(texts: list) -> str:
+    if not texts:
+        return "0"
+    text = " ".join(texts)  # a leading sign is dropped if '+', else written unspaced
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -81,6 +81,10 @@ MALFORMED_CONFIGS = {
     "bool-table-entries": {"group": {"elements": ["e", "a"], "table": [[0, True], [True, 0]]},
                            "tuple": ["e", "a"]},
     "number-table-row": {"group": {"elements": ["e"], "table": [0]}, "tuple": ["e"]},
+    # files that do not decode to JSON values, given as their bytes
+    "not-utf8": b'{"group": {"cyclic": 2}, "tuple": ["\xff"]}',
+    "5000-digit-int": b'{"group": {"cyclic": 1' + b"0" * 5000 + b'}, "tuple": ["e"]}',
+    "100000-nested-lists": b"[" * 100_000,
 }
 
 
@@ -88,7 +92,7 @@ MALFORMED_CONFIGS = {
 @pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
 def test_malformed_config_is_one_line_input_error(config, command, tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     code, out, err = run([command, "--config", str(path)], capsys)
     assert code == 2
     assert out == ""

@@ -291,6 +291,24 @@ def test_format_parse_roundtrip(seed):
     assert parse_poly(format_poly(f, group), group) == f
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
+def test_format_components_formats_as_format_poly(seed, ring):
+    field = RATIONALS if ring == "q" else PrimeField(5)
+    rng = random.Random(seed)
+    grading = random_grading(rng)
+    group = grading.group
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        m = random_monomial(rng, grading, rng.randint(1, 3), allow_off_support=True)
+        m = GMonomial([GVar(rng.randint(1, 2), v.element, v.star) for v in m])
+        terms[m] = field.coerce(Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7])))
+    f = GPolynomial(terms)
+    components = multihomogeneous_components(f)
+    assert freealg.format_components(f, components, group) == (
+        format_poly(f, group), [format_poly(c, group) for c in components])
+
+
 def test_variable_builder(z2):
     a = z2.index_of("a")
     assert variable(3, a) == parse_poly("x3:a", z2)
@@ -428,9 +446,12 @@ def test_letter_text_is_per_group():
 
 
 # ---------------------------------------------------------------------------
-# the split tokenizer against the regex scan
+# the direct parse against the regex scan
 
-# chunks the split path takes, drawn three times as often as the rest
+SPLIT_GROUP = make_from_table(["e", "a", "x"], [[(i + j) % 3 for j in range(3)] for i in range(3)])
+RINGS = {"q": RATIONALS, "modp:5": PrimeField(5)}
+
+# chunks the direct parse takes, drawn three times as often as the rest
 SPLIT_WHOLE = ["x1:a", "x2:e*", "x12:a", "x0:a", "x1:x", "-x1:a", "+", "-", "0", "25", "3/2", "1/0"]
 SPLIT_PIECES = SPLIT_WHOLE * 3 + [
     "x1:x2a", "x1:", "x1", ":a", "a", ":", "*", "/", "2/", "/3",
@@ -439,38 +460,70 @@ SPLIT_PIECES = SPLIT_WHOLE * 3 + [
 # str.split and the regex's \s take all of these but the last, a zero-width
 # space, for whitespace
 SPLIT_SEPARATORS = ["", " ", " ", "  ", "\t", "\x1c", "\x85", "\xa0", "\u2003", "\u200b"]
+SPLIT_TEXTS = st.tuples(
+    st.lists(st.tuples(st.sampled_from(SPLIT_SEPARATORS), st.sampled_from(SPLIT_PIECES)),
+             max_size=12).map(lambda pairs: "".join(w + p for w, p in pairs)),
+    st.sampled_from(SPLIT_SEPARATORS),
+).map("".join)
 
 
-def _scanned(text):
-    return [(m.lastgroup, m[0], m.start()) for m in freealg._TOKEN.finditer(text)]
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(SPLIT_TEXTS, st.text(max_size=40)), st.sampled_from(sorted(RINGS)))
+@example("x1:a - " + "1" * 5000 + " x2:e", "q")
+@example("x" + "9" * 5000 + ":a", "q")
+def test_direct_parse_never_raises(text, ring):
+    poly = freealg._direct_parse(text, SPLIT_GROUP, RINGS[ring])
+    assert poly is None or isinstance(poly, GPolynomial)
 
 
+# the examples include every kind of text that the direct parse declines
 @settings(max_examples=600, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(SPLIT_SEPARATORS), st.sampled_from(SPLIT_PIECES)),
-                max_size=12).map(lambda pairs: "".join(w + p for w, p in pairs)),
-       st.sampled_from(SPLIT_SEPARATORS))
-@example("x1:a *", "")
-@example("x1 :a", "")
-@example("\u00b2 x1:a", "")
-@example("-3/2 x1:a x2:e*\t+ x1:e", " ")
-def test_split_tokens_match_the_regex_scan(text, tail):
-    """Wherever the split path answers, it gives the regex's (kind, text,
-    position) tokens."""
-    text += tail
-    tokens = freealg._split_tokens(text)
-    if tokens is not None:
-        assert tokens == _scanned(text)
+@given(SPLIT_TEXTS, st.sampled_from(sorted(RINGS)))
+@example("x1:a *", "q")  # a chunk that is no whole token
+@example("x1 :a", "q")
+@example("\u00b2 x1:a", "q")
+@example("x0:a", "q")  # an index below 1
+@example("x1:a x00:e", "q")
+@example("x1:b", "q")  # an unknown element
+@example("x1:a " * 299 + "+ x1:b", "q")
+@example("1" * 5000 + " x1:a", "q")  # an oversized number
+@example("1/0 x1:a", "q")  # a zero denominator
+@example("3/10 x1:a", "modp:5")  # a denominator divisible by p
+@example("x1:a 2", "q")  # a number after letters with no sign
+@example("2 3 x1:a", "q")  # two numbers
+@example("2 - x1:a", "q")  # a sign after a number
+@example("- - x1:a", "q")  # two signs
+@example("+ x1:a - -x2:e", "q")
+@example("-0", "q")  # no letter in a term
+@example("x1:a +", "q")
+@example("", "q")
+@example("0", "q")  # zero, which the scan answers
+@example("-3/2 x1:a x2:e*\t+ x1:e - 0 x1:x", "modp:5")
+def test_direct_parse_matches_the_scan(text, ring):
+    """Wherever the direct parse answers, the scan gives the same terms in
+    the same order."""
+    field = RINGS[ring]
+    poly = freealg._direct_parse(text, SPLIT_GROUP, field)
+    if poly is not None:
+        scanned = freealg._scan_parse(text, SPLIT_GROUP, field)
+        assert list(poly.terms.items()) == list(scanned.terms.items())
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
-def test_format_poly_takes_the_split_path(seed, ring):
-    field = RATIONALS if ring == "q" else PrimeField(5)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(sorted(RINGS)))
+def test_direct_parse_takes_format_poly_output(seed, ring):
+    field = RINGS[ring]
     rng = random.Random(seed)
     grading = random_grading(rng)
     terms = {}
     for _ in range(rng.randint(1, 6)):
         m = random_monomial(rng, grading, rng.randint(1, 4), allow_off_support=True)
         terms[m] = field.coerce(Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7])))
-    text = format_poly(GPolynomial(terms), grading.group)
-    assert freealg._split_tokens(text) == _scanned(text)
+    f = GPolynomial(terms)
+    text = format_poly(f, grading.group)
+    poly = freealg._direct_parse(text, grading.group, field)
+    if text == "0":  # the lone zero is left to the scan
+        assert poly is None and parse_poly(text, grading.group, field) == f
+        return
+    assert poly == f
+    assert list(poly.terms.items()) == list(freealg._scan_parse(text, grading.group, field).terms.items())

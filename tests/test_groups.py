@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstar import GroupError, group_from_json, make_cyclic, make_from_table
+from gstar import GroupError, group_from_json, groups, make_cyclic, make_from_table
 from gstar.sampling import standard_gradings
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,6 +102,53 @@ def test_non_associative_rejected():
     ]
     with pytest.raises(GroupError, match="not associative"):
         make_from_table(list("eabcd"), table)
+
+
+def _random_loop(n, rng):
+    """A random Latin square of order n with a two-sided identity: a square
+    with first row and column 0..n-1, filled cell by cell with backtracking,
+    then relabelled by a random permutation."""
+    table = [[i + j if i * j == 0 else None for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        choices = [v for v in range(n) if v not in table[i][:j] and v not in [r[j] for r in table[:i]]]
+        rng.shuffle(choices)
+        for v in choices:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    label = rng.sample(range(n), n)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[label[i]][label[j]] = label[table[i][j]]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
+def test_light_test_agrees_with_the_full_scan(n, rng):
+    table = _random_loop(n, rng)
+    names = [f"g{i}" for i in range(n)]
+    failing = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+               if table[table[a][b]][c] != table[a][table[b][c]]]
+    identity = next(e for e in range(n) if table[e] == list(range(n)))
+    assert groups._light_associative(table, identity) == (not failing)
+    if not failing:
+        assert make_from_table(names, table).identity == identity
+        return
+    a, b, c = (names[x] for x in failing[0])
+    with pytest.raises(GroupError) as err:
+        make_from_table(names, table)
+    assert str(err.value) == f"not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
 
 
 def test_no_identity_rejected():
