@@ -18,7 +18,6 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .errors import (ConfigError, GstarError, InternalCheckError, ParseError, PreconditionError,
                      ResourceCapError)
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, required=True, help="grading config JSON")
+    common.add_argument("--config", required=True, help="grading config JSON")
     common.add_argument("--coeff", default="q", help="coefficient ring: q or modp:P")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -325,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: Path):
+def _read_config(path: str):
     """The JSON value in the config file.
 
     Text that is not UTF-8 or not JSON, an integer past the interpreter's

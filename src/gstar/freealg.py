@@ -34,7 +34,7 @@ from .errors import GroupError, ParseError, PreconditionError, VariableError
 from .genmat import CMonomial, CPolynomial, SparseMatrix, rows_matrix, word_rows
 from .gradings import Grading
 from .groups import Group
-from .rings import RATIONALS, SparseSum, add_term, format_coeff
+from .rings import RATIONALS, Fp, SparseSum, add_term, format_coeff
 
 
 class GVar(NamedTuple):
@@ -385,10 +385,7 @@ def format_components(f: GPolynomial, components: list, group: Group) -> tuple[s
 
 def _term_text(mono: GMonomial, coeff, group: Group) -> str:
     """The term as it follows another: '+ x1:a' or '- 2 x1:a'."""
-    try:
-        neg = coeff < 0
-    except TypeError:  # an element of F_p has no sign
-        neg = False
+    neg = not isinstance(coeff, Fp) and coeff < 0  # an element of F_p has no sign
     mag = -coeff if neg else coeff
     body = mono.render(group)
     return ("- " if neg else "+ ") + (body if mag == 1 else f"{format_coeff(mag)} {body}")

@@ -9,7 +9,6 @@ worse, which is why the order is capped at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import GroupError
@@ -17,17 +16,42 @@ from .errors import GroupError
 MAX_GROUP_ORDER = 64
 
 
-@dataclass(frozen=True)
 class Group:
-    names: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-    # the text of each rendered letter, filled by GMonomial.render
-    letter_texts: dict = field(
-        init=False, repr=False, hash=False, compare=False, default_factory=dict
-    )
+    """A validated group; build one with :func:`make_from_table`.
+
+    Frozen: the fields cannot be reassigned.  Equality and hashing use the
+    four fields, not the two caches.
+    """
+
+    __slots__ = ("names", "table", "identity", "inverse", "_index", "letter_texts")
+
+    def __init__(self, names: tuple[str, ...], table: tuple[tuple[int, ...], ...],
+                 identity: int, inverse: tuple[int, ...]):
+        _set = object.__setattr__
+        _set(self, "names", names)
+        _set(self, "table", table)
+        _set(self, "identity", identity)
+        _set(self, "inverse", inverse)
+        _set(self, "_index", {name: i for i, name in enumerate(names)})
+        # the text of each rendered letter, filled by GMonomial.render
+        _set(self, "letter_texts", {})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.names, self.table, self.identity, self.inverse)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Group:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def order(self) -> int:
@@ -141,14 +165,7 @@ def make_from_table(
 ) -> Group:
     """Build a validated group from element names and a Cayley table of indices."""
     identity, inverse = _validate(names, table)
-    g = Group(
-        names=tuple(names),
-        table=tuple(tuple(row) for row in table),
-        identity=identity,
-        inverse=inverse,
-    )
-    g._index.update({name: i for i, name in enumerate(g.names)})
-    return g
+    return Group(tuple(names), tuple(tuple(row) for row in table), identity, inverse)
 
 
 def cyclic_names(order: int) -> list[str]:

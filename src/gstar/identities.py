@@ -19,8 +19,7 @@ to give (``IdentityListing``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import GMonomial, GPolynomial, GVar, evaluate, variable
@@ -48,8 +47,7 @@ def word_monomial(word: Sequence[SignedElement]) -> GMonomial:
     )
 
 
-@dataclass(frozen=True)
-class MonomialWitness:
+class MonomialWitness(NamedTuple):
     """A unit substitution showing a monomial is not an identity.
 
     ``units[p]`` is the (row, col) matrix unit assigned to the variable at
@@ -89,8 +87,7 @@ def witness_for_word(word: Sequence[tuple], grading: Grading) -> Optional[Monomi
     return MonomialWitness(start, units, result)
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     """Outcome of an identity test; a verdict of True carries no witness."""
 
     is_identity: bool
@@ -133,8 +130,7 @@ def congruent_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> boo
     return shared
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     """One elementary rewrite: kind 'swap' exchanges the adjacent neutral
     factors [i,j) and [j,k); kind 'star' replaces the neutral factor [i,j)
     by its involution image."""
@@ -418,8 +414,7 @@ def block_certificate(
     return None
 
 
-@dataclass(frozen=True)
-class IdentityTerm:
+class IdentityTerm(NamedTuple):
     monomial: GMonomial
     coefficient: object
     certificate: Optional[tuple[int, int]]
@@ -432,8 +427,7 @@ class IdentityTerm:
         }
 
 
-@dataclass(frozen=True)
-class CongruenceClass:
+class CongruenceClass(NamedTuple):
     members: tuple[tuple[GMonomial, object], ...]
     total: object
 
@@ -445,8 +439,7 @@ class CongruenceClass:
         }
 
 
-@dataclass(frozen=True)
-class BasisReduction:
+class BasisReduction(NamedTuple):
     """Result of reducing a polynomial against the basis.
 
     ``is_identity`` holds exactly when every congruence class sums to zero;

@@ -10,7 +10,6 @@ algebra and the commuting entry variables) and the sparse matrices use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GstarError
@@ -20,50 +19,63 @@ class FieldError(GstarError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Fp:
-    """An element of the field with ``p`` elements, stored as 0 <= value < p."""
+    """An element of the field with ``p`` elements, stored as 0 <= value < p.
 
-    value: int
-    p: int
+    Frozen: ``value`` and ``p`` are read-only views of two private slots.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
+    __slots__ = ("_value", "_p")
+
+    def __init__(self, value: int, p: int):
+        self._value = value % p
+        self._p = p
+
+    @property
+    def value(self) -> int:
+        return self._value
+
+    @property
+    def p(self) -> int:
+        return self._p
 
     def _check(self, other: "Fp") -> None:
-        if self.p != other.p:
-            raise FieldError(f"mixed moduli {self.p} and {other.p}")
+        if self._p != other._p:
+            raise FieldError(f"mixed moduli {self._p} and {other._p}")
 
     def __add__(self, other: "Fp") -> "Fp":
         self._check(other)
-        return Fp(self.value + other.value, self.p)
+        return Fp(self._value + other._value, self._p)
 
     def __sub__(self, other: "Fp") -> "Fp":
         self._check(other)
-        return Fp(self.value - other.value, self.p)
+        return Fp(self._value - other._value, self._p)
 
     def __mul__(self, other: "Fp") -> "Fp":
         self._check(other)
-        return Fp(self.value * other.value, self.p)
+        return Fp(self._value * other._value, self._p)
 
     def __neg__(self) -> "Fp":
-        return Fp(-self.value, self.p)
+        return Fp(-self._value, self._p)
 
     def __bool__(self) -> bool:
-        return self.value != 0
+        return self._value != 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Fp):
-            return self.p == other.p and self.value == other.value
+            return self._p == other._p and self._value == other._value
         if isinstance(other, int):
-            return self.value == other % self.p
+            return self._value == other % self._p
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.value, self.p))
+        return hash((self._value, self._p))
+
+    def __repr__(self) -> str:
+        return f"Fp(value={self._value!r}, p={self._p!r})"
 
     def __str__(self) -> str:
-        return str(self.value)
+        return str(self._value)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound

@@ -8,7 +8,7 @@ where the heavier exhaustive variants back the acceptance criteria.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .freealg import (
     GPolynomial,
@@ -39,8 +39,7 @@ from .sampling import (
 )
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -49,8 +48,7 @@ class SuiteResult:
         return {"suite": self.name, "pass": self.passed, "detail": self.detail}
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     """Outcome of an exhaustive walk over all signed support words."""
 
     words: int
@@ -343,8 +341,7 @@ def _suite_basis_reduce(grading: Grading, rng: random.Random, field, polys: int)
     )
 
 
-@dataclass
-class SelftestReport:
+class SelftestReport(NamedTuple):
     grading: str
     seed: int
     results: list

@@ -52,6 +52,12 @@ def test_missing_config_is_input_error(capsys):
     assert "error" in err
 
 
+def test_empty_config_path_names_the_path_as_given(capsys):
+    # argparse keeps the path a str: Path("") would be "." and read as a directory
+    assert run(["info", "--config", ""], capsys) == (
+        2, "", "error: [Errno 2] No such file or directory: ''\n")
+
+
 def test_corrupt_config_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstar import GroupError, group_from_json, groups, make_cyclic, make_from_table
+from gstar import GMonomial, GroupError, GVar, group_from_json, groups, make_cyclic, make_from_table
 from gstar.sampling import standard_gradings
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,3 +215,15 @@ def test_inverse_read_off_table_is_two_sided(name):
     group = SUITE_GROUPS[name]
     for a in group.elements():
         assert group.mul(a, group.inv(a)) == group.mul(group.inv(a), a) == group.identity
+
+
+def test_group_is_frozen_and_compares_without_its_caches():
+    g, h = make_cyclic(3), make_cyclic(3)
+    GMonomial([GVar(1, 1, True)]).render(g)  # fills g.letter_texts
+    assert g.letter_texts and not h.letter_texts
+    assert g == h and hash(g) == hash(h) and g != make_cyclic(4)
+    assert repr(g) == "Group(e, a, a2)"
+    for name in ("names", "table", "identity", "inverse", "letter_texts", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    assert g.names == ("e", "a", "a2") and g.index_of("a2") == 2

@@ -56,6 +56,16 @@ def test_fp_mixed_moduli_rejected():
         PrimeField(3).coerce(Fp(1, 5))
 
 
+def test_fp_is_a_frozen_normalised_value():
+    x = Fp(12, 5)
+    assert (x.value, x.p, repr(x), str(x)) == (2, 5, "Fp(value=2, p=5)", "2")
+    assert x == Fp(-3, 5) == 7 and hash(x) == hash(Fp(2, 5))
+    for name in ("value", "p", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert x.value == 2
+
+
 def test_fp_coerces_fractions():
     f = PrimeField(7)
     # 3/2 = 3 * inverse(2) = 3 * 4 = 12 = 5 mod 7
