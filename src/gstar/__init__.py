@@ -8,6 +8,8 @@ relation, the off-support variables, and the monomial identities of degree
 at most 2n-1.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     GradingError,
     GroupError,
@@ -20,19 +22,20 @@ from .errors import (
     VariableError,
 )
 from .freealg import (
-    GMonomial,
     GPolynomial,
     GVar,
     evaluate,
     evaluate_monomial,
     format_poly,
+    multidegree,
     multihomogeneous_components,
     parse_poly,
+    render_word,
     star_polynomial,
+    star_word,
     variable,
 )
 from .genmat import (
-    CMonomial,
     CPolynomial,
     SparseMatrix,
     closed_form_product,
@@ -40,6 +43,7 @@ from .genmat import (
     generic_matrix_signed,
     honest_product,
     iter_rows,
+    render_entry_monomial,
     word_rows,
 )
 from .gradings import (
@@ -79,4 +83,6 @@ from .selftest import exhaustive_word_scan, run_selftest
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here too, by the imports above; they are not public names
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

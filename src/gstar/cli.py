@@ -21,7 +21,8 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import (ConfigError, GstarError, InternalCheckError, ParseError, PreconditionError,
                      ResourceCapError)
-from .freealg import format_components, format_poly, multihomogeneous_components, parse_poly
+from .freealg import (format_components, format_poly, multihomogeneous_components, parse_poly,
+                      render_word)
 from .freealg import evaluate as evaluate_poly
 from .gradings import Grading, SignedElement, grading_from_json
 from .identities import (
@@ -194,7 +195,8 @@ def _single_monomial(text: str, grading: Grading, field):
 def cmd_congruent(args, grading, field, out) -> int:
     m1 = _single_monomial(args.first, grading, field)
     m2 = _single_monomial(args.second, grading, field)
-    payload: dict = {"first": m1.render(grading.group), "second": m2.render(grading.group)}
+    group = grading.group
+    payload: dict = {"first": render_word(m1, group), "second": render_word(m2, group)}
     try:
         flag = congruent_mod_neutral(m1, m2, grading)
     except PreconditionError as err:  # an identity input: congruence is undefined
@@ -202,7 +204,7 @@ def cmd_congruent(args, grading, field, out) -> int:
     payload["congruent"] = flag
     if flag:
         chain = derivation_mod_neutral(m1, m2, grading)
-        payload["derivation"] = [step.to_json(grading.group) for step in chain]
+        payload["derivation"] = [step.to_json(group) for step in chain]
     _emit(payload, args, out)
     return EXIT_OK
 

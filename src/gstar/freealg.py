@@ -1,7 +1,8 @@
 """The free graded algebra with involution and its generic evaluation.
 
 Variables come in families x_{k,g} (degree g) and x*_{k,g} (degree g^{-1});
-words in them are noncommutative.  The involution reverses a word and
+words in them are noncommutative, and a word is the plain tuple of its
+(index, element, star) letters.  The involution reverses a word and
 toggles every star.  Evaluation substitutes the generic matrix for the
 slot/element pair of each plain variable and its transpose for each starred
 one, landing in the sparse exact matrices of :mod:`gstar.genmat`.
@@ -27,11 +28,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import GroupError, ParseError, PreconditionError, VariableError
-from .genmat import CMonomial, CPolynomial, SparseMatrix, rows_matrix, word_rows
+from .genmat import CPolynomial, SparseMatrix, rows_matrix, word_rows
 from .gradings import Grading
 from .groups import Group
 from .rings import RATIONALS, Fp, SparseSum, add_term, format_coeff
@@ -44,78 +45,47 @@ class GVar(NamedTuple):
     element: int
     star: bool = False
 
-    def render(self, group: Group) -> str:
-        return f"x{self.index}:{group.name_of(self.element)}" + ("*" if self.star else "")
-
 
 _index_element = itemgetter(0, 1)
 
 
-class GMonomial:
-    """A nonempty noncommutative word of free variables."""
+def star_word(word: Sequence[tuple]) -> tuple:
+    """The involution of a word of (index, element, star) letters: reverse
+    it and toggle every star flag."""
+    return tuple([GVar(index, element, not star) for index, element, star in reversed(word)])
 
-    __slots__ = ("letters", "_text")
 
-    def __init__(self, letters: Sequence[GVar]):
-        self.letters = tuple(letters)
-        self._text = None  # (group, text) of the last rendering
+def multidegree(word: Sequence[tuple]) -> tuple:
+    """The (index, element) pair of every letter, sorted: starred and plain
+    letters pooled, each pair as often as it occurs."""
+    return tuple(sorted(map(_index_element, word)))
 
-    def __len__(self) -> int:
-        return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
+def render_word(word: Sequence[tuple], group: Group) -> str:
+    """The text of a word, such as 'x1:a x2:e*'.  Each letter's text is
+    kept in the group's memo, which a letter new to it is rendered into."""
+    texts = group.letter_texts
+    try:
+        return " ".join([texts[v] for v in word])
+    except KeyError:
+        texts.update((v, _letter_text(v, group)) for v in word)
+        return " ".join([texts[v] for v in word])
 
-    def __mul__(self, other: "GMonomial") -> "GMonomial":
-        return GMonomial(self.letters + other.letters)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GMonomial) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def sort_key(self) -> tuple:
-        # a GVar is the tuple (index, element, star), so the letters order as such
-        return (len(self.letters), self.letters)
-
-    def star(self) -> "GMonomial":
-        """Reverse the word and toggle every star flag."""
-        return GMonomial(
-            tuple(GVar(v.index, v.element, not v.star) for v in reversed(self.letters))
-        )
-
-    def multidegree(self) -> tuple:
-        """The (index, element) pair of every letter, sorted: starred and
-        plain letters pooled, each pair as often as it occurs."""
-        return tuple(sorted(map(_index_element, self.letters)))
-
-    def render(self, group: Group) -> str:
-        # the word keeps its text for the group it last rendered with, so a
-        # report renders each of its words once; a word with a letter new to
-        # the group's memo renders its letters into it
-        if self._text is not None and self._text[0] is group:
-            return self._text[1]
-        texts = group.letter_texts
-        try:
-            text = " ".join([texts[v] for v in self.letters])
-        except KeyError:
-            texts.update((v, v.render(group)) for v in self.letters)
-            text = " ".join([texts[v] for v in self.letters])
-        self._text = (group, text)
-        return text
-
-    def __repr__(self) -> str:
-        inner = " ".join(
-            f"x{v.index}:{v.element}" + ("*" if v.star else "") for v in self.letters
-        )
-        return f"GMonomial({inner})"
+def _letter_text(letter: tuple, group: Group) -> str:
+    index, element, star = letter
+    return f"x{index}:{group.name_of(element)}" + ("*" if star else "")
 
 
 class GPolynomial(SparseSum):
-    """A finite sum coeff * word in the free algebra; see :class:`SparseSum`."""
+    """A finite sum coeff * word in the free algebra; see :class:`SparseSum`.
+
+    A word is the nonempty tuple of its letters.
+    """
 
     __slots__ = ()
+    product = staticmethod(add)  # concatenation
+    order = staticmethod(lambda word: (len(word), word))  # by length, then by letters
 
     def render(self, group: Group) -> str:
         return format_poly(self, group)
@@ -128,12 +98,12 @@ def variable(index: int, element: int, star: bool = False, one=None) -> GPolynom
     """The single-letter polynomial x{index}:{element}, starred if asked."""
     if one is None:
         one = RATIONALS.one
-    return GPolynomial({GMonomial([GVar(index, element, star)]): one})
+    return GPolynomial({(GVar(index, element, star),): one})
 
 
 def star_polynomial(f: GPolynomial) -> GPolynomial:
     """The involution: reverse every word, toggle every star."""
-    return GPolynomial({m.star(): c for m, c in f.terms.items()})
+    return GPolynomial({star_word(m): c for m, c in f.terms.items()})
 
 
 def multihomogeneous_components(f: GPolynomial) -> list[GPolynomial]:
@@ -146,7 +116,7 @@ def multihomogeneous_components(f: GPolynomial) -> list[GPolynomial]:
     """
     buckets: dict[tuple, dict] = {}
     for m, c in f.terms.items():
-        buckets.setdefault(m.multidegree(), {})[m] = c
+        buckets.setdefault(multidegree(m), {})[m] = c
     return [GPolynomial(buckets[key]) for key in sorted(buckets, key=_pair_counts)]
 
 
@@ -158,21 +128,21 @@ def _pair_counts(multidegree: tuple) -> tuple:
 def _check_elements(f: GPolynomial, grading: Grading) -> None:
     order = grading.group.order
     for m in f.terms:
-        if not len(m):
+        if not m:
             raise PreconditionError("cannot evaluate the empty word")
-        for v in m:
-            if not 0 <= v.element < order:
+        for index, element, _ in m:
+            if not 0 <= element < order:
                 raise VariableError(
-                    f"variable x{v.index} refers to element index {v.element}, "
+                    f"variable x{index} refers to element index {element}, "
                     f"but the group has order {order}"
                 )
 
 
-def evaluate_monomial(mono: GMonomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
+def evaluate_monomial(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> SparseMatrix:
     """The product of generic matrices substituted for the word's letters."""
-    if not len(mono):
+    if not word:
         raise PreconditionError("cannot evaluate the empty word")
-    return rows_matrix(word_rows(mono.letters, grading), grading.n, field.one)
+    return rows_matrix(word_rows(word, grading), grading.n, field.one)
 
 
 def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
@@ -181,8 +151,8 @@ def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
     sums: dict = {}  # position -> {monomial: coefficient}, summed in place
     for mono, coeff in f.terms.items():
         coeff = field.one * coeff
-        for start, end, variables in word_rows(mono.letters, grading):
-            add_term(sums.setdefault((start, end), {}), CMonomial(variables), coeff)
+        for start, end, variables in word_rows(mono, grading):
+            add_term(sums.setdefault((start, end), {}), tuple(sorted(variables)), coeff)
     return SparseMatrix(grading.n, {pos: CPolynomial(terms) for pos, terms in sums.items()})
 
 
@@ -243,7 +213,7 @@ def _direct_parse(text: str, group: Group, field):
                 items[chunk] = item
                 if s:
                     if word:
-                        add_term(terms, GMonomial(word), -coeff if neg else coeff)
+                        add_term(terms, tuple(word), -coeff if neg else coeff)
                         word, coeff = [], one
                     elif last:
                         return None
@@ -257,7 +227,7 @@ def _direct_parse(text: str, group: Group, field):
         word.append(var)
     if not word:
         return None
-    add_term(terms, GMonomial(word), -coeff if neg else coeff)
+    add_term(terms, tuple(word), -coeff if neg else coeff)
     return GPolynomial(terms)
 
 
@@ -358,7 +328,7 @@ def _scan_parse(text: str, group: Group, field) -> GPolynomial:
             raise _malformed_letter(tokens, i)
         if not letters:
             raise ParseError("a term needs at least one variable", pos)
-        add_term(terms, GMonomial(letters), -coeff if negative else coeff)
+        add_term(terms, tuple(letters), -coeff if negative else coeff)
         if kind is None:
             return GPolynomial(terms)
         if kind not in ("plus", "minus"):
@@ -383,11 +353,11 @@ def format_components(f: GPolynomial, components: list, group: Group) -> tuple[s
     return text, parts
 
 
-def _term_text(mono: GMonomial, coeff, group: Group) -> str:
+def _term_text(mono: tuple, coeff, group: Group) -> str:
     """The term as it follows another: '+ x1:a' or '- 2 x1:a'."""
     neg = not isinstance(coeff, Fp) and coeff < 0  # an element of F_p has no sign
     mag = -coeff if neg else coeff
-    body = mono.render(group)
+    body = render_word(mono, group)
     return ("- " if neg else "+ ") + (body if mag == 1 else f"{format_coeff(mag)} {body}")
 
 

@@ -9,7 +9,8 @@ per row, always a single monomial with coefficient one.  The word kernel
 time, and every evaluation goes through it (``word_rows`` lists its rows).
 An entry variable is the plain (slot, row, col) triple, and a letter the
 plain (slot, element, star) triple, such as a :class:`~gstar.freealg.GVar`,
-on every path.
+on every path; an entry monomial is the sorted tuple of its entry
+variables, and a word the tuple of its letters.
 
 ``honest_product`` is the independent oracle that ``selftest`` and the tests
 compare the kernel against: it multiplies the generic matrices of the
@@ -34,64 +35,40 @@ from .gradings import Grading
 from .rings import RATIONALS, SparseSum, add_term, format_coeff
 
 
-class CMonomial:
-    """A commutative monomial: a multiset of (slot, row, col) entry variables, stored sorted."""
-
-    __slots__ = ("vars",)
-
-    def __init__(self, variables: Sequence[tuple]):
-        self.vars = tuple(sorted(variables))
-
-    @property
-    def degree(self) -> int:
-        return len(self.vars)
-
-    def __mul__(self, other: "CMonomial") -> "CMonomial":
-        return CMonomial(self.vars + other.vars)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CMonomial) and self.vars == other.vars
-
-    def __hash__(self) -> int:
-        return hash(self.vars)
-
-    def __lt__(self, other: "CMonomial") -> bool:
-        return self.vars < other.vars
-
-    def sort_key(self) -> tuple:
-        return self.vars
-
-    def render(self) -> str:
-        if not self.vars:
-            return "1"
-        parts = []
-        for (slot, row, col), grp in groupby(self.vars):
-            k = len(list(grp))
-            text = f"y[{slot},{row},{col}]"
-            parts.append(text if k == 1 else f"{text}^{k}")
-        return "*".join(parts)
-
-    def __repr__(self) -> str:
-        return f"CMonomial({self.render()})"
-
-
-ONE_MONOMIAL = CMonomial(())
+def render_entry_monomial(mono: tuple) -> str:
+    """The text of an entry monomial, a sorted tuple of (slot, row, col)
+    variables: y[slot,row,col] factors joined by '*', a repeated one as a
+    power; '1' for the empty monomial."""
+    if not mono:
+        return "1"
+    parts = []
+    for (slot, row, col), grp in groupby(mono):
+        k = len(list(grp))
+        text = f"y[{slot},{row},{col}]"
+        parts.append(text if k == 1 else f"{text}^{k}")
+    return "*".join(parts)
 
 
 class CPolynomial(SparseSum):
-    """A finite sum coeff * monomial in the entry variables; see :class:`SparseSum`."""
+    """A finite sum coeff * monomial in the entry variables; see :class:`SparseSum`.
+
+    A monomial is the sorted tuple of its (slot, row, col) variables, ()
+    for 1.
+    """
 
     __slots__ = ()
+    product = staticmethod(lambda m1, m2: tuple(sorted(m1 + m2)))  # a sorted merge
+    order = None  # tuple order
 
     def canonical_key(self) -> tuple:
-        return tuple((m.vars, c) for m, c in self.terms_sorted())
+        return tuple(self.terms_sorted())
 
     def render(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
         for m, c in self.terms_sorted():
-            body = m.render()
+            body = render_entry_monomial(m)
             if c == 1:
                 piece = body
             elif c == -1:
@@ -120,7 +97,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n: int, one) -> "SparseMatrix":
-        p = CPolynomial({ONE_MONOMIAL: one})
+        p = CPolynomial({(): one})
         return cls(n, {(i, i): p for i in range(n)})
 
     @property
@@ -184,7 +161,7 @@ def generic_matrix_signed(letter: tuple, grading: Grading, field=RATIONALS) -> S
     entries = {}
     for i in hat.domain():
         j = hat(i)
-        entries[(j, i) if star else (i, j)] = CPolynomial({CMonomial([(slot, i, j)]): one})
+        entries[(j, i) if star else (i, j)] = CPolynomial({((slot, i, j),): one})
     return SparseMatrix(grading.n, entries)
 
 
@@ -197,8 +174,8 @@ def honest_product(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> 
 def iter_rows(word: Sequence[tuple], grading: Grading):
     """The word kernel: walk each start row through a slotted word in turn.
 
-    ``word`` holds (slot, element, star) triples, such as a GMonomial's
-    letters; each moves a row along the hat of its signed degree.  Every
+    ``word`` holds (slot, element, star) triples, such as the letters of a
+    word; each moves a row along the hat of its signed degree.  Every
     element is range-checked and every letter's hat row looked up once,
     before the first walk.  Yields (start, end, variables) per surviving
     start row, lazily and in increasing order of start: the generic
@@ -233,7 +210,8 @@ def word_rows(word: Sequence[tuple], grading: Grading) -> list:
 def rows_matrix(rows: list, n: int, one) -> SparseMatrix:
     """The sparse matrix of kernel rows: one monic monomial per surviving row."""
     return SparseMatrix(n, {
-        (start, end): CPolynomial({CMonomial(variables): one}) for start, end, variables in rows
+        (start, end): CPolynomial({tuple(sorted(variables)): one})
+        for start, end, variables in rows
     })
 
 

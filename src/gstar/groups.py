@@ -33,7 +33,7 @@ class Group:
         _set(self, "identity", identity)
         _set(self, "inverse", inverse)
         _set(self, "_index", {name: i for i, name in enumerate(names)})
-        # the text of each rendered letter, filled by GMonomial.render
+        # the text of each rendered letter, filled by freealg.render_word
         _set(self, "letter_texts", {})
 
     def __setattr__(self, name: str, value) -> None:

@@ -22,7 +22,7 @@ import random
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
-from .freealg import GMonomial, GPolynomial, GVar, evaluate, variable
+from .freealg import GPolynomial, GVar, evaluate, render_word, star_word, variable
 from .genmat import evaluation_key, iter_rows, word_rows
 from .gradings import CompositionGraph, Grading, SignedElement, signed_degree
 from .groups import Group
@@ -40,11 +40,9 @@ _NON_IDENTITY = "congruence is only defined for non-identity monomials"
 # words and witnesses
 
 
-def word_monomial(word: Sequence[SignedElement]) -> GMonomial:
+def word_monomial(word: Sequence[SignedElement]) -> tuple:
     """The index-free representative: fresh variable indices 1, 2, ... along the word."""
-    return GMonomial(
-        [GVar(p, se.element, se.star) for p, se in enumerate(word, 1)]
-    )
+    return tuple([GVar(p, se.element, se.star) for p, se in enumerate(word, 1)])
 
 
 class MonomialWitness(NamedTuple):
@@ -95,9 +93,9 @@ class IdentityVerdict(NamedTuple):
     offending: tuple = ()
 
 
-def is_monomial_identity(mono: GMonomial, grading: Grading) -> IdentityVerdict:
+def is_monomial_identity(mono: Sequence[tuple], grading: Grading) -> IdentityVerdict:
     """Monomial identity test via the word kernel, with a witness otherwise."""
-    witness = witness_for_word(mono.letters, grading)
+    witness = witness_for_word(mono, grading)
     return IdentityVerdict(witness is None, witness=witness)
 
 
@@ -113,15 +111,15 @@ def is_identity(f: GPolynomial, grading: Grading, field=RATIONALS) -> IdentityVe
 # congruence modulo the neutral ideal
 
 
-def congruent_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> bool:
+def congruent_mod_neutral(m1: Sequence[tuple], m2: Sequence[tuple], grading: Grading) -> bool:
     """Decide congruence of two non-identity monomials modulo the neutral ideal.
 
     Sharing one nonzero entry at one position already forces the full
     generic evaluations to coincide; both formulations are computed from the
     evaluation keys and cross-checked here.
     """
-    e1 = evaluation_key(m1.letters, grading)
-    e2 = evaluation_key(m2.letters, grading)
+    e1 = evaluation_key(m1, grading)
+    e2 = evaluation_key(m2, grading)
     if not e1 or not e2:
         raise PreconditionError(_NON_IDENTITY)
     shared = not set(e1).isdisjoint(e2)
@@ -139,10 +137,11 @@ class DerivationStep(NamedTuple):
     i: int
     j: int
     k: Optional[int]
-    result: GMonomial
+    result: tuple
 
     def to_json(self, group: Group) -> dict:
-        out = {"kind": self.kind, "i": self.i, "j": self.j, "result": self.result.render(group)}
+        out = {"kind": self.kind, "i": self.i, "j": self.j,
+               "result": render_word(self.result, group)}
         if self.k is not None:
             out["k"] = self.k
         return out
@@ -153,7 +152,7 @@ def _moved(letters: tuple, kind: str, i: int, j: int, k: Optional[int] = None) -
     replaces the factor [i,j) by its involution image, kind 'swap'
     exchanges the factors [i,j) and [j,k)."""
     if kind == "star":
-        return letters[:i] + GMonomial(letters[i:j]).star().letters + letters[j:]
+        return letters[:i] + star_word(letters[i:j]) + letters[j:]
     return letters[:i] + letters[j:k] + letters[i:j] + letters[k:]
 
 
@@ -163,8 +162,8 @@ def _rewrites(letters: tuple, group: Group):
     star of the neutral factor [i,j) first, then its swaps with each neutral
     factor [j,k)."""
     pref = [group.identity]
-    for v in letters:
-        pref.append(group.mul(pref[-1], signed_degree(v.element, v.star, group)))
+    for _, element, star in letters:
+        pref.append(group.mul(pref[-1], signed_degree(element, star, group)))
     n = len(pref)
     for i in range(n - 1):
         g = pref[i]
@@ -177,7 +176,7 @@ def _rewrites(letters: tuple, group: Group):
                     yield "swap", i, j, k, _moved(letters, "swap", i, j, k)
 
 
-def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> list[DerivationStep]:
+def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading) -> list[DerivationStep]:
     """An explicit rewrite chain from m2 to m1, of at most 2 len(m1) steps.
 
     Every step instantiates one neutral-ideal generator, so each step
@@ -210,7 +209,7 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
     congruent: m2 must have an entry at m1's first start row that equals
     m1's, and that one shared entry forces equal evaluations.
     """
-    rows1, rows2 = word_rows(m1.letters, grading), word_rows(m2.letters, grading)
+    rows1, rows2 = word_rows(m1, grading), word_rows(m2, grading)
     if not rows1 or not rows2:
         raise PreconditionError(_NON_IDENTITY)
     start, end, wanted = rows1[0]
@@ -218,8 +217,8 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
                   if s == start and t == end and sorted(v) == sorted(wanted)), None)
     if edges is None:
         raise PreconditionError("derivation requires congruent monomials")
-    word = m2.letters
-    rows = [start, *(e[1] if v.star else e[2] for v, e in zip(word, edges))]
+    word = m2
+    rows = [start, *(e[1] if star else e[2] for (_, _, star), e in zip(word, edges))]
     chain: list[DerivationStep] = []
 
     def rewrite(kind: str, i: int, j: int, k: Optional[int] = None) -> None:
@@ -233,15 +232,15 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
         else:
             for seq in (edges, rows):
                 seq[i:k] = seq[j:k] + seq[i:j]
-        chain.append(DerivationStep(kind, i, j, k, GMonomial(word)))
+        chain.append(DerivationStep(kind, i, j, k, word))
 
-    for p, letter in enumerate(m1.letters):
+    for p, letter in enumerate(m1):
         if word[p] == letter:
             continue
         v, e = rows[p], wanted[p]
         q = edges.index(e, p)
         if e[1] == e[2]:
-            if word[q].star != letter.star:
+            if word[q][2] != letter[2]:  # the star flags
                 rewrite("star", q, q + 1)
             if q > p:
                 rewrite("swap", p, q, q + 1)
@@ -254,7 +253,7 @@ def derivation_mod_neutral(m1: GMonomial, m2: GMonomial, grading: Grading) -> li
                         if rows[c] == rows[d])
             rewrite("star", c, d)
             rewrite("star", p, c + d - q)
-    if word != m1.letters:
+    if word != m1:
         raise InternalCheckError("derivation does not land on the first monomial")
     return chain
 
@@ -349,7 +348,7 @@ def verify_basis(grading: Grading, field=RATIONALS, samples: int = 0, seed: int 
 
 
 def subword_identity_certificate(
-    mono: GMonomial, grading: Grading
+    mono: Sequence[tuple], grading: Grading
 ) -> Optional[tuple[int, int]]:
     """Shortest contiguous identity subword of degree at most 2n-1, if any.
 
@@ -359,7 +358,7 @@ def subword_identity_certificate(
     conclude anything.
     """
     graph, group = grading.composition_graph, grading.group
-    degrees = [signed_degree(element, star, group) for _, element, star in mono.letters]
+    degrees = [signed_degree(element, star, group) for _, element, star in mono]
     best, max_len = None, 2 * grading.n - 1
     for start in range(len(degrees)):
         state = 0
@@ -372,7 +371,7 @@ def subword_identity_certificate(
 
 
 def block_certificate(
-    mono: GMonomial, grading: Grading
+    mono: Sequence[tuple], grading: Grading
 ) -> Optional[tuple[int, ...]]:
     """Certify a monomial identity as a substitution image of a short one.
 
@@ -388,7 +387,7 @@ def block_certificate(
     group = grading.group
     graph = grading.composition_graph
     step, empty = graph.step, graph.empty
-    degrees = [signed_degree(element, star, group) for _, element, star in mono.letters]
+    degrees = [signed_degree(element, star, group) for _, element, star in mono]
     length = len(degrees)
     for start in range(length):
         # state: (position, composition state after the blocks closed so
@@ -415,25 +414,25 @@ def block_certificate(
 
 
 class IdentityTerm(NamedTuple):
-    monomial: GMonomial
+    monomial: tuple
     coefficient: object
     certificate: Optional[tuple[int, int]]
 
     def to_json(self, group: Group) -> dict:
         return {
-            "monomial": self.monomial.render(group),
+            "monomial": render_word(self.monomial, group),
             "coefficient": format_coeff(self.coefficient),
             "subword": list(self.certificate) if self.certificate else None,
         }
 
 
 class CongruenceClass(NamedTuple):
-    members: tuple[tuple[GMonomial, object], ...]
+    members: tuple[tuple[tuple, object], ...]
     total: object
 
     def to_json(self, group: Group) -> dict:
         return {
-            "monomials": [m.render(group) for m, _ in self.members],
+            "monomials": [render_word(m, group) for m, _ in self.members],
             "coefficients": [format_coeff(c) for _, c in self.members],
             "sum": format_coeff(self.total),
         }
@@ -485,7 +484,7 @@ def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
     identity_terms = []
     buckets: dict[tuple, list] = {}
     for mono, coeff in terms:
-        row = next(iter_rows(mono.letters, grading), None)
+        row = next(iter_rows(mono, grading), None)
         if row is None:
             cert = subword_identity_certificate(mono, grading)
             identity_terms.append(IdentityTerm(mono, coeff, cert))
@@ -493,7 +492,7 @@ def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
             start, end, variables = row
             buckets.setdefault((start, end, tuple(sorted(variables))), []).append((mono, coeff))
     classes = []
-    for key in sorted(buckets, key=lambda k: buckets[k][0][0].sort_key()):
+    for key in sorted(buckets, key=lambda k: GPolynomial.order(buckets[k][0][0])):
         members = buckets[key]
         total = members[0][1]
         for _, c in members[1:]:

@@ -205,12 +205,14 @@ def add_term(terms: dict, key, coeff) -> None:
 class SparseSum:
     """A finite sum coeff * monomial; zero coefficients are never stored.
 
-    Subclasses fix the monomials, which must be hashable, provide
-    ``sort_key()`` and multiply with ``*``.  Sums of different subclasses
-    never compare equal, even with the same terms.
+    A monomial is a plain tuple.  Each subclass names its ring's monomial
+    product ``product(m1, m2)`` and its listing order, the sort key
+    ``order(m)`` or None for tuple order, as class attributes.  Sums of
+    different subclasses never compare equal, even with the same terms.
     """
 
     __slots__ = ("terms",)
+    product = order = None
 
     def __init__(self, terms: dict):
         self.terms = {m: c for m, c in terms.items() if c}
@@ -239,14 +241,15 @@ class SparseSum:
         return self + (-other)
 
     def __mul__(self, other):
-        out: dict = {}
+        product, out = self.product, {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                add_term(out, m1 * m2, c1 * c2)
+                add_term(out, product(m1, m2), c1 * c2)
         return type(self)(out)
 
     def terms_sorted(self) -> list:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, key=self.order)]
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms
@@ -256,13 +259,18 @@ class SparseSum:
 
 
 def parse_field(text: str):
-    """Parse a coefficient-ring name: ``q`` or ``modp:P`` with P prime."""
+    """Parse a coefficient-ring name: ``q`` or ``modp:P`` with P prime,
+    written in ASCII digits only."""
     if text == "q":
         return RATIONALS
     if text.startswith("modp:"):
+        digits = text[5:]
+        bad = FieldError(f"bad modulus in {text!r}")
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes signs,
+            raise bad  # underscores, spaces and non-ASCII digits
         try:
-            p = int(text[5:])
-        except ValueError:
-            raise FieldError(f"bad modulus in {text!r}") from None
+            p = int(digits)
+        except ValueError:  # past the interpreter's limit on digits converted from text
+            raise bad from None
         return PrimeField(p)
     raise FieldError(f"unknown coefficient ring {text!r}; use 'q' or 'modp:P'")

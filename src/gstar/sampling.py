@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .freealg import GMonomial, GPolynomial, GVar
+from .freealg import GPolynomial, GVar, multidegree
 from .gradings import Grading, SignedElement, build_grading
 from .groups import Group, make_cyclic, make_from_table
 from .genmat import evaluation_key
@@ -103,29 +103,26 @@ def random_monomial(
     grading: Grading,
     length: int,
     allow_off_support: bool = False,
-) -> GMonomial:
+) -> tuple:
     """A random word with random stars and variable indices 1..4."""
     pool = grading.support_sorted()
     if allow_off_support and grading.off_support() and rng.random() < 0.3:
         pool = pool + grading.off_support()
-    return GMonomial(
-        [
-            GVar(rng.randint(1, 4), rng.choice(pool), rng.random() < 0.5)
-            for _ in range(length)
-        ]
-    )
+    return tuple([
+        GVar(rng.randint(1, 4), rng.choice(pool), rng.random() < 0.5) for _ in range(length)
+    ])
 
 
-def shuffled_monomial(rng: random.Random, base: GMonomial) -> GMonomial:
+def shuffled_monomial(rng: random.Random, base: tuple) -> tuple:
     """A random word over the same (index, element) multiset with fresh stars."""
-    letters = list(base.letters)
+    letters = list(base)
     rng.shuffle(letters)
-    return GMonomial([GVar(v.index, v.element, rng.random() < 0.5) for v in letters])
+    return tuple([GVar(index, element, rng.random() < 0.5) for index, element, _ in letters])
 
 
 def congruent_partner(
-    rng: random.Random, mono: GMonomial, grading: Grading
-) -> Optional[GMonomial]:
+    rng: random.Random, mono: tuple, grading: Grading
+) -> Optional[tuple]:
     """A monomial provably congruent to ``mono``: a random rewrite walk of
     up to four steps.
 
@@ -133,7 +130,7 @@ def congruent_partner(
     the same generic evaluation by construction.  None when the word admits
     no move at all.
     """
-    cur = mono.letters
+    cur = mono
     moved = False
     for _ in range(4):
         steps = list(_rewrites(cur, grading.group))
@@ -141,7 +138,7 @@ def congruent_partner(
             break
         cur = rng.choice(steps)[4]
         moved = True
-    return GMonomial(cur) if moved else None
+    return cur if moved else None
 
 
 def random_multihomogeneous_poly(
@@ -161,10 +158,10 @@ def random_multihomogeneous_poly(
     length = rng.randint(1, 5)
     base = random_monomial(rng, grading, length, allow_off_support=not force_identity)
     one = field.one
-    terms: dict[GMonomial, object] = {}
+    terms: dict[tuple, object] = {}
     singleton_classes: set = set()
 
-    def add(m: GMonomial, c) -> bool:
+    def add(m: tuple, c) -> bool:
         # never merge coefficients: every stored coefficient stays +1 or -1,
         # so class sums land in {0, +1, -1} in any coefficient field
         if m in terms:
@@ -177,7 +174,7 @@ def random_multihomogeneous_poly(
         m = shuffled_monomial(rng, base)
         budget -= 1
         sign = one if rng.random() < 0.5 else -one
-        key = evaluation_key(m.letters, grading)
+        key = evaluation_key(m, grading)
         if not key:
             add(m, sign)
             continue
@@ -203,7 +200,7 @@ def random_multihomogeneous_poly(
     if not terms:
         return None
     poly = GPolynomial(terms)
-    degrees = {m.multidegree() for m in poly.terms}
+    degrees = {multidegree(m) for m in poly.terms}
     if len(degrees) != 1:
         raise AssertionError("generator produced a non-multihomogeneous polynomial")
     return poly

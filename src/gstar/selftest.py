@@ -14,6 +14,7 @@ from .freealg import (
     GPolynomial,
     evaluate,
     evaluate_monomial,
+    render_word,
     star_polynomial,
 )
 from .errors import PreconditionError
@@ -91,14 +92,14 @@ def exhaustive_word_scan(
     def crosscheck(word: tuple[SignedElement, ...]) -> None:
         counter["crosschecks"] += 1
         mono = word_monomial(word)
-        direct = honest_product(mono.letters, grading, field)
-        if closed_form_product(mono.letters, grading, field) != direct:
+        direct = honest_product(mono, grading, field)
+        if closed_form_product(mono, grading, field) != direct:
             failures.append(f"closed form mismatch on {word}")
             return
         if evaluate_monomial(mono, grading, field) != direct:
             failures.append(f"evaluation mismatch on {word}")
         if not direct.is_zero:
-            w = witness_for_word(mono.letters, grading)
+            w = witness_for_word(mono, grading)
             folded = unit_product(
                 [(u[1], u[0]) if se.star else u for u, se in zip(w.units, word)]
             )
@@ -276,7 +277,8 @@ def _suite_congruence(grading: Grading, rng: random.Random, field, pairs: int) -
             continue
         done += 1
         if not congruent_mod_neutral(mono, partner, grading):
-            problems.append(f"engineered congruent pair rejected: {mono!r}")
+            problems.append("engineered congruent pair rejected: "
+                            + render_word(mono, grading.group))
             continue
         chain = derivation_mod_neutral(mono, partner, grading)
         ref = evaluate_monomial(partner, grading, field)

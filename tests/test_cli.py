@@ -309,6 +309,15 @@ def test_bad_coefficient_ring(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("coeff", ["modp:1_1", "modp:+7", "modp: 7", "modp:7 ", "modp:\u0667"])
+def test_modulus_is_ascii_digits_only(coeff, capsys):
+    # int() alone reads each of these as 11 or 7
+    code, out, err = run(["check", "--config", str(CONFIGS / "z2.json"), "--coeff", coeff,
+                          "x1:e x2:e - x2:e x1:e"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad modulus") and err.count("\n") == 1
+
+
 def test_modp_coefficients_accepted(capsys):
     code, payload, _ = run_json(
         [

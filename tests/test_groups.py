@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstar import GMonomial, GroupError, GVar, group_from_json, groups, make_cyclic, make_from_table
+from gstar import GroupError, GVar, group_from_json, groups, make_cyclic, make_from_table, render_word
 from gstar.sampling import standard_gradings
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -219,7 +219,7 @@ def test_inverse_read_off_table_is_two_sided(name):
 
 def test_group_is_frozen_and_compares_without_its_caches():
     g, h = make_cyclic(3), make_cyclic(3)
-    GMonomial([GVar(1, 1, True)]).render(g)  # fills g.letter_texts
+    render_word((GVar(1, 1, True),), g)  # fills g.letter_texts
     assert g.letter_texts and not h.letter_texts
     assert g == h and hash(g) == hash(h) and g != make_cyclic(4)
     assert repr(g) == "Group(e, a, a2)"

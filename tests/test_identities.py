@@ -34,7 +34,7 @@ from gstar import (
     witness_for_word,
     word_monomial,
 )
-from gstar.freealg import GMonomial, GPolynomial
+from gstar.freealg import GPolynomial, multidegree, render_word
 from gstar.identities import _profile_moves, _rewrites, _word_key, block_certificate
 from gstar.genmat import evaluation_key
 from gstar.rings import RATIONALS, PrimeField
@@ -83,7 +83,7 @@ def test_witness_z2(gr_z2, z2, mono):
 
 
 def test_witness_with_star(gr_z6, z6):
-    w = witness_for_word(word_monomial(letters(z6, "a a*")).letters, gr_z6)
+    w = witness_for_word(word_monomial(letters(z6, "a a*")), gr_z6)
     assert w.start == 0
     # the starred position is assigned the transposed unit
     assert w.units == ((0, 1), (0, 1))
@@ -108,7 +108,7 @@ def test_threeway_agreement_small_exhaustive(gr_z2, z2):
         dead = gr_z2.compose_signed(word).is_empty
         m = word_monomial(word)
         assert evaluate_monomial(m, gr_z2).is_zero == dead
-        assert (witness_for_word(m.letters, gr_z2) is None) == dead
+        assert (witness_for_word(m, gr_z2) is None) == dead
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_congruent_monomials_share_letter_multiset(gr_z4, z4):
         if partner is None:
             continue
         assert congruent_mod_neutral(m, partner, gr_z4)
-        assert m.multidegree() == partner.multidegree()
+        assert multidegree(m) == multidegree(partner)
         assert sorted((v.index, v.element) for v in m) == sorted(
             (v.index, v.element) for v in partner
         )
@@ -258,8 +258,8 @@ def test_reversal_derivation_places_one_letter_per_step(gr_z2, z2, mono):
     # on the degree-5 reversal, step t brings x(t+1):e to position t
     m1, m2 = _reversal(5, z2, mono)
     chain = derivation_mod_neutral(m1, m2, gr_z2)
-    assert [step.result.letters[:t + 1] for t, step in enumerate(chain)] == [
-        m1.letters[:t + 1] for t in range(4)]
+    assert [step.result[:t + 1] for t, step in enumerate(chain)] == [
+        m1[:t + 1] for t in range(4)]
     _assert_replays(chain, m1, m2, z2)
 
 
@@ -309,7 +309,7 @@ def test_rewrites_in_generator_order(seed, length):
     rng = random.Random(seed)
     grading = random_grading(rng, max_n=4)
     group = grading.group
-    word = random_monomial(rng, grading, length).letters
+    word = random_monomial(rng, grading, length)
     assert list(_rewrites(word, group)) == list(_reference_rewrites(word, group))
 
 
@@ -352,7 +352,7 @@ def test_congruent_partner_draws_pinned(gradings, name):
         m = random_monomial(rng, grading, 5)
         if not is_monomial_identity(m, grading).is_identity:
             partner = congruent_partner(rng, m, grading)
-            drawn.append((m.render(grading.group), partner.render(grading.group)))
+            drawn.append((render_word(m, grading.group), render_word(partner, grading.group)))
     assert drawn == PINNED_PARTNERS[name]
 
 
@@ -376,7 +376,7 @@ def test_derivation_steps_replay(seed, length):
 
 
 def _assert_replays(chain, m1, m2, group):
-    word = m2.letters
+    word = m2
     for step in chain:
         i, j, k = step.i, step.j, step.k
         assert 0 <= i < j <= len(word) and _block_degree(word[i:j], group) == group.identity
@@ -388,15 +388,15 @@ def _assert_replays(chain, m1, m2, group):
             assert step.kind == "swap" and j < k <= len(word)
             assert _block_degree(word[j:k], group) == group.identity
             word = word[:i] + word[j:k] + word[i:j] + word[k:]
-        assert step.result.letters == word
-    assert word == m1.letters
+        assert step.result == word
+    assert word == m1
 
 
 def _reference_derivation(m1, m2, group):
     """A plain breadth-first search from m2 over GVar tuples, returning
     (kind, i, j, k, letters) per step: a shortest chain, which no derivation
     can undercut."""
-    start, target = m2.letters, m1.letters
+    start, target = m2, m1
     if start == target:
         return []
     parents = {start: None}
@@ -440,9 +440,9 @@ def test_derivation_matches_reference_search(seed, length, walk):
         m2 = congruent_partner(rng, m1, grading)
     else:
         for _ in range(20):
-            letters = list(m1.letters)
+            letters = list(m1)
             rng.shuffle(letters)
-            m2 = GMonomial([GVar(v.index, v.element, rng.random() < 0.5) for v in letters])
+            m2 = tuple([GVar(v.index, v.element, rng.random() < 0.5) for v in letters])
             if (not is_monomial_identity(m2, grading).is_identity
                     and congruent_mod_neutral(m1, m2, grading)):
                 break
@@ -837,7 +837,7 @@ def test_reduce_classes_are_the_evaluation_key_partition(seed, ring):
             f = f + part
     by_key: dict = {}
     for mono in f.terms:
-        by_key.setdefault(evaluation_key(mono.letters, grading), set()).add(mono)
+        by_key.setdefault(evaluation_key(mono, grading), set()).add(mono)
     red = basis_reduce(f, grading)
     assert {t.monomial for t in red.identity_terms} == by_key.pop((), set())
     classes = [frozenset(m for m, _ in c.members) for c in red.classes]

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import gstar
 
@@ -22,6 +23,13 @@ def test_every_public_name_resolves():
     assert {"Group", "Fp", "BasisReduction", "IdentityTerm", "run_selftest"} <= set(gstar.__all__)
     for name in gstar.__all__:
         getattr(gstar, name)
+
+
+def test_public_names_are_no_modules_and_no_monomial_classes():
+    assert [name for name in gstar.__all__ if isinstance(getattr(gstar, name), ModuleType)] == []
+    # a word and an entry monomial are plain tuples, with functions but no class
+    assert not {"GMonomial", "CMonomial"} & set(dir(gstar))
+    assert {"render_word", "star_word", "multidegree"} <= set(gstar.__all__)
 
 
 def test_cli_import_loads_no_dataclass_machinery():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gstar.freealg import GMonomial, GPolynomial, GVar
-from gstar.genmat import CMonomial, CPolynomial
+from gstar.freealg import GPolynomial, GVar
+from gstar.genmat import CPolynomial
 from gstar.rings import (
     PRIME_TEST_LIMIT,
     RATIONALS,
@@ -85,10 +85,19 @@ def test_fp_field_laws(x, y, p):
     assert a + (-a) == f.zero
 
 
-# sums of terms: the free algebra and the entry-variable ring share one implementation
-WORDS = [GMonomial([GVar(i, g, star)]) for i in (1, 2) for g in (0, 1) for star in (False, True)]
-ENTRY_MONOMIALS = [CMonomial([(slot, 0, c)]) for slot in (1, 2) for c in range(4)]
-TERM_DICTS = st.dictionaries(st.integers(0, 7), st.integers(-6, 6), max_size=5)
+# sums of terms: the free algebra and the entry-variable ring share one
+# implementation, and a monomial is a plain tuple in both.  The longer words
+# sort after shorter ones that tuple order puts later, and the longer entry
+# monomials sort before shorter ones that length order puts first.
+WORDS = [(GVar(i, g, star),) for i in (1, 2) for g in (0, 1) for star in (False, True)] + [
+    (GVar(1, 0), GVar(1, 0)), (GVar(1, 1, True), GVar(2, 0)), (GVar(2, 1), GVar(1, 0), GVar(2, 1))]
+ENTRY_MONOMIALS = [((slot, 0, c),) for slot in (1, 2) for c in range(4)] + [
+    (), ((1, 0, 0), (1, 0, 0)), ((1, 0, 2), (2, 0, 0), (2, 0, 3))]
+TERM_DICTS = st.dictionaries(st.integers(0, 10), st.integers(-6, 6), max_size=5)
+RINGS = [  # each ring's monomials, product and listing order, spelled out
+    (GPolynomial, WORDS, lambda m1, m2: m1 + m2, lambda m: (len(m), m)),
+    (CPolynomial, ENTRY_MONOMIALS, lambda m1, m2: tuple(sorted(m1 + m2)), lambda m: m),
+]
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(5)], ids=["q", "modp5"])
@@ -96,7 +105,9 @@ TERM_DICTS = st.dictionaries(st.integers(0, 7), st.integers(-6, 6), max_size=5)
 def test_sparse_sums_of_both_rings(field, raw, other):
     for monomials in (WORDS, ENTRY_MONOMIALS):
         terms = {monomials[k]: field.coerce(c) for k, c in raw.items()}
-        # the same term dict in both rings: never equal across the types
+        # the same term dict in both rings: never equal across the types,
+        # though both hold the same plain tuples as keys
+        assert GPolynomial(terms).terms == CPolynomial(terms).terms
         assert GPolynomial(terms) != CPolynomial(terms)
         assert CPolynomial(terms) != GPolynomial(terms)
         for cls in (GPolynomial, CPolynomial):
@@ -116,6 +127,15 @@ def test_sparse_sums_of_both_rings(field, raw, other):
             same = cls(dict(reversed(list(terms.items()))))
             assert same == p and hash(same) == hash(p)
             assert total == q + p and hash(total) == hash(q + p)
+    for cls, monomials, product, order in RINGS:
+        p = cls({monomials[k]: field.coerce(c) for k, c in raw.items()})
+        q = cls({monomials[k]: field.coerce(c) for k, c in other.items()})
+        assert [m for m, _ in p.terms_sorted()] == sorted(p.terms, key=order)
+        for m1 in p.terms:
+            for m2 in q.terms:
+                # words concatenate; entry monomials merge and stay sorted
+                one = cls({m1: field.one}) * cls({m2: field.one})
+                assert one.terms == {product(m1, m2): field.one}
 
 
 def test_format_coeff_and_its_digit_limit():
