@@ -25,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gstar import grading_from_json, minimal_identities_up_to, word_monomial
+from gstar import grading_from_json, minimal_identities_up_to
 from gstar.identities import block_certificate
 from gstar.sampling import standard_gradings
 
@@ -43,15 +43,16 @@ def survey(name, grading, conjecture_bound=None):
     uncertified = 0
     for length in sorted(by_len):
         sample = by_len[length][0]
-        spelled = " ".join(se.render(grading.group) for se in sample)
+        spelled = " ".join(grading.group.name_of(element) + ("*" if star else "")
+                           for _, element, star in sample)
         marker = ""
         if length > bound:
-            blocks = block_certificate(word_monomial(sample), grading)
+            blocks = block_certificate(sample, grading)
             marker = " > bound; block certificate " + (
                 f"{blocks}" if blocks else "MISSING"
             )
             for w in by_len[length]:
-                if block_certificate(word_monomial(w), grading) is None:
+                if block_certificate(w, grading) is None:
                     uncertified += 1
         print(f"  length {length:2d}: {len(by_len[length]):4d} representative minimal words  e.g. ({spelled}){marker}")
     if conjecture_bound is not None:

@@ -49,7 +49,6 @@ from .genmat import (
 from .gradings import (
     Grading,
     PartialInjection,
-    SignedElement,
     build_grading,
     grading_from_json,
 )

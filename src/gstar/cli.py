@@ -24,7 +24,7 @@ from .errors import (ConfigError, GstarError, InternalCheckError, ParseError, Pr
 from .freealg import (format_components, format_poly, multihomogeneous_components, parse_poly,
                       render_word)
 from .freealg import evaluate as evaluate_poly
-from .gradings import Grading, SignedElement, grading_from_json
+from .gradings import Grading, grading_from_json
 from .identities import (
     IdentityListing,
     basis_reduce,
@@ -226,7 +226,7 @@ def cmd_enumerate(args, grading, field, out) -> int:
     top = listing.max_identity_degree
     group = grading.group
     # a letter is the code 2g + star
-    names = [SignedElement(g, star).render(group)
+    names = [group.name_of(g) + ("*" if star else "")
              for g in group.elements() for star in (False, True)]
     tokens = [[f"x{p}:{name}" for name in names] for p in range(1, top + 1)]
     head = {

@@ -16,7 +16,7 @@ injection arithmetic.  Rows and columns are 0-based throughout.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import GradingError, PreconditionError
 from .groups import Group, group_from_json, is_plain_int
@@ -27,17 +27,15 @@ def signed_degree(element: int, star: bool, group: Group) -> int:
     return group.inv(element) if star else element
 
 
-class SignedElement(NamedTuple):
-    """A group element with an optional star: the letter g or g*."""
-
-    element: int
-    star: bool = False
-
-    def render(self, group: Group) -> str:
-        return group.name_of(self.element) + ("*" if self.star else "")
-
-    def degree(self, group: Group) -> int:
-        return signed_degree(self.element, self.star, group)
+def letter_degrees(word: Sequence[tuple], group: Group) -> list[int]:
+    """The degree of each (slot, element, star) letter, range-checked as in ``iter_rows``."""
+    order, inverse = group.order, group.inverse
+    degrees = []
+    for _, element, star in word:
+        if not 0 <= element < order:
+            raise GradingError(f"element index {element} outside the group")
+        degrees.append(inverse[element] if star else element)
+    return degrees
 
 
 class PartialInjection:
@@ -207,20 +205,13 @@ class Grading:
     def im_set(self, g: int) -> frozenset[int]:
         return frozenset(self.hat(g).image())
 
-    def hat_signed(self, letter: SignedElement) -> PartialInjection:
-        """hat(g) for the plain letter g, hat(g^{-1}) for the starred one."""
-        return self.hat(letter.degree(self.group))
-
-    def compose_signed(self, word: Sequence[SignedElement]) -> PartialInjection:
-        """Left-to-right composition: the first letter of the word acts first."""
+    def compose_signed(self, word: Sequence[tuple]) -> PartialInjection:
+        """Left-to-right composition of a word's hats: the first letter acts first."""
         if not word:
             raise PreconditionError("compose_signed needs a nonempty word")
-        graph, order, inverse = self.composition_graph, self.group.order, self.group.inverse
-        state = 0
-        for element, star in word:
-            if not 0 <= element < order:
-                raise GradingError(f"a letter of {word} is outside the group")
-            state = graph.step[state][inverse[element] if star else element]
+        graph, state = self.composition_graph, 0
+        for degree in letter_degrees(word, self.group):
+            state = graph.step[state][degree]
         return PartialInjection._trusted(graph.states[state])
 
     @cached_property
@@ -228,11 +219,9 @@ class Grading:
         """The composition monoid of the hat maps, explored as it is read."""
         return CompositionGraph(self.hats, self.n)
 
-    def signed_alphabet(self) -> list[SignedElement]:
-        """All support letters g and g*, in canonical order."""
-        return [
-            SignedElement(g, star) for g in self.support_sorted() for star in (False, True)
-        ]
+    def signed_alphabet(self) -> list[tuple[int, bool]]:
+        """The (element, star) pair of each support letter g and g*, in canonical order."""
+        return [(g, star) for g in self.support_sorted() for star in (False, True)]
 
     def __repr__(self) -> str:
         names = ", ".join(self.group.name_of(g) for g in self.defining_tuple)

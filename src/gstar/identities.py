@@ -24,11 +24,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import GPolynomial, GVar, evaluate, render_word, star_word, variable
 from .genmat import evaluation_key, iter_rows, word_rows
-from .gradings import CompositionGraph, Grading, SignedElement, signed_degree
+from .gradings import CompositionGraph, Grading, letter_degrees, signed_degree
 from .groups import Group
 from .rings import RATIONALS, format_coeff
-
-Word = tuple[SignedElement, ...]
 
 ENUM_DEGREE_CAP = 12
 ENUM_NODE_BUDGET = 5_000_000
@@ -40,9 +38,9 @@ _NON_IDENTITY = "congruence is only defined for non-identity monomials"
 # words and witnesses
 
 
-def word_monomial(word: Sequence[SignedElement]) -> tuple:
-    """The index-free representative: fresh variable indices 1, 2, ... along the word."""
-    return tuple([GVar(p, se.element, se.star) for p, se in enumerate(word, 1)])
+def word_monomial(word: Sequence[tuple]) -> tuple:
+    """The index-free form, slot p at position p: a word of the listings is its own."""
+    return tuple([GVar(p, element, star) for p, (_, element, star) in enumerate(word, 1)])
 
 
 class MonomialWitness(NamedTuple):
@@ -357,8 +355,7 @@ def subword_identity_certificate(
     such a subword is a notable finding; callers flag it rather than
     conclude anything.
     """
-    graph, group = grading.composition_graph, grading.group
-    degrees = [signed_degree(element, star, group) for _, element, star in mono]
+    graph, degrees = grading.composition_graph, letter_degrees(mono, grading.group)
     best, max_len = None, 2 * grading.n - 1
     for start in range(len(degrees)):
         state = 0
@@ -387,7 +384,7 @@ def block_certificate(
     group = grading.group
     graph = grading.composition_graph
     step, empty = graph.step, graph.empty
-    degrees = [signed_degree(element, star, group) for _, element, star in mono]
+    degrees = letter_degrees(mono, group)
     length = len(degrees)
     for start in range(length):
         # state: (position, composition state after the blocks closed so
@@ -506,10 +503,6 @@ def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
 # enumeration of monomial identities
 
 
-def _word_key(word: Word):
-    return (len(word), tuple((se.element, se.star) for se in word))
-
-
 def _profile_moves(profile: tuple, alphabet: list, graph: CompositionGraph) -> list:
     """The letters that keep a word free of proper identity factors.
 
@@ -537,16 +530,26 @@ def _profile_moves(profile: tuple, alphabet: list, graph: CompositionGraph) -> l
     return moves
 
 
+def _coded_alphabet(grading: Grading) -> list[tuple[int, int]]:
+    """(code 2g + star, degree) of each support letter g or g*, in the pairs' order."""
+    return [(2 * element + star, signed_degree(element, star, grading.group))
+            for element, star in grading.signed_alphabet()]
+
+
+def _position_letters(group: Group, p: int) -> list[tuple]:
+    """The 1-tuple ``(GVar(p, g, star),)`` of the letter at position p, by code."""
+    return [(GVar(p, g, star),) for g in group.elements() for star in (False, True)]
+
+
 class IdentityListing:
     """The monomial identities up to a degree: counted by length, listed on demand.
 
     Words run over the signed support alphabet, plus the plain off-support
-    variables as degree-one identities.  A letter is the code 2g + star of
-    the letter g or g*, so codes sort as ``_word_key`` sorts letters.  A word
-    is an identity exactly when it leads from the identity state of the
-    grading's composition graph to the empty one, and for minimal words,
-    when it leads from the empty word's profile (see ``_profile_moves``) to
-    one whose full state is empty.
+    variables as degree-one identities.  A letter is its code (see
+    ``_coded_alphabet``).  A word is an identity exactly when it leads from
+    the identity state of the grading's composition graph to the empty one,
+    and for minimal words, when it leads from the empty word's profile (see
+    ``_profile_moves``) to one whose full state is empty.
 
     The count pass memoises, per node (a state, or a profile for minimal
     words) and remaining length k, the number of words of length k that lead
@@ -579,8 +582,7 @@ class IdentityListing:
             )
         graph = grading.composition_graph
         step, empty = graph.step, graph.empty
-        alphabet = [(2 * se.element + se.star, se.degree(grading.group))
-                    for se in grading.signed_alphabet()]
+        alphabet = _coded_alphabet(grading)
         if minimal_only:
             start = (0, None)
             moves = lambda profile: _profile_moves(profile, alphabet, graph)
@@ -695,25 +697,23 @@ def enumerate_monomial_identities(
     max_degree: int,
     minimal_only: bool = False,
     node_budget: int = ENUM_NODE_BUDGET,
-) -> list[Word]:
+) -> list[tuple]:
     """All index-free monomial identities up to the given degree, as a list.
 
     The words of ``IdentityListing`` (which see for the alphabet, the
-    budget and the caps), by length, then in alphabet order (``_word_key``
-    order).  With ``minimal_only`` a word is kept only if no proper
-    contiguous subword is itself an identity.
+    budget and the caps) as ``GVar`` words, slot p at position p, in
+    ``GPolynomial.order``.  With ``minimal_only`` a word is kept only if no
+    proper contiguous subword is itself an identity.
     """
     listing = IdentityListing(grading, max_degree, minimal_only, node_budget)
-    letters = [(SignedElement(g, star),)
-               for g in grading.group.elements() for star in (False, True)]
-    tables = [letters] * max_degree
+    tables = [_position_letters(grading.group, p) for p in range(1, max_degree + 1)]
     return [word for k in range(1, max_degree + 1)
             for part in listing.subtrees(k, tables, ()) for word in part]
 
 
 def minimal_identities_up_to(
     grading: Grading, max_degree: int, state_budget: int = STATE_BUDGET
-) -> list[Word]:
+) -> list[tuple]:
     """One representative minimal identity word per reachable length and shape.
 
     Breadth-first over the composition graph, one length per round, on the
@@ -724,12 +724,13 @@ def minimal_identities_up_to(
     that the full listing cannot reach.  Sound and complete at the level of
     lengths: if any minimal identity of some length exists, one is
     returned.  ``state_budget`` caps the profiles kept over all rounds
-    plus the composition states the search adds to the graph.
+    plus the composition states the search adds to the graph.  The words
+    have the form and the order of ``enumerate_monomial_identities``.
     """
     graph = grading.composition_graph
-    alphabet = [(se, se.degree(grading.group)) for se in grading.signed_alphabet()]
-    found: list[Word] = [(SignedElement(g, False),) for g in grading.off_support()]
-    frontier: dict[tuple, Word] = {(0, None): ()}
+    alphabet = _coded_alphabet(grading)  # a move names its letter by its code
+    found: list = [(GVar(1, g, False),) for g in grading.off_support()]
+    frontier: dict[tuple, tuple] = {(0, None): ()}
     moves: dict[tuple, list] = {}  # a profile recurs at many lengths
     kept, graph_base = 0, len(graph.states)
 
@@ -737,20 +738,21 @@ def minimal_identities_up_to(
         if kept + len(graph.states) - graph_base > state_budget:
             raise ResourceCapError(f"profile search exceeded the state budget {state_budget}")
 
-    for _ in range(max_degree):
-        nxt: dict[tuple, Word] = {}
+    for p in range(1, max_degree + 1):
+        letters = _position_letters(grading.group, p)
+        nxt: dict[tuple, tuple] = {}
         for profile, word in frontier.items():
             if profile not in moves:
                 moves[profile] = _profile_moves(profile, alphabet, graph)
                 check_budget()
-            for se, new in moves[profile]:
+            for code, new in moves[profile]:
                 if new[0] == graph.empty:
-                    found.append(word + (se,))
+                    found.append(word + letters[code])
                 elif new not in nxt:
-                    nxt[new] = word + (se,)
+                    nxt[new] = word + letters[code]
         kept += len(nxt)
         check_budget()
         if not nxt:
             break
         frontier = nxt
-    return sorted(found, key=_word_key)
+    return sorted(found, key=GPolynomial.order)

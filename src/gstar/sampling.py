@@ -10,7 +10,7 @@ import random
 from typing import Optional
 
 from .freealg import GPolynomial, GVar, multidegree
-from .gradings import Grading, SignedElement, build_grading
+from .gradings import Grading, build_grading
 from .groups import Group, make_cyclic, make_from_table
 from .genmat import evaluation_key
 from .identities import _rewrites
@@ -77,25 +77,17 @@ def random_grading(rng: random.Random, max_n: int = 5) -> Grading:
     return build_grading(group, entries)
 
 
-def random_signed_word(
-    rng: random.Random, grading: Grading, length: int
-) -> tuple[SignedElement, ...]:
-    support = grading.support_sorted()
-    return tuple(
-        SignedElement(rng.choice(support), rng.random() < 0.5) for _ in range(length)
-    )
-
-
 def random_slotted_word(
     rng: random.Random, grading: Grading, length: int, repeat_slots: bool = False
 ) -> list[GVar]:
-    word = random_signed_word(rng, grading, length)
+    support = grading.support_sorted()
+    pairs = [(rng.choice(support), rng.random() < 0.5) for _ in range(length)]
     if repeat_slots and length > 1:
         slots = [rng.randint(1, max(1, length - 1)) for _ in range(length)]
     else:
         slots = list(range(1, length + 1))
         rng.shuffle(slots)
-    return [GVar(slot, se.element, se.star) for slot, se in zip(slots, word)]
+    return [GVar(slot, element, star) for slot, (element, star) in zip(slots, pairs)]
 
 
 def random_monomial(

@@ -22,7 +22,6 @@ import time
 import zlib
 
 from gstar import (
-    SignedElement,
     closed_form_product,
     congruent_mod_neutral,
     derivation_mod_neutral,
@@ -157,11 +156,10 @@ def test_criterion_4_monomial_threeway_exhaustive():
     rng = random.Random(404)
     for _ in range(300):
         grading = rng.choice(list(SMALL.values()))
-        word = [SignedElement(element, star) for _, element, star
-                in random_slotted_word(rng, grading, rng.randint(1, 6))]
+        word = random_slotted_word(rng, grading, rng.randint(1, 6))
         dead = grading.compose_signed(word).is_empty
         indices = [rng.randint(1, 3) for _ in word]
-        mono = tuple([GVar(i, se.element, se.star) for i, se in zip(indices, word)])
+        mono = tuple([GVar(i, element, star) for i, (_, element, star) in zip(indices, word)])
         assert evaluate_monomial(mono, grading).is_zero == dead
         assert is_monomial_identity(mono, grading).is_identity == dead
     # words touching an off-support letter vanish in every route
@@ -199,10 +197,11 @@ def test_criterion_5_congruence_soundness_completeness():
         for length in range(1, 5):
             patterns = _restricted_growth_strings(length)
             for letters in itertools.product(alphabet, repeat=length):
-                if grading.compose_signed(list(letters)).is_empty:
+                word = [(p, *pair) for p, pair in enumerate(letters, 1)]
+                if grading.compose_signed(word).is_empty:
                     continue
                 for pattern in patterns:
-                    mono = tuple([GVar(k, se.element, se.star) for k, se in zip(pattern, letters)])
+                    mono = tuple([GVar(k, *pair) for k, pair in zip(pattern, letters)])
                     matrix = closed_form_product(mono, grading)
                     key = matrix.canonical_key()
                     cid = class_ids.setdefault(key, len(class_ids))
@@ -285,12 +284,17 @@ def test_criterion_6_basis_reduction():
 def _condensed_word(word, bounds, group):
     """One fresh unstarred letter per block, of degree the block's product."""
     condensed = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1):
         degree = group.identity
         for se in word[lo:hi]:
             degree = group.mul(degree, group.inv(se.element) if se.star else se.element)
-        condensed.append(SignedElement(degree, False))
+        condensed.append((p, degree, False))
     return condensed
+
+
+def _spelled(word, group):
+    """The letter names of a word, such as 'a a* a2'."""
+    return " ".join(group.name_of(element) + ("*" if star else "") for _, element, star in word)
 
 
 def test_criterion_7_degree_bound_probe():
@@ -318,7 +322,7 @@ def test_criterion_7_degree_bound_probe():
             if len(w) > bound
         ]
         for word in dict.fromkeys(representatives + exhaustive):
-            spelled = " ".join(se.render(grading.group) for se in word)
+            spelled = _spelled(word, grading.group)
             mono = word_monomial(word)
             assert honest_product(mono, grading).is_zero, (
                 f"{name}: ({spelled}) is not an identity"
@@ -334,7 +338,7 @@ def test_criterion_7_degree_bound_probe():
                 f"{name}: ({spelled}) condensed by {bounds} is not an identity"
             )
         if representatives:
-            sample = " ".join(se.render(grading.group) for se in representatives[0])
+            sample = _spelled(representatives[0], grading.group)
             findings.append(
                 f"{name} {len(representatives)}+{len(exhaustive)} e.g. ({sample})"
             )

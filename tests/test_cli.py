@@ -751,6 +751,8 @@ def reference_enumeration(config: Path, max_deg: int, minimal: bool) -> dict:
     grading = grading_from_json(json.loads(config.read_text(encoding="utf-8")))
     words = enumerate_monomial_identities(grading, max_deg, minimal_only=minimal)
     group = grading.group
+    names = [[group.name_of(element) + ("*" if star else "") for _, element, star in w]
+             for w in words]
     return {
         "schema": "gstar-report/1",
         "command": "enumerate",
@@ -758,9 +760,9 @@ def reference_enumeration(config: Path, max_deg: int, minimal: bool) -> dict:
         "minimal_only": minimal,
         "count": len(words),
         "max_identity_degree": max((len(w) for w in words), default=0),
-        "words": [[se.render(group) for se in w] for w in words],
+        "words": names,
         "monomials": [
-            " ".join(f"x{p}:{se.render(group)}" for p, se in enumerate(w, 1)) for w in words
+            " ".join(f"x{p}:{name}" for p, name in enumerate(w, 1)) for w in names
         ],
     }
 

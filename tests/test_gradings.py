@@ -7,13 +7,16 @@ from gstar import (
     GVar,
     PartialInjection,
     PreconditionError,
-    SignedElement,
     build_grading,
     evaluate_monomial,
     evaluation_key,
     grading_from_json,
+    iter_rows,
     make_cyclic,
+    subword_identity_certificate,
 )
+from gstar.gradings import signed_degree
+from gstar.identities import block_certificate
 from gstar.sampling import random_grading
 
 import random
@@ -74,17 +77,18 @@ def test_hat_maps(gr_z2, gr_z6, z2, z6):
 
 
 def test_hat_signed(gr_z2, gr_z6, z2, z6):
+    # a one-letter word composes to hat(g) for g, to hat(g^{-1}) for g*
     a = z2.index_of("a")
-    assert gr_z2.hat_signed(SignedElement(a, False)).as_dict() == {0: 1, 1: 0}
+    assert gr_z2.compose_signed([(1, a, False)]).as_dict() == {0: 1, 1: 0}
     a6 = z6.index_of("a")
-    assert gr_z6.hat_signed(SignedElement(a6, True)).as_dict() == {1: 0, 2: 1}
-    assert gr_z6.hat_signed(SignedElement(z6.identity, True)) == PartialInjection.identity(3)
+    assert gr_z6.compose_signed([(1, a6, True)]).as_dict() == {1: 0, 2: 1}
+    assert gr_z6.compose_signed([(1, z6.identity, True)]) == PartialInjection.identity(3)
 
 
 def test_compose_signed(gr_z6, z6):
-    a = SignedElement(z6.index_of("a"), False)
-    assert gr_z6.compose_signed([a, a]).as_dict() == {0: 2}
-    assert gr_z6.compose_signed([a, a, a]).is_empty
+    a = z6.index_of("a")
+    assert gr_z6.compose_signed([(1, a, False), (2, a, False)]).as_dict() == {0: 2}
+    assert gr_z6.compose_signed([(1, a, False), (2, a, False), (3, a, False)]).is_empty
     with pytest.raises(PreconditionError):
         gr_z6.compose_signed([])
 
@@ -94,13 +98,15 @@ def test_compose_signed(gr_z6, z6):
 def test_letters_outside_the_group_rejected(gr_z6, z6, element, star):
     # the hat maps sit in a sequence indexed by element, where -1 would
     # silently read the last one; each entry point must refuse it instead
-    bad = SignedElement(element, star)
-    for word in ([bad], [SignedElement(z6.identity), bad]):
+    for word in ((GVar(1, element, star),), (GVar(1, z6.identity), GVar(2, element, star))):
         with pytest.raises(GradingError):
             gr_z6.compose_signed(word)
-        mono = tuple([GVar(p, se.element, se.star) for p, se in enumerate(word, 1)])
         with pytest.raises(GradingError):
-            evaluate_monomial(mono, gr_z6)
+            evaluate_monomial(word, gr_z6)
+        with pytest.raises(GradingError):
+            subword_identity_certificate(word, gr_z6)
+        with pytest.raises(GradingError):
+            block_certificate(word, gr_z6)
 
 
 @pytest.mark.parametrize("star", [False, True], ids=["plain", "starred"])
@@ -121,7 +127,7 @@ def test_letters_after_a_dead_walk_rejected(gr_z6, z6, element, star):
 def test_compose_plain_then_star_restricts_identity(gradings):
     for grading in gradings.values():
         for g in grading.support_sorted():
-            word = [SignedElement(g, False), SignedElement(g, True)]
+            word = [(1, g, False), (2, g, True)]
             composed = gr = grading.compose_signed(word)
             assert set(gr.domain()) == grading.d_set(g)
             for i in gr.domain():
@@ -208,8 +214,8 @@ def test_composition_splits_at_any_cut(seed, length):
     rng = random.Random(seed)
     grading = random_grading(rng)
     word = [
-        SignedElement(rng.choice(grading.support_sorted()), rng.random() < 0.5)
-        for _ in range(length)
+        (p, rng.choice(grading.support_sorted()), rng.random() < 0.5)
+        for p in range(1, length + 1)
     ]
     full = grading.compose_signed(word)
     for cut in range(1, length):
@@ -232,15 +238,19 @@ def test_composition_graph_walk_matches_compose_signed(seed, length):
     assert graph.states == [tuple(range(grading.n)), empty]
     assert graph.states[graph.empty] == empty
     word = [
-        SignedElement(rng.randrange(group.order), rng.random() < 0.5) for _ in range(length)
+        (p, rng.randrange(group.order), rng.random() < 0.5) for p in range(1, length + 1)
     ]
+    degrees = [signed_degree(element, star, group) for _, element, star in word]
     state = 0
-    for se in word:
-        state = graph.step[state][se.degree(group)]
-    reference = grading.hat(word[0].degree(group))
-    for se in word[1:]:
-        reference = reference.then(grading.hat(se.degree(group)))
+    for degree in degrees:
+        state = graph.step[state][degree]
+    reference = grading.hat(degrees[0])
+    for degree in degrees[1:]:
+        reference = reference.then(grading.hat(degree))
     assert graph.states[state] == reference.targets
+    # the composition is empty exactly when the word kernel keeps no row
+    dead = next(iter_rows(word, grading), None) is None
+    assert grading.compose_signed(word).is_empty == dead
     assert len(set(graph.states)) == len(graph.states)
     assert graph.step[graph.empty] == (graph.empty,) * group.order
 

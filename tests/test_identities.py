@@ -12,7 +12,6 @@ from gstar import (
     GVar,
     PreconditionError,
     ResourceCapError,
-    SignedElement,
     basis_reduce,
     congruent_mod_neutral,
     derivation_mod_neutral,
@@ -35,7 +34,8 @@ from gstar import (
     word_monomial,
 )
 from gstar.freealg import GPolynomial, multidegree, render_word
-from gstar.identities import _profile_moves, _rewrites, _word_key, block_certificate
+from gstar.gradings import signed_degree
+from gstar.identities import _profile_moves, _rewrites, block_certificate
 from gstar.genmat import evaluation_key
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import (
@@ -49,12 +49,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def letters(group, text):
-    """Signed word from a compact spelling like 'a a* a2'."""
-    out = []
-    for tok in text.split():
-        star = tok.endswith("*")
-        out.append(SignedElement(group.index_of(tok.rstrip("*")), star))
-    return tuple(out)
+    """Index-free word, slot p at position p, from a compact spelling like 'a a* a2'."""
+    return tuple(GVar(p, group.index_of(tok.rstrip("*")), tok.endswith("*"))
+                 for p, tok in enumerate(text.split(), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +98,10 @@ def test_verdict_independent_of_indices(gr_z6, z6, mono):
 
 def test_threeway_agreement_small_exhaustive(gr_z2, z2):
     alphabet = gr_z2.signed_alphabet()
-    words = [(l,) for l in alphabet]
+    words = [((1, *l),) for l in alphabet]
     for _ in range(3):
-        words += [w + (l,) for w in words if len(w) == max(len(x) for x in words) for l in alphabet]
+        words += [w + ((len(w) + 1, *l),)
+                  for w in words if len(w) == max(len(x) for x in words) for l in alphabet]
     for word in words:
         dead = gr_z2.compose_signed(word).is_empty
         m = word_monomial(word)
@@ -595,7 +593,7 @@ def test_crossed_product_has_no_monomial_identities(gr_z2):
 
 def test_z6_degree_one(gr_z6, z6):
     words = enumerate_monomial_identities(gr_z6, 1)
-    assert words == [(SignedElement(z6.index_of("a3"), False),)]
+    assert words == [(GVar(1, z6.index_of("a3"), False),)]
 
 
 def test_z6_minimal_includes_cubed_letter(gr_z6, z6):
@@ -717,7 +715,7 @@ def _moves_kept(grading, max_degree, minimal):
     or profile for minimal words) that it reaches in fewer than max_degree
     letters."""
     graph = grading.composition_graph
-    alphabet = [(se, se.degree(grading.group)) for se in grading.signed_alphabet()]
+    alphabet = [(pair, signed_degree(*pair, grading.group)) for pair in grading.signed_alphabet()]
     if minimal:
         moves = lambda node: [new for _, new in _profile_moves(node, alphabet, graph)]
         level = {(0, None)}
@@ -748,9 +746,10 @@ def test_listing_budget_counts_moves_and_graph_states():
 def _reference_identities(grading, max_degree, minimal):
     """Every identity word by brute force over the signed support alphabet,
     decided by composing hat maps, plus the off-support letters."""
-    words = [(SignedElement(g, False),) for g in grading.off_support()]
+    words = [(GVar(1, g, False),) for g in grading.off_support()]
     for length in range(1, max_degree + 1):
-        for word in itertools.product(grading.signed_alphabet(), repeat=length):
+        for pairs in itertools.product(grading.signed_alphabet(), repeat=length):
+            word = tuple(GVar(p, *pair) for p, pair in enumerate(pairs, 1))
             if not grading.compose_signed(word).is_empty:
                 continue
             if minimal and any(
@@ -761,7 +760,7 @@ def _reference_identities(grading, max_degree, minimal):
             ):
                 continue
             words.append(word)
-    return sorted(words, key=_word_key)
+    return sorted(words, key=GPolynomial.order)
 
 
 def _block_degree(block, group):
@@ -792,8 +791,8 @@ def test_listings_match_brute_force(seed, max_degree):
         bounds = block_certificate(word_monomial(word), grading)
         assert bounds is not None and len(bounds) - 1 <= 2 * grading.n - 1
         condensed = [
-            SignedElement(_block_degree(word[lo:hi], group), False)
-            for lo, hi in zip(bounds, bounds[1:])
+            (p, _block_degree(word[lo:hi], group), False)
+            for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1)
         ]
         assert grading.compose_signed(condensed).is_empty
 
@@ -816,7 +815,9 @@ def test_degree_bound_probe_pinned(name):
     rows = []
     for word in minimal_identities_up_to(grading, 2 * bound):
         cert = block_certificate(word_monomial(word), grading) if len(word) > bound else None
-        rows.append([[se.render(grading.group) for se in word], list(cert) if cert else None])
+        names = [grading.group.name_of(element) + ("*" if star else "")
+                 for _, element, star in word]
+        rows.append([names, list(cert) if cert else None])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_PROBES[name]
 
 

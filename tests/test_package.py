@@ -6,6 +6,7 @@ from pathlib import Path
 from types import ModuleType
 
 import gstar
+from gstar.sampling import standard_gradings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,6 +31,29 @@ def test_public_names_are_no_modules_and_no_monomial_classes():
     # a word and an entry monomial are plain tuples, with functions but no class
     assert not {"GMonomial", "CMonomial"} & set(dir(gstar))
     assert {"render_word", "star_word", "multidegree"} <= set(gstar.__all__)
+
+
+def test_one_letter_form_in_both_listings():
+    # a letter is the plain (slot, element, star) triple: no class names a
+    # signed letter, the only signed names of a grading compose a word of
+    # triples and list the support pairs, and an index-free word has slot p
+    # at position p
+    assert [name for name in dir(gstar) + dir(gstar.gradings) if "Signed" in name] == []
+    assert [name for name in dir(gstar.Grading) if "signed" in name] == [
+        "compose_signed", "signed_alphabet"]
+    grading = standard_gradings()["Z6:(e,a,a2)"]
+    listings = (
+        gstar.enumerate_monomial_identities(grading, 4),
+        gstar.enumerate_monomial_identities(grading, 4, minimal_only=True),
+        gstar.minimal_identities_up_to(grading, 10),
+    )
+    for words in listings:
+        assert words
+        for w in words:
+            assert type(w) is tuple
+            assert [(type(v), len(v), v[0]) for v in w] == [
+                (gstar.GVar, 3, p) for p in range(1, len(w) + 1)]
+            assert gstar.word_monomial(w) == w
 
 
 def test_cli_import_loads_no_dataclass_machinery():
