@@ -13,7 +13,7 @@ each), ``info`` and ``enumerate --max-deg 4`` on a grading whose element
 names need escaping, ``selftest`` over both rings and the three
 ``SELFTEST_SEEDS`` on that grading and on ``configs/s3_rot.json`` (the
 two gradings the bench's selftest requests leave out), ``congruent`` on
-the five pairs of ``DEEP_DERIVATIONS``, ``eval`` and ``check`` on the long words of
+the seven pairs of ``CONGRUENT_PAIRS``, ``eval`` and ``check`` on the long words of
 ``long_word`` on z4 and Klein, and ``eval`` and ``check`` on the malformed
 and whitespace-heavy ``ODD_EXPRESSIONS`` on z2 and Klein (most exit 2, so
 their stderr is compared) are run twice, once with ``--json`` as given and once
@@ -60,10 +60,12 @@ SELFTEST_SEEDS = (1, 2, 3)
 SELFTEST_RINGS = ("q", "modp:5")
 
 # Pairs of degree 6 and 7 whose derivations need four steps or more: the
-# all-neutral reversals on Z2 and two mostly neutral pairs; and the
-# all-neutral reversal of degree 10.  The bench requests reach degree 5 on
-# all-neutral words, where the chains are shorter.
-DEEP_DERIVATIONS = [
+# all-neutral reversals on Z2 and two mostly neutral pairs; the all-neutral
+# reversal of degree 10 (the bench requests reach degree 5 on all-neutral
+# words, where the chains are shorter); an equal pair, whose chain is empty;
+# and a pair of degree 10 with the same multidegree and the same start and
+# end rows that is not congruent.
+CONGRUENT_PAIRS = [
     ("configs/z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e", "x6:e x5:e x4:e x3:e x2:e x1:e"),
     ("configs/z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e x7:e", "x7:e x6:e x5:e x4:e x3:e x2:e x1:e"),
     ("configs/klein.json", "x1:e x2:a x3:a x4:e x5:e x6:e x7:e",
@@ -72,6 +74,9 @@ DEEP_DERIVATIONS = [
      "x4:e x6:e x1:rr x2:r x7:e* x3:e x5:e*"),
     ("configs/z2.json", " ".join(f"x{i}:e" for i in range(1, 11)),
      " ".join(f"x{i}:e" for i in range(10, 0, -1))),
+    ("configs/klein.json", "x1:e x2:a x3:a* x4:e", "x1:e x2:a x3:a* x4:e"),
+    ("configs/z2.json", "x1:a x2:a* x3:e x4:e* x5:e x6:a x7:e x8:a* x9:e x10:e",
+     "x2:a* x1:a x3:e x4:e* x5:e x6:a x7:e x8:a* x9:e x10:e"),
 ]
 
 # Expressions that stress the tokenizer: whitespace inside and between
@@ -235,7 +240,7 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
                 argv = ["selftest", "--config", config, "--json", "--coeff", ring,
                         "--seed", str(seed)]
                 argvs += [argv, toggled(argv)]
-    for config, first, second in DEEP_DERIVATIONS:
+    for config, first, second in CONGRUENT_PAIRS:
         argv = ["congruent", "--config", config, "--json", first, second]
         argvs += [argv, toggled(argv)]
     for config in LONG_CONFIGS:

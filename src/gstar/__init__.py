@@ -19,7 +19,6 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
     ShapeError,
-    VariableError,
 )
 from .freealg import (
     GPolynomial,

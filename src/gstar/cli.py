@@ -7,8 +7,10 @@ canonical: identical inputs and seed produce byte-identical reports.
 
 The handlers only compose library calls.  ``_emit`` adds ``schema`` and
 ``command`` to every report and writes its JSON through ``_json_pieces``;
-``enumerate``, which writes its report itself, writes the same two keys.  The ``note`` that ``congruent`` gives for an
-identity input is the library's precondition message.
+``enumerate``, which writes its report itself, writes the same two keys.
+``congruent`` makes one library call, ``derivation_mod_neutral``, which
+decides congruence too: ``congruent`` is whether a chain came back, and the
+``note`` given for an identity input is the library's precondition message.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from .freealg import (format_components, format_poly, multihomogeneous_component
                       render_word)
 from .freealg import evaluate as evaluate_poly
 from .gradings import Grading, grading_from_json
-from .identities import (
-    IdentityListing,
-    basis_reduce,
-    congruent_mod_neutral,
-    derivation_mod_neutral,
-)
+from .identities import IdentityListing, basis_reduce, derivation_mod_neutral
 from .rings import parse_field
 from .selftest import run_selftest
 
@@ -198,13 +195,13 @@ def cmd_congruent(args, grading, field, out) -> int:
     group = grading.group
     payload: dict = {"first": render_word(m1, group), "second": render_word(m2, group)}
     try:
-        flag = congruent_mod_neutral(m1, m2, grading)
-    except PreconditionError as err:  # an identity input: congruence is undefined
-        flag, payload["note"] = None, str(err)
-    payload["congruent"] = flag
-    if flag:
         chain = derivation_mod_neutral(m1, m2, grading)
-        payload["derivation"] = [step.to_json(group) for step in chain]
+    except PreconditionError as err:  # an identity input: congruence is undefined
+        payload["congruent"], payload["note"] = None, str(err)
+    else:
+        payload["congruent"] = chain is not None
+        if chain is not None:
+            payload["derivation"] = [step.to_json(group) for step in chain]
     _emit(payload, args, out)
     return EXIT_OK
 

@@ -19,10 +19,6 @@ class ConfigError(GstarError, ValueError):
     """A config file that does not decode to a JSON value."""
 
 
-class VariableError(GstarError, ValueError):
-    """A variable refers to an element or position the grading cannot host."""
-
-
 class ShapeError(GstarError, ValueError):
     """Matrix operands of incompatible sizes."""
 

@@ -31,7 +31,7 @@ from itertools import groupby
 from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
-from .errors import GroupError, ParseError, PreconditionError, VariableError
+from .errors import GroupError, ParseError, PreconditionError
 from .genmat import CPolynomial, SparseMatrix, rows_matrix, word_rows
 from .gradings import Grading
 from .groups import Group
@@ -125,19 +125,6 @@ def _pair_counts(multidegree: tuple) -> tuple:
     return tuple((pair, len(list(run))) for pair, run in groupby(multidegree))
 
 
-def _check_elements(f: GPolynomial, grading: Grading) -> None:
-    order = grading.group.order
-    for m in f.terms:
-        if not m:
-            raise PreconditionError("cannot evaluate the empty word")
-        for index, element, _ in m:
-            if not 0 <= element < order:
-                raise VariableError(
-                    f"variable x{index} refers to element index {element}, "
-                    f"but the group has order {order}"
-                )
-
-
 def evaluate_monomial(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> SparseMatrix:
     """The product of generic matrices substituted for the word's letters."""
     if not word:
@@ -146,8 +133,10 @@ def evaluate_monomial(word: Sequence[tuple], grading: Grading, field=RATIONALS) 
 
 
 def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
-    """Generic evaluation of a polynomial; zero exactly for identities."""
-    _check_elements(f, grading)
+    """Generic evaluation of a polynomial; zero exactly for identities.  A
+    letter outside the group raises the word kernel's ``GradingError``."""
+    if () in f.terms:
+        raise PreconditionError("cannot evaluate the empty word")
     sums: dict = {}  # position -> {monomial: coefficient}, summed in place
     for mono, coeff in f.terms.items():
         coeff = field.one * coeff

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import GPolynomial, GVar, evaluate, render_word, star_word, variable
-from .genmat import evaluation_key, iter_rows, word_rows
+from .genmat import iter_rows, word_rows
 from .gradings import CompositionGraph, Grading, letter_degrees, signed_degree
 from .groups import Group
 from .rings import RATIONALS, format_coeff
@@ -109,21 +109,29 @@ def is_identity(f: GPolynomial, grading: Grading, field=RATIONALS) -> IdentityVe
 # congruence modulo the neutral ideal
 
 
-def congruent_mod_neutral(m1: Sequence[tuple], m2: Sequence[tuple], grading: Grading) -> bool:
-    """Decide congruence of two non-identity monomials modulo the neutral ideal.
+def _congruent_rows(m1: Sequence[tuple], m2: Sequence[tuple], grading: Grading
+                    ) -> Optional[tuple[list, list]]:
+    """The kernel rows of both words when they are congruent, else None.
 
-    Sharing one nonzero entry at one position already forces the full
-    generic evaluations to coincide; both formulations are computed from the
-    evaluation keys and cross-checked here.
+    Each word is walked once.  Sharing one nonzero entry at one position
+    already forces the full generic evaluations to coincide; both
+    formulations are computed from the two evaluation keys and
+    cross-checked here.
     """
-    e1 = evaluation_key(m1, grading)
-    e2 = evaluation_key(m2, grading)
-    if not e1 or not e2:
+    rows1, rows2 = word_rows(m1, grading), word_rows(m2, grading)
+    if not rows1 or not rows2:
         raise PreconditionError(_NON_IDENTITY)
+    e1, e2 = ([(s, t, tuple(sorted(v))) for s, t, v in rows] for rows in (rows1, rows2))
     shared = not set(e1).isdisjoint(e2)
     if shared != (e1 == e2):
         raise InternalCheckError("shared entry without full evaluation equality")
-    return shared
+    return (rows1, rows2) if shared else None
+
+
+def congruent_mod_neutral(m1: Sequence[tuple], m2: Sequence[tuple], grading: Grading) -> bool:
+    """Decide congruence of two non-identity monomials modulo the neutral
+    ideal: whether their generic evaluations agree (``_congruent_rows``)."""
+    return _congruent_rows(m1, m2, grading) is not None
 
 
 class DerivationStep(NamedTuple):
@@ -174,8 +182,10 @@ def _rewrites(letters: tuple, group: Group):
                     yield "swap", i, j, k, _moved(letters, "swap", i, j, k)
 
 
-def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading) -> list[DerivationStep]:
-    """An explicit rewrite chain from m2 to m1, of at most 2 len(m1) steps.
+def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading
+                           ) -> Optional[list[DerivationStep]]:
+    """An explicit rewrite chain from m2 to m1, of at most 2 len(m1) steps,
+    or None when the words are not congruent.
 
     Every step instantiates one neutral-ideal generator, so each step
     preserves the generic evaluation.  Both words are read as trails from
@@ -203,18 +213,16 @@ def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading) -> list[Deriv
       the first such d.
 
     The chain is built, not searched for, and is not in general a shortest
-    one; it is empty when the words are equal.  The words must be
-    congruent: m2 must have an entry at m1's first start row that equals
-    m1's, and that one shared entry forces equal evaluations.
+    one; it is empty when the words are equal.  Congruence is decided as in
+    ``congruent_mod_neutral``, from the one walk of each word: congruent
+    words have equal evaluations, so m2's first row starts at m1's first
+    start row and crosses the same variables.
     """
-    rows1, rows2 = word_rows(m1, grading), word_rows(m2, grading)
-    if not rows1 or not rows2:
-        raise PreconditionError(_NON_IDENTITY)
-    start, end, wanted = rows1[0]
-    edges = next((list(v) for s, t, v in rows2
-                  if s == start and t == end and sorted(v) == sorted(wanted)), None)
-    if edges is None:
-        raise PreconditionError("derivation requires congruent monomials")
+    pair = _congruent_rows(m1, m2, grading)
+    if pair is None:
+        return None
+    (start, _, wanted), (_, _, edges) = pair[0][0], pair[1][0]
+    edges = list(edges)
     word = m2
     rows = [start, *(e[1] if star else e[2] for (_, _, star), e in zip(word, edges))]
     chain: list[DerivationStep] = []
@@ -489,8 +497,7 @@ def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
             start, end, variables = row
             buckets.setdefault((start, end, tuple(sorted(variables))), []).append((mono, coeff))
     classes = []
-    for key in sorted(buckets, key=lambda k: GPolynomial.order(buckets[k][0][0])):
-        members = buckets[key]
+    for members in buckets.values():  # first members in term order, so classes are too
         total = members[0][1]
         for _, c in members[1:]:
             total = total + c

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gstar import (
+    GradingError,
     GVar,
     ParseError,
-    VariableError,
     evaluate,
     format_poly,
     generic_matrix_signed,
@@ -104,7 +104,7 @@ def test_evaluate_off_support_vanishes(gr_z6, z6):
 
 def test_evaluate_rejects_foreign_elements(gr_z2):
     f = GPolynomial({(GVar(1, 5),): RATIONALS.one})
-    with pytest.raises(VariableError):
+    with pytest.raises(GradingError):
         evaluate(f, gr_z2)
 
 

@@ -8,6 +8,7 @@ from gstar import (
     PartialInjection,
     PreconditionError,
     build_grading,
+    evaluate,
     evaluate_monomial,
     evaluation_key,
     grading_from_json,
@@ -15,6 +16,7 @@ from gstar import (
     make_cyclic,
     subword_identity_certificate,
 )
+from gstar.freealg import GPolynomial
 from gstar.gradings import signed_degree
 from gstar.identities import block_certificate
 from gstar.sampling import random_grading
@@ -104,6 +106,8 @@ def test_letters_outside_the_group_rejected(gr_z6, z6, element, star):
         with pytest.raises(GradingError):
             evaluate_monomial(word, gr_z6)
         with pytest.raises(GradingError):
+            evaluate(GPolynomial({word: 1}), gr_z6)
+        with pytest.raises(GradingError):
             subword_identity_certificate(word, gr_z6)
         with pytest.raises(GradingError):
             block_certificate(word, gr_z6)
@@ -118,6 +122,8 @@ def test_letters_after_a_dead_walk_rejected(gr_z6, z6, element, star):
     mono = (GVar(1, a), GVar(2, a), GVar(3, a), GVar(4, element, star))
     with pytest.raises(GradingError):
         evaluate_monomial(mono, gr_z6)
+    with pytest.raises(GradingError):
+        evaluate(GPolynomial({mono: 1}), gr_z6)
     with pytest.raises(GradingError):
         evaluation_key(mono, gr_z6)
     alive = (GVar(1, a), GVar(2, a), GVar(3, a), GVar(4, a, star))
