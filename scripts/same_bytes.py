@@ -15,9 +15,10 @@ names need escaping, ``selftest`` over both rings and the three
 two gradings the bench's selftest requests leave out), ``congruent`` on
 the seven pairs of ``CONGRUENT_PAIRS``, ``eval`` and ``check`` on the long words of
 ``long_word`` on z4 and Klein, and ``eval`` and ``check`` on the malformed
-and whitespace-heavy ``ODD_EXPRESSIONS`` on z2 and Klein (most exit 2, so
-their stderr is compared) are run twice, once with ``--json`` as given and once
-toggled; the usage, help and error runs of ``error_runs``, which reach the
+and whitespace-heavy ``ODD_EXPRESSIONS`` (most exit 2, so their stderr is
+compared) and the sign and unit ``SIGN_EXPRESSIONS`` (over ``q``,
+``modp:2`` and ``modp:5``), both on z2 and Klein, are run twice, once with
+``--json`` as given and once toggled; the usage, help and error runs of ``error_runs``, which reach the
 parser and the error boundary of ``main``, are run once.  All go through
 ``gstar.cli.main`` in one child process per tree: this checkout's ``src/``
 and REV's.  The exit code, stdout and stderr of every
@@ -129,6 +130,20 @@ ODD_EXPRESSIONS = [
     ("q", "+ x1:a - -x2:e"),
     ("q", " + ".join(f"{k} x{k}:a x1:e*" for k in range(1, 300)) + " - x1:zz"),
     ("modp:5", "3/10 x1:a"),
+]
+
+# Expressions that pin the sign and unit rule of the printed terms, each with
+# the ring it is read over: several components; the coefficients -1, p-1,
+# 2/2, -2/2, 4/2 and -1/3; and two 4,300-digit coefficients of congruent
+# words, whose class sum (and evaluation) has too many digits to print.
+SIGN_EXPRESSIONS = [
+    ("q", "-x1:a x2:a + 2/2 x2:a x1:a - 2/2 x1:e + 4/2 x1:e* - 1/3 x2:a* x1:a*"),
+    ("q", "-2/2 x1:e x2:e + 4/2 x2:e x1:e - 1/3 x1:a + x1:a*"),
+    ("modp:5", "-x1:a x2:a + 4 x2:a x1:a + 2/2 x1:e - 2/2 x1:e* + 4/2 x3:a - 1/3 x3:e"),
+    ("modp:5", "-2/2 x1:e x2:e - 1/3 x2:e x1:e + 4 x1:a*"),
+    ("modp:2", "-x1:a x2:a + x2:a x1:a - 1/3 x1:e + 1/3 x1:e* + x3:a x3:a*"),
+    ("modp:2", "-1/3 x1:e x2:e - x2:e x1:e + x1:a"),
+    ("q", f"{'9' * 4300} x1:e x2:e + {'9' * 4300} x2:e x1:e"),
 ]
 
 # Degrees of the long words checked with eval and check on z4 and Klein;
@@ -252,7 +267,7 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
                          ["check", "--config", config, "--json", f"{' '.join(word)} - {swapped}"]):
                 argvs += [argv, toggled(argv)]
     for config in ODD_CONFIGS:
-        for coeff, text in ODD_EXPRESSIONS:
+        for coeff, text in ODD_EXPRESSIONS + SIGN_EXPRESSIONS:
             for command in ("eval", "check"):
                 argv = [command, "--config", config, "--json", "--coeff", coeff, "--", text]
                 argvs += [argv, toggled(argv)]

@@ -11,6 +11,9 @@ The handlers only compose library calls.  ``_emit`` adds ``schema`` and
 ``congruent`` makes one library call, ``derivation_mod_neutral``, which
 decides congruence too: ``congruent`` is whether a chain came back, and the
 ``note`` given for an identity input is the library's precondition message.
+``check`` makes each term's word and coefficient text once per request
+(``freealg.term_texts``); the expression, each component and each class or
+identity term of the report are written from them.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import (ConfigError, GstarError, InternalCheckError, ParseError, PreconditionError,
                      ResourceCapError)
-from .freealg import (format_components, format_poly, multihomogeneous_components, parse_poly,
-                      render_word)
+from .freealg import (format_poly, format_sum, multihomogeneous_components, parse_poly,
+                      render_word, term_texts)
 from .freealg import evaluate as evaluate_poly
 from .gradings import Grading, grading_from_json
 from .identities import IdentityListing, basis_reduce, derivation_mod_neutral
@@ -150,15 +153,15 @@ def cmd_check(args, grading, field, out) -> int:
     components = multihomogeneous_components(poly)
     reductions = [basis_reduce(comp, grading) for comp in components]
     identity = all(red.is_identity for red in reductions)
-    expression, texts = format_components(poly, components, grading.group)
+    texts = term_texts(poly, grading.group)
     payload = {
-        "expression": expression,
+        "expression": format_sum(poly, texts),
         "coefficients": field.name,
         "identity": identity,
         "fully_certified": identity and all(red.fully_certified for red in reductions),
         "components": [
-            {**red.to_json(grading.group), "component": text}
-            for text, red in zip(texts, reductions)
+            {**red.to_json(texts), "component": format_sum(comp, texts)}
+            for comp, red in zip(components, reductions)
         ],
     }
     _emit(payload, args, out)

@@ -35,7 +35,7 @@ from .errors import GroupError, ParseError, PreconditionError
 from .genmat import CPolynomial, SparseMatrix, rows_matrix, word_rows
 from .gradings import Grading
 from .groups import Group
-from .rings import RATIONALS, Fp, SparseSum, add_term, format_coeff
+from .rings import RATIONALS, SparseSum, add_term, format_coeff
 
 
 class GVar(NamedTuple):
@@ -328,30 +328,26 @@ def _scan_parse(text: str, group: Group, field) -> GPolynomial:
 
 def format_poly(f: GPolynomial, group: Group) -> str:
     """Canonical text form; round-trips through :func:`parse_poly`."""
-    return _joined([_term_text(m, c, group) for m, c in f.terms_sorted()])
+    return format_sum(f, term_texts(f, group))
 
 
-def format_components(f: GPolynomial, components: list, group: Group) -> tuple[str, list]:
-    """``format_poly`` of f and of each part of
-    :func:`multihomogeneous_components`, formatting each term once."""
-    if len(components) < 2:
-        text = format_poly(f, group)
-        return text, [text] * len(components)
-    texts = {m: _term_text(m, c, group) for m, c in f.terms.items()}
-    text, *parts = [_joined([texts[m] for m, _ in g.terms_sorted()]) for g in (f, *components)]
-    return text, parts
+def term_texts(f: GPolynomial, group: Group) -> dict:
+    """The (word text, coefficient text) of each term, made once for every
+    sum of f's terms that :func:`format_sum` writes."""
+    return {m: (render_word(m, group), format_coeff(c)) for m, c in f.terms.items()}
 
 
-def _term_text(mono: tuple, coeff, group: Group) -> str:
-    """The term as it follows another: '+ x1:a' or '- 2 x1:a'."""
-    neg = not isinstance(coeff, Fp) and coeff < 0  # an element of F_p has no sign
-    mag = -coeff if neg else coeff
-    body = render_word(mono, group)
-    return ("- " if neg else "+ ") + (body if mag == 1 else f"{format_coeff(mag)} {body}")
-
-
-def _joined(texts: list) -> str:
-    if not texts:
+def format_sum(f: GPolynomial, texts: dict) -> str:
+    """The canonical text of f from the :func:`term_texts` of f or of a sum
+    holding f's terms.  Each coefficient text gives the sign (a negative
+    rational prints a leading '-', an element of F_p never does) and the
+    magnitude, which is not written when it is '1'."""
+    parts = []
+    for m in sorted(f.terms, key=f.order):
+        word, coeff = texts[m]
+        sign, coeff = ("- ", coeff[1:]) if coeff[0] == "-" else ("+ ", coeff)
+        parts.append(sign + word if coeff == "1" else f"{sign}{coeff} {word}")
+    if not parts:
         return "0"
-    text = " ".join(texts)  # a leading sign is dropped if '+', else written unspaced
+    text = " ".join(parts)  # a leading sign is dropped if '+', else written unspaced
     return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -423,10 +423,11 @@ class IdentityTerm(NamedTuple):
     coefficient: object
     certificate: Optional[tuple[int, int]]
 
-    def to_json(self, group: Group) -> dict:
+    def to_json(self, texts: dict) -> dict:
+        word, coeff = texts[self.monomial]
         return {
-            "monomial": render_word(self.monomial, group),
-            "coefficient": format_coeff(self.coefficient),
+            "monomial": word,
+            "coefficient": coeff,
             "subword": list(self.certificate) if self.certificate else None,
         }
 
@@ -435,10 +436,10 @@ class CongruenceClass(NamedTuple):
     members: tuple[tuple[tuple, object], ...]
     total: object
 
-    def to_json(self, group: Group) -> dict:
+    def to_json(self, texts: dict) -> dict:
         return {
-            "monomials": [render_word(m, group) for m, _ in self.members],
-            "coefficients": [format_coeff(c) for _, c in self.members],
+            "monomials": [texts[m][0] for m, _ in self.members],
+            "coefficients": [texts[m][1] for m, _ in self.members],
             "sum": format_coeff(self.total),
         }
 
@@ -448,7 +449,9 @@ class BasisReduction(NamedTuple):
 
     ``is_identity`` holds exactly when every congruence class sums to zero;
     the classes plus the certified monomial identity terms are the
-    membership certificate for the identity basis.
+    membership certificate for the identity basis.  Every ``to_json`` reads
+    a term's word and coefficient text from ``texts``, as
+    ``freealg.term_texts`` gives them; only a class sum is formatted there.
     """
 
     identity_terms: tuple[IdentityTerm, ...]
@@ -459,11 +462,11 @@ class BasisReduction(NamedTuple):
     def fully_certified(self) -> bool:
         return all(t.certificate is not None for t in self.identity_terms)
 
-    def to_json(self, group: Group) -> dict:
+    def to_json(self, texts: dict) -> dict:
         return {
             "verdict": "identity" if self.is_identity else "not-identity",
-            "identity_terms": [t.to_json(group) for t in self.identity_terms],
-            "classes": [c.to_json(group) for c in self.classes],
+            "identity_terms": [t.to_json(texts) for t in self.identity_terms],
+            "classes": [c.to_json(texts) for c in self.classes],
             "fully_certified": self.fully_certified,
         }
 
@@ -483,12 +486,9 @@ def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
     (k, a, b) names its letter's (index, element) as (k, g_a^{-1} g_b), so
     equal keys imply equal multidegrees and no class crosses two components.
     """
-    terms = f.terms_sorted()
-    if not terms:
-        return BasisReduction((), (), True)
     identity_terms = []
     buckets: dict[tuple, list] = {}
-    for mono, coeff in terms:
+    for mono, coeff in f.terms_sorted():
         row = next(iter_rows(mono, grading), None)
         if row is None:
             cert = subword_identity_certificate(mono, grading)

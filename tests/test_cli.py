@@ -222,6 +222,45 @@ def test_congruent_walks_each_word_no_more_than_the_library_does(
     assert len(calls) <= walks
 
 
+# four components on z4: a class of two members, two classes of one member
+# and two identity terms, with unit and non-unit coefficients of both signs
+CHECK_ONCE = ("2 x1:a x2:a x3:a - x1:e x2:e + 3 x2:e x1:e - 1/2 x1:a x2:a* + x2:a* x1:a"
+              " - x1:a2 x2:a x3:a2")
+
+
+# the expression, a component and a class or identity term share each
+# term's word text and coefficient text; only a class sum is formatted apart
+@pytest.mark.parametrize("ring", ["q", "modp:5"])
+def test_check_formats_each_term_once(ring, capsys, monkeypatch):
+    import gstar.cli
+    import gstar.freealg
+    import gstar.identities
+
+    calls = {"render_word": [], "format_coeff": []}
+
+    def counting(name, inner):
+        def wrapped(*args):
+            calls[name].append(args[0])
+            return inner(*args)
+        return wrapped
+
+    for name in calls:
+        inner = getattr(gstar.freealg, name)
+        for module in (gstar.freealg, gstar.identities, gstar.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, inner))
+    code, payload, _ = run_json(["check", "--config", str(CONFIGS / "z4_3tuple.json"),
+                                 "--coeff", ring, CHECK_ONCE], capsys)
+    assert code == 0
+    components = payload["components"]
+    terms = sum(len(c["identity_terms"]) + sum(len(k["monomials"]) for k in c["classes"])
+                for c in components)
+    classes = sum(len(c["classes"]) for c in components)
+    assert (len(components), terms, classes) == (4, 6, 3)
+    assert len(calls["render_word"]) == len(set(calls["render_word"])) == terms
+    assert len(calls["format_coeff"]) == terms + classes
+
+
 def test_enumerate_defaults_to_basis_bound(capsys):
     code, payload, _ = run_json(
         ["enumerate", "--config", str(CONFIGS / "z2.json")], capsys

@@ -24,7 +24,7 @@ from gstar import freealg
 from gstar.errors import GroupError
 from gstar.freealg import GPolynomial
 from gstar.groups import make_from_table
-from gstar.rings import RATIONALS, PrimeField, add_term
+from gstar.rings import RATIONALS, Fp, PrimeField, add_term
 from gstar.sampling import random_grading, random_monomial
 
 
@@ -294,7 +294,7 @@ def test_format_parse_roundtrip(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["q", "modp:5"]))
-def test_format_components_formats_as_format_poly(seed, ring):
+def test_format_sum_formats_as_format_poly(seed, ring):
     field = RATIONALS if ring == "q" else PrimeField(5)
     rng = random.Random(seed)
     grading = random_grading(rng)
@@ -306,8 +306,49 @@ def test_format_components_formats_as_format_poly(seed, ring):
         terms[m] = field.coerce(Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7])))
     f = GPolynomial(terms)
     components = multihomogeneous_components(f)
-    assert freealg.format_components(f, components, group) == (
-        format_poly(f, group), [format_poly(c, group) for c in components])
+    texts = freealg.term_texts(f, group)
+    assert [freealg.format_sum(g, texts) for g in (f, *components)] == [
+        format_poly(g, group) for g in (f, *components)]
+
+
+def _reference_format(f, group):
+    """format_poly by the numeric sign rule: a term is negative when its
+    coefficient is a negative rational, and a magnitude of 1 is not written."""
+    parts = []
+    for m, c in f.terms_sorted():
+        neg = not isinstance(c, Fp) and c < 0
+        mag = -c if neg else c
+        body = render_word(m, group)
+        parts.append(("- " if neg else "+ ") + (body if mag == 1 else f"{mag} {body}"))
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+_SIGN_FIELDS = {"q": RATIONALS, "modp:2": PrimeField(2), "modp:5": PrimeField(5)}
+_SIGN_COEFFS = {
+    "q": st.one_of(
+        st.sampled_from([1, -1]),
+        st.integers(1, 50).map(lambda n: Fraction(n, n)),
+        st.builds(lambda s, n, m: s * Fraction(n, m), st.sampled_from([1, -1]),
+                  st.integers(1, 50), st.integers(1, 50)),
+        st.integers(-10**6, 10**6).filter(bool)),
+    "modp:2": st.just(1),
+    "modp:5": st.integers(1, 4),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_SIGN_FIELDS)).flatmap(
+    lambda ring: st.tuples(st.just(ring), st.lists(_SIGN_COEFFS[ring], min_size=1, max_size=6))))
+@example(("q", [-1, Fraction(2, 2), Fraction(-2, 2), Fraction(4, 2), Fraction(-1, 3), 7]))
+@example(("modp:2", [1, -1]))
+@example(("modp:5", [1, 2, 3, 4, -1]))
+def test_format_sum_sign_and_unit_rule(z2, case):
+    ring, coeffs = case
+    field = _SIGN_FIELDS[ring]
+    a = z2.index_of("a")
+    f = GPolynomial({(GVar(k, a),): field.coerce(c) for k, c in enumerate(coeffs, 1)})
+    assert freealg.format_sum(f, freealg.term_texts(f, z2)) == _reference_format(f, z2)
 
 
 def test_variable_builder(z2):
