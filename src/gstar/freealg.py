@@ -35,7 +35,7 @@ from .errors import GroupError, ParseError, PreconditionError
 from .genmat import CPolynomial, SparseMatrix, rows_matrix, word_rows
 from .gradings import Grading
 from .groups import Group
-from .rings import RATIONALS, SparseSum, add_term, format_coeff
+from .rings import RATIONALS, SparseSum, add_term, format_coeff, signed_sum
 
 
 class GVar(NamedTuple):
@@ -339,15 +339,5 @@ def term_texts(f: GPolynomial, group: Group) -> dict:
 
 def format_sum(f: GPolynomial, texts: dict) -> str:
     """The canonical text of f from the :func:`term_texts` of f or of a sum
-    holding f's terms.  Each coefficient text gives the sign (a negative
-    rational prints a leading '-', an element of F_p never does) and the
-    magnitude, which is not written when it is '1'."""
-    parts = []
-    for m in sorted(f.terms, key=f.order):
-        word, coeff = texts[m]
-        sign, coeff = ("- ", coeff[1:]) if coeff[0] == "-" else ("+ ", coeff)
-        parts.append(sign + word if coeff == "1" else f"{sign}{coeff} {word}")
-    if not parts:
-        return "0"
-    text = " ".join(parts)  # a leading sign is dropped if '+', else written unspaced
-    return text[2:] if text[0] == "+" else "-" + text[2:]
+    holding f's terms, signed by :func:`rings.signed_sum`."""
+    return signed_sum([texts[m] for m in sorted(f.terms, key=f.order)], " ")

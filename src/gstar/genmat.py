@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .errors import GradingError, ShapeError
 from .gradings import Grading
-from .rings import RATIONALS, SparseSum, add_term, format_coeff
+from .rings import RATIONALS, SparseSum, add_term, format_coeff, signed_sum
 
 
 def render_entry_monomial(mono: tuple) -> str:
@@ -64,19 +64,8 @@ class CPolynomial(SparseSum):
         return tuple(self.terms_sorted())
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for m, c in self.terms_sorted():
-            body = render_entry_monomial(m)
-            if c == 1:
-                piece = body
-            elif c == -1:
-                piece = f"-{body}"
-            else:
-                piece = f"{format_coeff(c)}*{body}" if body != "1" else format_coeff(c)
-            chunks.append(piece)
-        return " + ".join(chunks).replace("+ -", "- ")
+        return signed_sum([(render_entry_monomial(m), format_coeff(c))
+                           for m, c in self.terms_sorted()], "*")
 
     def __repr__(self) -> str:
         return f"CPolynomial({self.render()})"

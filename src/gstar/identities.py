@@ -4,16 +4,17 @@ A word in signed letters is an identity exactly when the composition of its
 hat maps has empty domain; a witness otherwise is a matrix-unit assignment
 multiplying out to a single matrix unit.  Two non-identity words are
 congruent modulo the neutral ideal (the two-sided closure of the neutral
-commutator and the neutral star relation under grading- and star-preserving
-substitutions) exactly when their generic evaluations share a nonzero entry
-at a shared position, which forces the full evaluations to agree.  Reducing
-a polynomial therefore means: split off the monomial identities (each with
-a short contiguous identity subword as its certificate, when one exists)
-and partition the rest by generic evaluation; the polynomial is an identity
-precisely when every class sums to zero.  The monomial identities up to a
-degree are counted per composition state and remaining length, then
-streamed by a depth-first walk that enters only states with words left
-to give (``IdentityListing``).
+star relation x_e - x_e* under grading- and star-preserving substitutions,
+which holds the neutral commutator: for neutral x and y, xy is neutral and
+[x, y] = (xy - (xy)*) + (y* - y)x* + y(x* - x)) exactly when their generic
+evaluations share a nonzero entry at a shared position, which forces the
+full evaluations to agree.  Reducing a polynomial therefore means: split
+off the monomial identities (each with a short contiguous identity subword
+as its certificate, when one exists) and partition the rest by generic
+evaluation; the polynomial is an identity precisely when every class sums
+to zero.  The monomial identities up to a degree are counted per
+composition state and remaining length, then streamed by a depth-first
+walk that enters only states with words left to give (``IdentityListing``).
 """
 
 from __future__ import annotations
@@ -135,38 +136,22 @@ def congruent_mod_neutral(m1: Sequence[tuple], m2: Sequence[tuple], grading: Gra
 
 
 class DerivationStep(NamedTuple):
-    """One elementary rewrite: kind 'swap' exchanges the adjacent neutral
-    factors [i,j) and [j,k); kind 'star' replaces the neutral factor [i,j)
-    by its involution image."""
+    """One elementary rewrite: the neutral factor [i,j) replaced by its
+    involution image, an instance of the star relation x_e - x_e*."""
 
-    kind: str
     i: int
     j: int
-    k: Optional[int]
     result: tuple
 
     def to_json(self, group: Group) -> dict:
-        out = {"kind": self.kind, "i": self.i, "j": self.j,
-               "result": render_word(self.result, group)}
-        if self.k is not None:
-            out["k"] = self.k
-        return out
-
-
-def _moved(letters: tuple, kind: str, i: int, j: int, k: Optional[int] = None) -> tuple:
-    """The letters with one neutral-ideal generator applied: kind 'star'
-    replaces the factor [i,j) by its involution image, kind 'swap'
-    exchanges the factors [i,j) and [j,k)."""
-    if kind == "star":
-        return letters[:i] + star_word(letters[i:j]) + letters[j:]
-    return letters[:i] + letters[j:k] + letters[i:j] + letters[k:]
+        return {"kind": "star", "i": self.i, "j": self.j,
+                "result": render_word(self.result, group)}
 
 
 def _rewrites(letters: tuple, group: Group):
-    """Every single-step rewrite of a letter tuple by the neutral-ideal
-    generators, as (kind, i, j, k, rewritten letters): over i, then j, the
-    star of the neutral factor [i,j) first, then its swaps with each neutral
-    factor [j,k)."""
+    """Every single-step rewrite of a letter tuple by the star relation, as
+    (i, j, rewritten letters): the star of each neutral factor [i,j), over
+    i, then j."""
     pref = [group.identity]
     for _, element, star in letters:
         pref.append(group.mul(pref[-1], signed_degree(element, star, group)))
@@ -174,12 +159,8 @@ def _rewrites(letters: tuple, group: Group):
     for i in range(n - 1):
         g = pref[i]
         for j in range(i + 1, n):
-            if pref[j] != g:  # [i,j) is neutral exactly when the prefix degrees agree
-                continue
-            yield "star", i, j, None, _moved(letters, "star", i, j)
-            for k in range(j + 1, n):
-                if pref[k] == g:
-                    yield "swap", i, j, k, _moved(letters, "swap", i, j, k)
+            if pref[j] == g:  # [i,j) is neutral exactly when the prefix degrees agree
+                yield i, j, letters[:i] + star_word(letters[i:j]) + letters[j:]
 
 
 def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading
@@ -187,25 +168,25 @@ def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading
     """An explicit rewrite chain from m2 to m1, of at most 2 len(m1) steps,
     or None when the words are not congruent.
 
-    Every step instantiates one neutral-ideal generator, so each step
-    preserves the generic evaluation.  Both words are read as trails from
-    the first start row of m1's evaluation (``word_rows``): letter p crosses
-    the entry variable y[index, a, b], from row a to row b when plain and
-    from b to a when starred; a factor [i,j) is neutral exactly when the
-    walk is at the same row at i and at j; and congruent words cross the
-    same multiset of entry variables.  The two generators are then
-    Kotzig's transformations of trails (A. Kotzig, 1966; H. Fleischner,
-    Eulerian Graphs and Related Topics, 1990), and m2 is rewritten into m1
-    one position at a time.  At the first position p where the current
-    word W differs from m1, with W at row v, let q >= p be the first
-    position where W crosses the variable e that m1 crosses at p.  The
-    first case that applies brings m1's letter to p:
+    Every step stars one neutral factor, an instance of the star relation,
+    so each step preserves the generic evaluation.  Both words are read as
+    trails from the first start row of m1's evaluation (``word_rows``):
+    letter p crosses the entry variable y[index, a, b], from row a to row b
+    when plain and from b to a when starred; a factor [i,j) is neutral
+    exactly when the walk is at the same row at i and at j; and congruent
+    words cross the same multiset of entry variables.  A star then reverses
+    a closed sub-trail, one of Kotzig's transformations of trails (A.
+    Kotzig, 1966; H. Fleischner, Eulerian Graphs and Related Topics, 1990),
+    and m2 is rewritten into m1 one position at a time.  At the first
+    position p where the current word W differs from m1, with W at row v,
+    let q >= p be the first position where W crosses the variable e that
+    m1 crosses at p.  The first case that applies brings m1's letter to p:
 
-    - e is a loop at v: star [q,q+1) if its star flag differs, then swap
-      [p,q) with [q,q+1) if q > p;
+    - e is a loop at v: star [p,q+1) if q > p, then star [p,p+1) if the
+      star flag still differs;
     - W crosses e into v: star [p,q+1);
-    - W leaves v along e and is at v again at some r > q: swap [p,q) with
-      [q,r), the first such r;
+    - W leaves v along e and is at v again at the first r > q: star [q,r),
+      which makes W enter v along e at r - 1, then star [p,r);
     - otherwise some row is visited at a position c in (p,q) and again at a
       position d > q, because the rest of m1 is one trail over the
       variables that W crosses from p on: star [c,d), which makes W enter v
@@ -227,18 +208,14 @@ def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading
     rows = [start, *(e[1] if star else e[2] for (_, _, star), e in zip(word, edges))]
     chain: list[DerivationStep] = []
 
-    def rewrite(kind: str, i: int, j: int, k: Optional[int] = None) -> None:
+    def rewrite(i: int, j: int) -> None:
         # a letter keeps its entry variable, so the variables and the rows
         # move with the letters
         nonlocal word
-        word = _moved(word, kind, i, j, k)
-        if kind == "star":
-            edges[i:j] = edges[i:j][::-1]
-            rows[i:j + 1] = rows[i:j + 1][::-1]
-        else:
-            for seq in (edges, rows):
-                seq[i:k] = seq[j:k] + seq[i:j]
-        chain.append(DerivationStep(kind, i, j, k, word))
+        word = word[:i] + star_word(word[i:j]) + word[j:]
+        edges[i:j] = edges[i:j][::-1]
+        rows[i:j + 1] = rows[i:j + 1][::-1]
+        chain.append(DerivationStep(i, j, word))
 
     for p, letter in enumerate(m1):
         if word[p] == letter:
@@ -246,19 +223,21 @@ def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading
         v, e = rows[p], wanted[p]
         q = edges.index(e, p)
         if e[1] == e[2]:
-            if word[q][2] != letter[2]:  # the star flags
-                rewrite("star", q, q + 1)
             if q > p:
-                rewrite("swap", p, q, q + 1)
+                rewrite(p, q + 1)
+            if word[p][2] != letter[2]:  # the star flags
+                rewrite(p, p + 1)
         elif rows[q + 1] == v:
-            rewrite("star", p, q + 1)
+            rewrite(p, q + 1)
         elif v in rows[q + 2:]:
-            rewrite("swap", p, q, rows.index(v, q + 2))
+            r = rows.index(v, q + 2)
+            rewrite(q, r)
+            rewrite(p, r)
         else:
             c, d = next((c, d) for c in range(p + 1, q) for d in range(q + 1, len(rows))
                         if rows[c] == rows[d])
-            rewrite("star", c, d)
-            rewrite("star", p, c + d - q)
+            rewrite(c, d)
+            rewrite(p, c + d - q)
     if word != m1:
         raise InternalCheckError("derivation does not land on the first monomial")
     return chain

@@ -193,6 +193,23 @@ def format_coeff(c) -> str:
         raise FieldError("a coefficient has too many digits to print") from None
 
 
+def signed_sum(terms: list, sep: str) -> str:
+    """The text of a sum from (term text, coefficient text) pairs, as every
+    report prints it.  The sign comes from the coefficient text (a negative
+    rational prints a leading '-', an element of F_p never does); a
+    magnitude '1' is not written before its term, nor a term '1' after its
+    magnitude, and otherwise ``sep`` joins them.  '0' for no terms."""
+    parts = []
+    for body, coeff in terms:
+        sign, coeff = ("- ", coeff[1:]) if coeff[0] == "-" else ("+ ", coeff)
+        parts.append(sign + (body if coeff == "1" else coeff if body == "1"
+                             else f"{coeff}{sep}{body}"))
+    if not parts:
+        return "0"
+    text = " ".join(parts)  # a leading sign is dropped if '+', else written unspaced
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def add_term(terms: dict, key, coeff) -> None:
     """Add ``coeff`` into ``terms[key]`` in place; a sum that cancels drops the key."""
     total = terms[key] + coeff if key in terms else coeff

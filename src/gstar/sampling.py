@@ -118,9 +118,9 @@ def congruent_partner(
     """A monomial provably congruent to ``mono``: a random rewrite walk of
     up to four steps.
 
-    Each step instantiates one neutral-ideal generator, so the result has
-    the same generic evaluation by construction.  None when the word admits
-    no move at all.
+    Each step stars one neutral factor (``identities._rewrites``), so the
+    result has the same generic evaluation by construction.  None when the
+    word admits no move at all.
     """
     cur = mono
     moved = False
@@ -128,7 +128,7 @@ def congruent_partner(
         steps = list(_rewrites(cur, grading.group))
         if not steps:
             break
-        cur = rng.choice(steps)[4]
+        cur = rng.choice(steps)[2]
         moved = True
     return cur if moved else None
 

@@ -10,7 +10,7 @@ import pytest
 
 from gstar.cli import SCHEMA, _emit, _json_pieces, _print_text, main
 from gstar.errors import PreconditionError
-from gstar.freealg import parse_poly
+from gstar.freealg import evaluate_monomial, parse_poly, render_word, star_word
 from gstar.gradings import grading_from_json
 from gstar.identities import congruent_mod_neutral, enumerate_monomial_identities
 from gstar.sampling import random_grading
@@ -153,15 +153,49 @@ def test_eval_reports_entries(capsys):
     assert first == {"row": 0, "col": 0, "value": "y[1,0,1]^2 - y[1,1,0]^2"}
 
 
+def test_eval_modp_entries_sign_as_the_expression(capsys):
+    # an element of F_p prints 0..p-1 in the entries as in the expression:
+    # -1 is 4 in F_5, never a sign
+    code, payload, _ = run_json(
+        ["eval", "--config", str(CONFIGS / "z2.json"), "--coeff", "modp:5",
+         "x1:a x2:a - x2:a x1:a"],
+        capsys,
+    )
+    assert code == 0
+    assert payload["expression"] == "x1:a x2:a + 4 x2:a x1:a"
+    assert payload["entries"] == [
+        {"row": 0, "col": 0, "value": "y[1,0,1]*y[2,1,0] + 4*y[1,1,0]*y[2,0,1]"},
+        {"row": 1, "col": 1, "value": "4*y[1,0,1]*y[2,1,0] + y[1,1,0]*y[2,0,1]"},
+    ]
+
+
+def _assert_derivation_replays(report, config):
+    """Each step of a congruent report stars the factor [i,j) of the word
+    before it and keeps its generic evaluation, and the last step gives
+    the first word."""
+    grading = grading_from_json(json.loads((CONFIGS / config).read_text()))
+    group = grading.group
+    word = parse_poly(report["second"], group).terms_sorted()[0][0]
+    ref = evaluate_monomial(word, grading)
+    for step in report["derivation"]:
+        assert step["kind"] == "star" and set(step) == {"kind", "i", "j", "result"}
+        i, j = step["i"], step["j"]
+        word = word[:i] + star_word(word[i:j]) + word[j:]
+        assert render_word(word, group) == step["result"]
+        assert evaluate_monomial(word, grading) == ref
+    assert render_word(word, group) == report["first"]
+
+
 def test_congruent_with_derivation(capsys):
+    # the neutral commutator is three stars: [0,2), then each letter
     code, payload, _ = run_json(
         ["congruent", "--config", str(CONFIGS / "z2.json"), "x1:e x2:e", "x2:e x1:e"],
         capsys,
     )
     assert code == 0
     assert payload["congruent"] is True
-    assert len(payload["derivation"]) == 1
-    assert payload["derivation"][0]["kind"] == "swap"
+    assert [(step["i"], step["j"]) for step in payload["derivation"]] == [(0, 2), (0, 1), (1, 2)]
+    _assert_derivation_replays(payload, "z2.json")
 
 
 def test_congruent_negative(capsys):
@@ -503,9 +537,10 @@ def test_seed_belongs_to_selftest_only(capsys):
     assert "unrecognized arguments: --seed" in err
 
 
-def test_congruent_degree_10_reversal_answers_with_swaps(capsys):
+def test_congruent_degree_10_reversal_answers_with_stars(capsys):
     # the derivation is built, not searched for: the degree-10 all-neutral
-    # reversal answers with exit 0, one swap per letter
+    # reversal answers with exit 0, one star reversing the word and one
+    # unstarring each letter
     first = " ".join(f"x{i}:e" for i in range(1, 11))
     second = " ".join(f"x{i}:e" for i in range(10, 0, -1))
     code, out, err = run(["congruent", "--config", str(CONFIGS / "z2.json"), "--json",
@@ -515,8 +550,8 @@ def test_congruent_degree_10_reversal_answers_with_swaps(capsys):
     report = json.loads(out)
     assert "note" not in report
     assert report["congruent"] is True
-    assert [step["kind"] for step in report["derivation"]] == ["swap"] * 9
-    assert report["derivation"][-1]["result"] == first
+    assert len(report["derivation"]) == 11
+    _assert_derivation_replays(report, "z2.json")
 
 
 def test_help_returns_zero(capsys):
@@ -554,7 +589,7 @@ GOLDEN_REPORTS = [
     (["eval", "z4_3tuple.json", "x1:a x2:a* x1:a + 2/3 x2:a2 x1:a2*"],
      "c01f4c0302acfed0eb81152e084fd2536f1a1d70bcf772aafd01586b57723511"),
     (["eval", "z6_3tuple.json", "--coeff", "modp:5", "x1:a x2:a x3:a + x1:a5 x2:a + 4 x1:e"],
-     "f8c22fb60d1cc5ccd0bd4a794b20ff97c805dc4e35b37ff54f159af4bab87d16"),
+     "127fa13c0c696b59a92a1c750b576356c213be51e608f93c2b528e923e328777"),
     (["eval", "klein.json", "x1:a x2:b x3:c - x1:e x2:e x3:e*"],
      "4ba38c5ea5be5ecea3cad225da893b497023650929a1648cd89b1df8c0b6e8ec"),
     (["eval", "s3_mixed.json", "x1:r x2:a - x2:a x1:rr + x1:b*"],
@@ -564,25 +599,24 @@ GOLDEN_REPORTS = [
     (["congruent", "z2.json", "x1:e x2:a x3:e", "x3:e x2:a x1:e"],
      "d2c218f995ded09b4f278ef94add4dcebae52440ea7af4c308cec652f39b96e9"),
     (["congruent", "z4_3tuple.json", "x1:a x2:a3 x3:e", "x3:e x1:a x2:a3"],
-     "3020e6d06b486453a13444bb7b8a5e3d64997c62fe61149ef49c0371e7669170"),
+     "4a7a6e9471de2f5456f55d7440351fed66b98de00ad7edc7171b54a672445605"),
     (["congruent", "z6_3tuple.json", "x1:a x2:a5 x3:a", "x3:a x2:a5 x1:a"],
      "dc6801a41e0c76489ddcc48bdd006571e34e54e9944834c64bdff44d69e02faf"),
     (["congruent", "klein.json", "x1:a x2:a", "x2:a x1:a"],
      "a611492c136e5263ebbb362297a19efba80dfe35672ba4ff5284e291acaf973b"),
     (["congruent", "s3_mixed.json", "--coeff", "modp:5", "x1:a x2:e x3:e", "x1:a x3:e x2:e"],
-     "79bc189ddb0323691bf6650dd983bc73788933a1c834c94ccee23655f09bd4b3"),
+     "718628fb38275260ce047d3e0892b09b7cb898e4ef70c75b53c2139be669819f"),
     (["congruent", "s3_rot.json", "x1:e x2:r", "x2:r x1:e*"],
      "75453f629f44240eaa68f0420bc4182cd080e34e5205c5fd7d2a7d9c2f1125dd"),
     (["congruent", "z6_3tuple.json", "x1:a x2:a", "x1:a3"],
      "cddc11fa936e0c4cbddb370eedc1e8857cda41cba4971ca648c7723b3962f497"),
-    # derivations of three or four steps, built position by position: swaps,
-    # stars, and both
+    # derivations of three to six stars, built position by position
     (["congruent", "z2.json", "x1:e x2:e x3:e x4:e x5:e", "x5:e x4:e x3:e x2:e x1:e"],
-     "7e3cd9bb88f6e591fa57b24ca6fbcd0a3b4e334bb9cf24c462213a654734353c"),
+     "ef0fe8621248a96d30966fca8a04bcc3f54a80043594297e759567ce0b0d82c4"),
     (["congruent", "z6_3tuple.json", "x1:a x2:a5 x3:e x4:a2 x5:a4", "x4:a2 x5:a4 x3:e x2:a5* x1:a*"],
      "b03dd54f501186872f8e72f239c0b8f37fa594654b2efcbe1339553ecb718b14"),
     (["congruent", "s3_mixed.json", "x1:r x2:rr x3:e x4:a x5:a", "x4:a x5:a x3:e* x1:r x2:rr"],
-     "5dafe956494818ce1a0c9608ee45145f22c50cc164cd4e00e28f54237955be5b"),
+     "95c11f67f78210fe8610e7ccc4eba0ab1aa71f1a3f577a4263579f591838eb70"),
     (["congruent", "klein.json", "x1:b x2:b x3:e x4:c x5:a", "x3:e* x4:c x5:a x2:b x1:b"],
      "39e96bdff98b4b12ba1cadf36994324056f59e66363fd2a434bf9a6ca6fdebdf"),
     (["congruent", "z4_3tuple.json", "--coeff", "modp:5", "x1:a2 x2:a2 x3:e x4:a3 x5:a",
@@ -599,23 +633,26 @@ def test_json_report_bytes_pinned(case, digest, capsys):
     command, config, *rest = case
     code, out, _ = run([command, "--config", str(CONFIGS / config), "--json", *rest], capsys)
     assert code == 0
+    report = json.loads(out)
+    if "derivation" in report:
+        _assert_derivation_replays(report, config)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the congruent --json stdout on pairs of degree 6 and 7 whose
-# shortest chains are four steps long.  The constructed chains take five
-# and six steps on the reversals, one swap per letter, and six and five on
-# the mixed pairs; (config, first, second).
+# sha256 of the congruent --json stdout on pairs of degree 6 and 7.  The
+# constructed chains take seven and eight stars on the reversals, one
+# reversing the word and one unstarring each letter, and seven and eight
+# on the mixed pairs; (config, first, second).
 GOLDEN_DEEP_DERIVATIONS = [
     (("z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e", "x6:e x5:e x4:e x3:e x2:e x1:e"),
-     "52ff25c45066fc6b9f6dad489ae1e2880d641d426a50eea3fae7b785dfb67f41"),
+     "ba9456307443e14bf3f73a3cc6742dc50262166c414fffd2a1c8edbafd06a10b"),
     (("z2.json", "x1:e x2:e x3:e x4:e x5:e x6:e x7:e", "x7:e x6:e x5:e x4:e x3:e x2:e x1:e"),
-     "2a6d951bdafbd36ffbc0f3dcfe0d54b3f12bf0b9da066b11a456f2bd1c8c9a28"),
+     "55a5e9f2e10088fbb34e58207b2f6df4c9e2e99c2f352d3616c7952907183c55"),
     (("klein.json", "x1:e x2:a x3:a x4:e x5:e x6:e x7:e", "x6:e* x3:a* x2:a* x1:e x5:e* x7:e* x4:e"),
-     "7add6e7dbec16356d5cfccca676c39ff3bbd732b0e67681b6e694c920331e0e8"),
+     "ab28ac07185683e608c59a47787b336deac8a72afb219ad8aa34587eccbc6e3a"),
     (("s3_mixed.json", "x1:rr x2:r x3:e x4:e x5:e x6:e x7:e",
       "x4:e x6:e x1:rr x2:r x7:e* x3:e x5:e*"),
-     "13a2cdb037cba3f112a4e65aeeadcfc9d80ce0e733f5a8f283957c01879923e3"),
+     "504cc7ede6487ae933b314de4625d326c15e9e4329f134e133766499a1ea11f8"),
 ]
 
 
@@ -628,6 +665,7 @@ def test_deep_derivation_bytes_pinned(case, digest, capsys):
     code, out, _ = run(["congruent", "--config", str(CONFIGS / config), "--json", first, second],
                        capsys)
     assert code == 0
+    _assert_derivation_replays(json.loads(out), config)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

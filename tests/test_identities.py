@@ -33,7 +33,7 @@ from gstar import (
     witness_for_word,
     word_monomial,
 )
-from gstar.freealg import GPolynomial, multidegree, render_word
+from gstar.freealg import GPolynomial, multidegree, render_word, star_polynomial, variable
 from gstar.gradings import signed_degree
 from gstar.identities import _profile_moves, _rewrites, block_certificate
 from gstar.genmat import evaluation_key
@@ -199,14 +199,40 @@ def test_congruence_is_equivalence_on_samples(gr_z6, z6):
 # derivations
 
 
-def test_single_swap_derivation(gr_z2, z2, mono):
-    chain = derivation_mod_neutral(mono("x1:e x2:e", z2), mono("x2:e x1:e", z2), gr_z2)
-    assert len(chain) == 1 and chain[0].kind == "swap"
+def test_neutral_commutator_derivation_is_three_stars(gr_z2, z2, mono):
+    # [x1:e, x2:e] lies in the ideal of the star relation: star [0,2), then
+    # each letter
+    m1, m2 = mono("x1:e x2:e", z2), mono("x2:e x1:e", z2)
+    chain = derivation_mod_neutral(m1, m2, gr_z2)
+    assert [(step.i, step.j) for step in chain] == [(0, 2), (0, 1), (1, 2)]
+    _assert_replays(chain, m1, m2, z2)
 
 
 def test_single_star_derivation(gr_z2, z2, mono):
     chain = derivation_mod_neutral(mono("x1:e", z2), mono("x1:e*", z2), gr_z2)
-    assert len(chain) == 1 and chain[0].kind == "star"
+    assert [(step.i, step.j) for step in chain] == [(0, 1)]
+
+
+def test_derivation_step_is_a_star(gr_z2, z2, mono):
+    # a step names only its factor and its result; the report writes it as
+    # a star, the one rewrite there is
+    step, = derivation_mod_neutral(mono("x1:e", z2), mono("x1:e*", z2), gr_z2)
+    assert step._fields == ("i", "j", "result")
+    assert step.to_json(z2) == {"kind": "star", "i": 0, "j": 1, "result": "x1:e"}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(2), PrimeField(5)],
+                         ids=["q", "modp:2", "modp:5"])
+def test_neutral_commutator_follows_from_star_relation(z2, field):
+    """[x, y] = (xy - (xy)*) + (y* - y)x* + y(x* - x) for neutral x and y, in
+    every characteristic: each summand is a multiple of the star relation at
+    a neutral argument, so the commutator needs no generator of its own."""
+    e, one = z2.identity, field.one
+    x, y = variable(1, e, one=one), variable(2, e, one=one)
+    xs, ys = star_polynomial(x), star_polynomial(y)
+    assert {v.element for m in (x * y).terms for v in m} == {e}
+    rhs = (x * y - star_polynomial(x * y)) + (ys - y) * xs + y * (xs - x)
+    assert rhs == neutral_commutator(z2, field=field)
 
 
 def test_reversal_derivation(gr_z2, z2, mono):
@@ -244,49 +270,57 @@ def _reversal(degree, group, mono):
     return mono(forward, group), mono(backward, group)
 
 
-def test_reversal_derivation_is_swaps_and_repeatable(gr_z2, z2, mono):
+def test_reversal_derivation_is_stars_and_repeatable(gr_z2, z2, mono):
     # the derivation is built, not searched for: the degree-5 reversal takes
-    # four swaps, and a second call gives the same chain
+    # six stars, and a second call gives the same chain
     m1, m2 = _reversal(5, z2, mono)
     chain = derivation_mod_neutral(m1, m2, gr_z2)
-    assert [step.kind for step in chain] == ["swap"] * 4
+    assert len(chain) == 6
     assert derivation_mod_neutral(m1, m2, gr_z2) == chain
 
 
 def test_reversal_derivation_places_one_letter_per_step(gr_z2, z2, mono):
-    # on the degree-5 reversal, step t brings x(t+1):e to position t
+    # on the degree-5 reversal, the first star reverses the whole word,
+    # which leaves every letter starred, and step t >= 1 then places x(t):e
+    # at position t - 1 by unstarring it
     m1, m2 = _reversal(5, z2, mono)
     chain = derivation_mod_neutral(m1, m2, gr_z2)
-    assert [step.result[:t + 1] for t, step in enumerate(chain)] == [
-        m1[:t + 1] for t in range(4)]
+    assert [(step.i, step.j) for step in chain] == [(0, 5)] + [(t, t + 1) for t in range(5)]
+    assert chain[0].result == tuple(GVar(v.index, v.element, True) for v in m1)
+    assert [step.result[:t] for t, step in enumerate(chain)] == [m1[:t] for t in range(6)]
     _assert_replays(chain, m1, m2, z2)
 
 
 def test_deep_reversal_derivation_replays(gr_z2, z2, mono):
     """The all-neutral reversals of degree 8 and 10 exceeded the state budget
-    of a breadth-first search; the constructed chain moves one letter into
-    place per step."""
+    of a breadth-first search; the constructed chain reverses the word and
+    then unstars one letter per step."""
     for degree in (8, 10, 20):
         m1, m2 = _reversal(degree, z2, mono)
         chain = derivation_mod_neutral(m1, m2, gr_z2)
-        assert len(chain) == degree - 1
+        assert len(chain) == degree + 1
         _assert_replays(chain, m1, m2, z2)
 
 
 # one pair per case of the derivation, at position 0 of the first word:
-# (config, first, second, steps as (kind, i, j, k))
+# (config, first, second, steps as (i, j))
 DERIVATION_CASES = {
-    # the variable is a loop: star its starred use, then swap it into place
-    "loop": ("z2.json", "x1:e x2:e", "x2:e x1:e*",
-             [("star", 1, 2, None), ("swap", 0, 1, 2)]),
+    # the variable is a loop: star up to its starred use, which brings it
+    # into place plain; then star x2:e* at position 1, a loop at q = p
+    "loop": ("z2.json", "x1:e x2:e", "x2:e x1:e*", [(0, 2), (1, 2)]),
+    # a loop whose plain use lands starred: star up to it, then star it
+    "loop-flag": ("z2.json", "x1:e x2:e", "x2:e x1:e", [(0, 2), (0, 1), (1, 2)]),
     # the second word crosses the variable back into the row: star up to it
-    "enters": ("z2.json", "x1:a x2:a", "x2:a* x1:a*", [("star", 0, 2, None)]),
-    # it crosses the variable away and comes back: swap the two closed factors
-    "returns": ("z2.json", "x1:a x2:a x3:a x4:a", "x3:a x4:a x1:a x2:a", [("swap", 0, 2, 4)]),
+    "enters": ("z2.json", "x1:a x2:a", "x2:a* x1:a*", [(0, 2)]),
+    # it crosses the variable away and comes back at 4: star [2,4), which
+    # makes it enter row 0 along the variable at 3, then star [0,4); then
+    # x3:a enters at position 3 of x1:a x2:a x4:a* x3:a*: star [2,4)
+    "returns": ("z2.json", "x1:a x2:a x3:a x4:a", "x3:a x4:a x1:a x2:a",
+                [(2, 4), (0, 4), (2, 4)]),
     # it never comes back after the variable: row 1 is visited at 1 and at 3,
     # so star [1,3), which makes the word enter row 0 at 2, then star [0,2)
     "shared-row": ("z2.json", "x3:a x1:a* x2:a* x4:e", "x1:a x2:a x3:a x4:e",
-                   [("star", 1, 3, None), ("star", 0, 2, None)]),
+                   [(1, 3), (0, 2)]),
 }
 
 
@@ -296,7 +330,7 @@ def test_derivation_case(case, mono):
     grading = grading_from_json(json.loads((CONFIGS / config).read_text()))
     m1, m2 = mono(first, grading.group), mono(second, grading.group)
     chain = derivation_mod_neutral(m1, m2, grading)
-    assert [(step.kind, step.i, step.j, step.k) for step in chain] == steps
+    assert [(step.i, step.j) for step in chain] == steps
     _assert_replays(chain, m1, m2, grading.group)
 
 
@@ -304,7 +338,7 @@ def test_derivation_case(case, mono):
 @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=6))
 def test_rewrites_in_generator_order(seed, length):
     """The rewrites of a word are, over i, then j, the star of each neutral
-    factor [i,j) and then its swaps with each neutral factor [j,k)."""
+    factor [i,j)."""
     rng = random.Random(seed)
     grading = random_grading(rng, max_n=4)
     group = grading.group
@@ -318,10 +352,7 @@ def _reference_rewrites(letters, group):
         if _block_degree(letters[i:j], group) != group.identity:
             continue
         starred = tuple(GVar(v.index, v.element, not v.star) for v in reversed(letters[i:j]))
-        yield "star", i, j, None, letters[:i] + starred + letters[j:]
-        for k in range(j + 1, len(letters) + 1):
-            if _block_degree(letters[j:k], group) == group.identity:
-                yield "swap", i, j, k, letters[:i] + letters[j:k] + letters[i:j] + letters[k:]
+        yield i, j, letters[:i] + starred + letters[j:]
 
 
 # partners drawn at seed 2 for random words of degree 5; the draws follow
@@ -329,15 +360,15 @@ def _reference_rewrites(letters, group):
 PINNED_PARTNERS = {
     "Z6:(e,a,a2)": [
         ("x1:a4 x1:e* x2:a x1:e x1:e", "x1:a4 x1:e x2:a x1:e* x1:e"),
-        ("x1:a2* x1:a2 x2:a4 x1:a2 x1:a4", "x1:a2* x1:a2 x1:a4 x1:a2 x2:a4"),
-        ("x1:a* x4:e* x2:a5 x3:a2 x3:a5", "x3:a2* x2:a5* x4:e* x1:a x3:a5"),
-        ("x2:e x1:a* x1:a x1:a* x4:a4*", "x2:e x1:a* x1:a x1:a* x4:a4*"),
+        ("x1:a2* x1:a2 x2:a4 x1:a2 x1:a4", "x1:a2* x1:a4* x1:a2* x1:a2 x2:a4"),
+        ("x4:a x1:a* x4:e* x2:a5 x3:a2", "x4:e x4:a x3:a2* x2:a5* x1:a"),
+        ("x4:a* x1:a4* x3:a4 x4:a2 x3:e", "x4:a* x1:a4* x3:a4 x4:a2 x3:e"),
     ],
     "S3:(e,r,a)": [
-        ("x3:e x3:a x4:a x2:c* x2:e*", "x3:e x3:a x4:a x2:c* x2:e*"),
-        ("x2:c x4:a x2:rr* x4:e x2:e*", "x4:e x2:c x4:a x2:rr* x2:e*"),
-        ("x3:c x2:e* x2:e x1:r* x1:r", "x3:c x2:e* x1:r* x1:r x2:e"),
-        ("x1:a x4:r x1:e* x3:rr x1:r", "x1:a x3:rr* x1:r* x4:r x1:e*"),
+        ("x3:e x3:a x4:a x2:c* x2:e*", "x3:a x4:a x3:e* x2:c* x2:e*"),
+        ("x4:a x2:rr* x4:e x2:e* x2:r*", "x4:a x2:r x2:e x4:e x2:rr"),
+        ("x2:e x1:r* x1:r x1:r* x4:a*", "x2:e x1:r* x1:r x1:r* x4:a*"),
+        ("x4:c* x1:a x2:e x4:rr* x1:c*", "x4:rr x2:e x1:a* x4:c x1:c*"),
     ],
 }
 
@@ -351,6 +382,7 @@ def test_congruent_partner_draws_pinned(gradings, name):
         m = random_monomial(rng, grading, 5)
         if not is_monomial_identity(m, grading).is_identity:
             partner = congruent_partner(rng, m, grading)
+            _assert_replays(derivation_mod_neutral(m, partner, grading), m, partner, grading.group)
             drawn.append((render_word(m, grading.group), render_word(partner, grading.group)))
     assert drawn == PINNED_PARTNERS[name]
 
@@ -358,42 +390,43 @@ def test_congruent_partner_draws_pinned(gradings, name):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=5))
 def test_derivation_steps_replay(seed, length):
-    """Each step applies the swap or star it names to neutral factors of the
-    previous word, and the chain runs from the second word to the first."""
+    """Each step stars the neutral factor it names in the previous word, and
+    the chain runs from the second word to the first in at most 2 len(m1)
+    steps: on a rewrite-walk partner, which is congruent by construction,
+    and on a congruent shuffle with fresh stars."""
     rng = random.Random(seed)
     grading = random_grading(rng, max_n=4)
     group = grading.group
     m1 = random_monomial(rng, grading, length)
     if is_monomial_identity(m1, grading).is_identity:
         return
-    m2 = congruent_partner(rng, m1, grading)
-    if m2 is None:
-        return
-    chain = derivation_mod_neutral(m1, m2, grading)
-    assert chain is not None
-    _assert_replays(chain, m1, m2, group)
+    walk = congruent_partner(rng, m1, grading)
+    if walk is not None:
+        assert derivation_mod_neutral(m1, walk, grading) is not None
+    for m2 in (walk, shuffled_monomial(rng, m1)):
+        if m2 is None or is_monomial_identity(m2, grading).is_identity:
+            continue
+        chain = derivation_mod_neutral(m1, m2, grading)
+        if chain is not None:
+            _assert_replays(chain, m1, m2, group)
+            assert len(chain) <= 2 * len(m1)
 
 
 def _assert_replays(chain, m1, m2, group):
+    """Each step stars a neutral factor of the previous word, and the chain
+    runs from m2 to m1."""
     word = m2
-    for step in chain:
-        i, j, k = step.i, step.j, step.k
+    for i, j, result in chain:
         assert 0 <= i < j <= len(word) and _block_degree(word[i:j], group) == group.identity
-        if step.kind == "star":
-            assert k is None
-            starred = tuple(GVar(v.index, v.element, not v.star) for v in reversed(word[i:j]))
-            word = word[:i] + starred + word[j:]
-        else:
-            assert step.kind == "swap" and j < k <= len(word)
-            assert _block_degree(word[j:k], group) == group.identity
-            word = word[:i] + word[j:k] + word[i:j] + word[k:]
-        assert step.result == word
+        starred = tuple(GVar(v.index, v.element, not v.star) for v in reversed(word[i:j]))
+        word = word[:i] + starred + word[j:]
+        assert result == word
     assert word == m1
 
 
 def _reference_derivation(m1, m2, group):
     """A plain breadth-first search from m2 over GVar tuples, returning
-    (kind, i, j, k, letters) per step: a shortest chain, which no derivation
+    (i, j, letters) per step: a shortest chain of stars, which no derivation
     can undercut."""
     start, target = m2, m1
     if start == target:
@@ -403,15 +436,15 @@ def _reference_derivation(m1, m2, group):
     for _ in range(2 * len(m1) + 8):
         nxt = []
         for cur in frontier:
-            for kind, i, j, k, res in _reference_rewrites(cur, group):
+            for i, j, res in _reference_rewrites(cur, group):
                 if res in parents:
                     continue
-                parents[res] = (cur, kind, i, j, k)
+                parents[res] = (cur, i, j)
                 if res == target:
                     chain = []
                     while res != start:
-                        prev, kind, i, j, k = parents[res]
-                        chain.insert(0, (kind, i, j, k, res))
+                        prev, i, j = parents[res]
+                        chain.insert(0, (i, j, res))
                         res = prev
                     return chain
                 nxt.append(res)
