@@ -4,6 +4,10 @@
 For each grading in the standard family (or one given by --config), list the
 lengths of all subword-minimal monomial identities up to twice the basis
 bound 2n-1.  Minimal means no proper contiguous subword is an identity.
+The profile search gives one representative word per length and profile
+(the composition state of the word and of the word without its first
+letter), so the counts printed are of representatives, not of all
+minimal identities; every length that has a minimal identity shows up.
 Two findings come out of this survey:
 
   * subword-minimal identities LONGER than 2n-1 exist whenever the support

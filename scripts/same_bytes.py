@@ -9,7 +9,9 @@ The package source ``src/`` at the git revision REV is extracted with
 by default, which between them run check, eval, congruent, enumerate and
 selftest), ``info --json`` on every config in ``configs/`` and
 ``bench/configs/``, the degree-6 listings of z4 and Klein (147,888 words
-each), ``info`` and ``enumerate --max-deg 4`` on a grading whose element
+each), the minimal listings of z8_4tuple to degree 6 and z10_5tuple to
+degree 5 (the minimal search's largest node spaces on the bench configs),
+``info`` and ``enumerate --max-deg 4`` on a grading whose element
 names need escaping, ``selftest`` over both rings and the three
 ``SELFTEST_SEEDS`` on that grading and on ``configs/s3_rot.json`` (the
 two gradings the bench's selftest requests leave out), ``congruent`` on
@@ -245,6 +247,10 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
     for argv in (
         ["enumerate", "--config", "configs/z4_3tuple.json", "--json", "--max-deg", "6"],
         ["enumerate", "--config", "configs/klein.json", "--json", "--max-deg", "6"],
+        ["enumerate", "--config", "bench/configs/z8_4tuple.json", "--json", "--max-deg", "6",
+         "--minimal"],
+        ["enumerate", "--config", "bench/configs/z10_5tuple.json", "--json", "--max-deg", "5",
+         "--minimal"],
         ["info", "--config", str(escaped), "--json"],
         ["enumerate", "--config", str(escaped), "--json", "--max-deg", "4"],
     ):

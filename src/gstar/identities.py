@@ -492,28 +492,24 @@ def basis_reduce(f: GPolynomial, grading: Grading) -> BasisReduction:
 def _profile_moves(profile: tuple, alphabet: list, graph: CompositionGraph) -> list:
     """The letters that keep a word free of proper identity factors.
 
-    A profile is (full state, frozenset of the states of the proper
-    suffixes) of an identity-free word; the empty word has suffixes None.
-    ``alphabet`` holds (letter, degree) pairs, in any form of letter.
-    Returns (letter, profile of the extended word) for every letter that
-    leaves each proper suffix alive, in alphabet order; a new full state
-    that is empty marks a minimal identity, which extends no further.
+    A profile is (state of the word, state of its tail) of an identity-free
+    word, the tail being the word without its first letter, and (0, None)
+    for the empty word; state 0 is the empty tail's.  ``alphabet`` holds
+    (letter, degree) pairs, in any form of letter.  A word with an identity factor is an
+    identity, so wx has a proper identity factor exactly when w or the tail
+    of w followed by x is an identity.  Returns (letter, profile of wx) for
+    every letter that leaves that tail alive, in alphabet order; a new full
+    state that is empty marks a minimal identity, which extends no further.
     """
-    full, suffixes = profile
+    full, tail = profile
     step, empty = graph.step, graph.empty
     if full == empty:
         return []
-    row, letter_states = step[full], step[0]
-    moves = []
-    for letter, col in alphabet:
-        if suffixes is None:
-            new_suffixes = frozenset()
-        else:
-            new_suffixes = frozenset([letter_states[col]] + [step[s][col] for s in suffixes])
-            if empty in new_suffixes:
-                continue
-        moves.append((letter, (row[col], new_suffixes)))
-    return moves
+    row = step[full]
+    if tail is None:
+        return [(letter, (row[col], 0)) for letter, col in alphabet]
+    tails = step[tail]
+    return [(letter, (row[col], tails[col])) for letter, col in alphabet if tails[col] != empty]
 
 
 def _coded_alphabet(grading: Grading) -> list[tuple[int, int]]:
@@ -535,7 +531,8 @@ class IdentityListing:
     ``_coded_alphabet``).  A word is an identity exactly when it leads from
     the identity state of the grading's composition graph to the empty one,
     and for minimal words, when it leads from the empty word's profile (see
-    ``_profile_moves``) to one whose full state is empty.
+    ``_profile_moves``: the states of the word and of its tail, the graph
+    walked twice in step) to one whose full state is empty.
 
     The count pass memoises, per node (a state, or a profile for minimal
     words) and remaining length k, the number of words of length k that lead
@@ -700,19 +697,22 @@ def enumerate_monomial_identities(
 def minimal_identities_up_to(
     grading: Grading, max_degree: int, state_budget: int = STATE_BUDGET
 ) -> list[tuple]:
-    """One representative minimal identity word per reachable length and shape.
+    """One representative minimal identity word per reachable length and profile.
 
     Breadth-first over the composition graph, one length per round, on the
     quotient of identity-free words by their profile (see
-    ``_profile_moves``): the first word to reach a profile stands for every
-    word with that profile, and a move to the empty state is a minimal
-    identity.  This collapses the search space enough to probe degrees
-    that the full listing cannot reach.  Sound and complete at the level of
+    ``_profile_moves``: the states of the word and of its tail): the first
+    word to reach a profile stands for every word with that profile, and a
+    move to the empty state is a minimal identity.  This collapses the
+    search space enough to probe degrees that the full listing cannot
+    reach.  Sound and complete at the level of
     lengths: if any minimal identity of some length exists, one is
     returned.  ``state_budget`` caps the profiles kept over all rounds
     plus the composition states the search adds to the graph.  The words
     have the form and the order of ``enumerate_monomial_identities``.
     """
+    if max_degree < 1:
+        raise PreconditionError("max_degree must be at least 1")
     graph = grading.composition_graph
     alphabet = _coded_alphabet(grading)  # a move names its letter by its code
     found: list = [(GVar(1, g, False),) for g in grading.off_support()]

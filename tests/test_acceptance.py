@@ -13,7 +13,8 @@ it fails: neutral-degree padding inside a word gives minimal identities of
 degree up to 2(2n-1) whose every proper contiguous subword is a
 non-identity.  Each one is certified instead by condensing contiguous
 blocks (``block_certificate``), and the PASS line prints how many there
-are per grading together with a sample word.
+are per grading, from each of its three sources, together with a sample
+word.
 """
 
 import itertools
@@ -37,7 +38,7 @@ from gstar import (
     word_monomial,
 )
 from gstar.freealg import GVar
-from gstar.identities import basis_reduce, block_certificate
+from gstar.identities import IdentityListing, basis_reduce, block_certificate
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import (
     crossed_product_grading,
@@ -292,6 +293,27 @@ def _condensed_word(word, bounds, group):
     return condensed
 
 
+def _sampled_minimal_identities(listing, length, rng, size):
+    """``size`` distinct minimal identities of one length (all of them when
+    there are fewer), uniform without replacement and in listing order: the
+    word of a drawn rank is found by descending the listing's counts."""
+    successors, finals, counts = listing._successors, listing._finals, listing._counts
+    total = counts[0][length]
+    words = []
+    for rank in sorted(rng.sample(range(total), min(size, total))):
+        node, codes = 0, []
+        for k in range(length, 1, -1):
+            for code, child in successors[node]:
+                if rank < counts[child][k - 1]:
+                    break
+                rank -= counts[child][k - 1]
+            codes.append(code)
+            node = child
+        codes.append(finals[node][rank])
+        words.append(tuple(GVar(p, code // 2, bool(code % 2)) for p, code in enumerate(codes, 1)))
+    return words
+
+
 def _spelled(word, group):
     """The letter names of a word, such as 'a a* a2'."""
     return " ".join(group.name_of(element) + ("*" if star else "") for _, element, star in word)
@@ -302,9 +324,11 @@ def test_criterion_7_degree_bound_probe():
     monomial identity longer than 2n-1 is the image, under substituting one
     contiguous block per variable, of an identity of degree <= 2n-1.
 
-    The words are the profile-search representatives up to 2(2n-1) plus the
-    exhaustive list of minimal identities of degree 2n (the profile search
-    is complete only at the level of lengths).  Each word is checked to be
+    The words are the profile-search representatives up to 2(2n-1), the
+    exhaustive list of minimal identities of degree 2n, and a seeded
+    uniform sample of 48 minimal identities of each degree from 2n+1 to
+    2(2n-1) (the profile search is complete only at the level of lengths,
+    with one word per length and profile).  Each word is checked to be
     an identity by honest matrix multiplication, to have no contiguous
     identity subword of degree <= 2n-1 (the contiguous reading fails on
     it), and to carry a block certificate of at most 2n-1 blocks whose
@@ -321,7 +345,11 @@ def test_criterion_7_degree_bound_probe():
             for w in enumerate_monomial_identities(grading, 2 * grading.n, minimal_only=True)
             if len(w) > bound
         ]
-        for word in dict.fromkeys(representatives + exhaustive):
+        listing = IdentityListing(grading, 2 * bound, minimal_only=True)
+        rng = random.Random(zlib.crc32(name.encode()))
+        sampled = [w for length in range(2 * grading.n + 1, 2 * bound + 1)
+                   for w in _sampled_minimal_identities(listing, length, rng, 48)]
+        for word in dict.fromkeys(representatives + exhaustive + sampled):
             spelled = _spelled(word, grading.group)
             mono = word_monomial(word)
             assert honest_product(mono, grading).is_zero, (
@@ -340,14 +368,15 @@ def test_criterion_7_degree_bound_probe():
         if representatives:
             sample = _spelled(representatives[0], grading.group)
             findings.append(
-                f"{name} {len(representatives)}+{len(exhaustive)} e.g. ({sample})"
+                f"{name} {len(representatives)}+{len(exhaustive)}+{len(sampled)} e.g. ({sample})"
             )
     report(
         7,
         "degree-bound probe",
         t0,
         60,
-        "long minimal identities (representatives up to 2(2n-1) + all of degree 2n), "
+        "long minimal identities (representatives up to 2(2n-1) + all of degree 2n "
+        "+ a sample of each degree above 2n), "
         "none with a contiguous certificate, all block-certified: " + "; ".join(findings),
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gstar import (
     GVar,
+    IdentityListing,
     PreconditionError,
     ResourceCapError,
     basis_reduce,
@@ -20,6 +22,7 @@ from gstar import (
     build_grading,
     grading_from_json,
     evaluate_monomial,
+    honest_product,
     is_identity,
     is_monomial_identity,
     make_cyclic,
@@ -35,7 +38,7 @@ from gstar import (
 )
 from gstar.freealg import GPolynomial, multidegree, render_word, star_polynomial, variable
 from gstar.gradings import signed_degree
-from gstar.identities import _profile_moves, _rewrites, block_certificate
+from gstar.identities import ENUM_DEGREE_CAP, _profile_moves, _rewrites, block_certificate
 from gstar.genmat import evaluation_key
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import (
@@ -47,6 +50,7 @@ from gstar.sampling import (
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BENCH = CONFIGS.parent / "bench"
 
 
 def letters(group, text):
@@ -729,6 +733,79 @@ def test_profile_search_state_budget(gr_z6):
         minimal_identities_up_to(gr_z6, 6, state_budget=10)
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_searches_refuse_degree_below_one(gr_z6, degree):
+    # z6_3tuple has the off-support identity x1:a3, which a search that
+    # skipped the check would return for any degree
+    for search in (minimal_identities_up_to, IdentityListing):
+        with pytest.raises(PreconditionError, match="max_degree must be at least 1"):
+            search(gr_z6, degree)
+
+
+def _suffix_set_moves(profile, alphabet, graph):
+    """The moves of the earlier profile, kept as an independent reference:
+    (full state, frozenset of the states of every proper suffix), with
+    suffixes None for the empty word.  A letter is kept when it leaves
+    every proper suffix alive."""
+    full, suffixes = profile
+    if full == graph.empty:
+        return []
+    moves = []
+    for letter, col in alphabet:
+        if suffixes is None:
+            new = frozenset()
+        else:
+            new = frozenset([graph.step[0][col]] + [graph.step[s][col] for s in suffixes])
+            if graph.empty in new:
+                continue
+        moves.append((letter, (graph.step[full][col], new)))
+    return moves
+
+
+def _suffix_set_counts(grading, max_degree):
+    """Minimal identities per length up to max_degree, counted forward over
+    suffix-set profiles, plus the off-support letters at length 1."""
+    graph = grading.composition_graph
+    alphabet = [(pair, signed_degree(*pair, grading.group)) for pair in grading.signed_alphabet()]
+    level, lengths = {(0, None): 1}, []
+    for _ in range(max_degree):
+        nxt, done = {}, 0
+        for profile, words in level.items():
+            for _, new in _suffix_set_moves(profile, alphabet, graph):
+                if new[0] == graph.empty:
+                    done += words
+                else:
+                    nxt[new] = nxt.get(new, 0) + words
+        lengths.append(done)
+        level = nxt
+    lengths[0] += len(grading.off_support())
+    return lengths
+
+
+# the reference degree: 2(2n-1) within the listing's cap, less on the two
+# largest gradings, whose suffix sets grow fastest
+REFERENCE_DEGREES = {"z8_4tuple": 10, "z10_5tuple": 7}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIGS.glob("*.json")) + sorted((BENCH / "configs").glob("*.json")),
+    ids=lambda path: path.stem,
+)
+def test_minimal_counts_match_suffix_set_reference(path):
+    grading = grading_from_json(json.loads(path.read_text(encoding="utf-8")))
+    degree = REFERENCE_DEGREES.get(path.stem, min(2 * (2 * grading.n - 1), ENUM_DEGREE_CAP))
+    listing = IdentityListing(grading, degree, minimal_only=True, node_budget=10**9)
+    assert listing.lengths == _suffix_set_counts(grading, degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=6))
+def test_minimal_counts_match_suffix_set_reference_on_random_gradings(seed, max_degree):
+    grading = random_grading(random.Random(seed), max_n=4)
+    listing = IdentityListing(grading, max_degree, minimal_only=True, node_budget=10**9)
+    assert listing.lengths == _suffix_set_counts(grading, max_degree)
+
+
 def _z64_grading():
     """Z64 with 32 entries: about 10^5 reachable compositions of hat maps."""
     rng = random.Random(7)
@@ -767,8 +844,8 @@ def test_large_grading_charges_graph_states():
 
 def _moves_kept(grading, max_degree, minimal):
     """Moves the listing holds: the alphabet's moves from every node (state,
-    or profile for minimal words) that it reaches in fewer than max_degree
-    letters."""
+    or the profile (word state, tail state) for minimal words) that it
+    reaches in fewer than max_degree letters."""
     graph = grading.composition_graph
     alphabet = [(pair, signed_degree(*pair, grading.group)) for pair in grading.signed_alphabet()]
     if minimal:
@@ -852,27 +929,45 @@ def test_listings_match_brute_force(seed, max_degree):
         assert grading.compose_signed(condensed).is_empty
 
 
+def _bench_probe_lengths(monkeypatch) -> dict:
+    """``PINNED_PROBE_LENGTHS`` of bench/gen.py, keyed by config file stem."""
+    monkeypatch.syspath_prepend(str(BENCH))  # gen imports the bench oracle
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return {Path(gen.GRADINGS[name]).stem: lengths
+            for name, lengths in gen.PINNED_PROBE_LENGTHS.items()}
+
+
 # sha256 of the profile-search words up to 2(2n-1) and the block certificate
 # of each word longer than 2n-1, as JSON rows [[letter names], bounds|null]
 GOLDEN_PROBES = {
-    "z4_3tuple": "657f943f8b38fca916c99e052a917c6485db7c9d6d8075f12885b803dc2573f6",
-    "klein": "a233cea66a1770532faa36d87180af68a7c0cc280d897962f455346cf4fea744",
-    "z6_3tuple": "0e2f3d9881edacd86f6deb1d913b4a68c4778283bec701960efbd2bb9529ecf1",
-    "s3_mixed": "fc2fc95a9ae7bc82bde56709337938c7f864e1dbcfe2299fcf514af39c0fdc1f",
+    "z4_3tuple": "5fc0a8a8404d9c90699dda94390c3c98da0375b34f8dbc5fd06265ff0c7d9323",
+    "klein": "9627bac6932cd01b4d53e369c41cf4d7579270add9ece0af77ec2a402fcb6326",
+    "z6_3tuple": "7f85b09235a241b7a9572b0a086f1f12be9e0a805a03ea2510c381582cbb9ed2",
+    "s3_mixed": "36a3b8d05d4e4a87024b157a5c61d0116271754c61d8faf3babc36505a52b17b",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROBES))
-def test_degree_bound_probe_pinned(name):
+def test_degree_bound_probe_pinned(name, monkeypatch):
+    # every word is checked by honest products before its hash is compared:
+    # an identity whose factors without the first or the last letter are
+    # not, found at exactly the lengths the benchmark pins
     with open(CONFIGS / f"{name}.json", encoding="utf-8") as fh:
         grading = grading_from_json(json.load(fh))
     bound = 2 * grading.n - 1
+    words = minimal_identities_up_to(grading, 2 * bound)
     rows = []
-    for word in minimal_identities_up_to(grading, 2 * bound):
+    for word in words:
+        assert honest_product(word_monomial(word), grading).is_zero
+        for factor in (word[1:], word[:-1]):
+            assert not factor or not honest_product(word_monomial(factor), grading).is_zero
         cert = block_certificate(word_monomial(word), grading) if len(word) > bound else None
         names = [grading.group.name_of(element) + ("*" if star else "")
                  for _, element, star in word]
         rows.append([names, list(cert) if cert else None])
+    assert sorted({len(w) for w in words}) == _bench_probe_lengths(monkeypatch)[name]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_PROBES[name]
 
 
