@@ -58,8 +58,6 @@ from .identities import (
     DerivationStep,
     IdentityListing,
     IdentityTerm,
-    IdentityVerdict,
-    MonomialWitness,
     basis_reduce,
     congruent_mod_neutral,
     derivation_mod_neutral,
@@ -73,7 +71,6 @@ from .identities import (
     sandwich_commutator,
     subword_identity_certificate,
     verify_basis,
-    witness_for_word,
     word_monomial,
 )
 from .rings import RATIONALS, Fp, PrimeField, Rationals, parse_field

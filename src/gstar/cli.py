@@ -137,11 +137,11 @@ def cmd_info(args, grading, field, out) -> int:
         "hats": [
             {
                 "element": group.name_of(g),
-                "d_set": sorted(grading.d_set(g)),
-                "im_set": sorted(grading.im_set(g)),
-                "map": {str(i): j for i, j in sorted(grading.hat(g).as_dict().items())},
+                "d_set": list(hat.domain()),
+                "im_set": list(hat.image()),
+                "map": {str(i): j for i, j in hat.as_dict().items()},
             }
-            for g in support
+            for g, hat in zip(support, map(grading.hat, support))
         ],
     }
     _emit(payload, args, out)

@@ -5,12 +5,12 @@ pairwise distinct group elements: the matrix unit e_ij is homogeneous of
 degree g_i^{-1} g_j.  Distinctness is exactly what makes the neutral
 component the diagonal, and everything downstream assumes it.
 
-For a group element g, the rows i whose label g_i stays inside the tuple
-after right multiplication by g form the set d_set(g), and sending i to
-the unique j with g_i g = g_j defines an injective partial self-map of
-the rows, ``hat(g)``.  Products of homogeneous matrix units are governed
-by composition of these maps, so the identity tests reduce to partial
-injection arithmetic.  Rows and columns are 0-based throughout.
+For a group element g, sending each row i whose label g_i stays inside the
+tuple after right multiplication by g to the unique j with g_i g = g_j
+defines an injective partial self-map of the rows, ``hat(g)``.  Products
+of homogeneous matrix units are governed by composition of these maps, so
+the identity tests reduce to partial injection arithmetic.  Rows and
+columns are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -198,12 +198,6 @@ class Grading:
         if not 0 <= g < self.group.order:
             raise GradingError(f"element index {g} outside the group")
         return PartialInjection._trusted(self.hats[g])
-
-    def d_set(self, g: int) -> frozenset[int]:
-        return frozenset(self.hat(g).domain())
-
-    def im_set(self, g: int) -> frozenset[int]:
-        return frozenset(self.hat(g).image())
 
     def compose_signed(self, word: Sequence[tuple]) -> PartialInjection:
         """Left-to-right composition of a word's hats: the first letter acts first."""

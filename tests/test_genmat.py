@@ -14,13 +14,14 @@ from gstar import (
     evaluate_monomial,
     generic_matrix_signed,
     honest_product,
+    is_monomial_identity,
     render_entry_monomial,
-    witness_for_word,
 )
 from gstar.errors import ShapeError
 from gstar.genmat import evaluation_key, iter_rows, word_rows
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import random_grading, random_multihomogeneous_poly, random_slotted_word
+from gstar.selftest import unit_product
 
 
 def var_poly(slot, row, col, one=None):
@@ -132,7 +133,7 @@ def test_entry_count_matches_pattern_size(gradings):
     for grading in gradings.values():
         for g in grading.support_sorted():
             m = generic_matrix_signed(GVar(1, g), grading)
-            assert len(m.entries) == len(grading.d_set(g))
+            assert len(m.entries) == len(grading.hat(g).domain())
             for pos, p in m.entries.items():
                 ((mono, coeff),) = p.terms_sorted()
                 assert coeff == 1 and len(mono) == 1
@@ -143,11 +144,11 @@ def test_each_variable_belongs_to_one_element(gradings):
     for grading in gradings.values():
         seen = {}
         for g in grading.support_sorted():
-            for i in sorted(grading.d_set(g)):
+            for i in grading.hat(g).domain():
                 pos = (i, grading.hat(g)(i))
                 assert pos not in seen, f"{pos} hosted by two elements"
                 seen[pos] = g
-        assert len(seen) == sum(len(grading.d_set(g)) for g in grading.support)
+        assert len(seen) == sum(len(grading.hat(g).domain()) for g in grading.support)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +301,33 @@ def test_letters_evaluate_as_plain_triples(seed):
         assert honest_product(plain, grading) == honest
         assert closed_form_product(plain, grading) == honest
         assert closed_form_product(letters, grading) == honest
-        witness = witness_for_word(letters, grading)
-        assert witness_for_word(plain, grading) == witness
+        witness = next(iter_rows(letters, grading), None)
+        assert next(iter_rows(plain, grading), None) == witness
         assert (witness is None) == honest.is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_every_kernel_row_is_a_witness(seed):
+    """Each kernel row (start, end, variables) is a witness: the letters'
+    units, a starred letter's transposed, fold to (start, end), and the
+    honest product holds the monic monomial of the variables there.  A word
+    has no row exactly when it is a monomial identity and its honest
+    product is zero."""
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=5)
+    for word in (surviving_word(rng, grading, rng.randint(1, 12)),
+                 random_slotted_word(rng, grading, rng.randint(1, 12), repeat_slots=True)):
+        honest = honest_product(word, grading)
+        rows = word_rows(word, grading)
+        for start, end, variables in rows:
+            units = [(b, a) if star else (a, b)
+                     for (_, a, b), (_, _, star) in zip(variables, word)]
+            assert len(units) == len(word)
+            assert unit_product(units) == (start, end)
+            assert honest.entries[(start, end)] == CPolynomial(
+                {tuple(sorted(variables)): RATIONALS.one})
+        assert (not rows) == is_monomial_identity(word, grading) == honest.is_zero
 
 
 def test_fast_paths_never_multiply_matrices(monkeypatch):

@@ -7,11 +7,15 @@ from gstar import (
     GVar,
     PartialInjection,
     PreconditionError,
+    basis_reduce,
     build_grading,
+    congruent_mod_neutral,
+    derivation_mod_neutral,
     evaluate,
     evaluate_monomial,
     evaluation_key,
     grading_from_json,
+    is_monomial_identity,
     iter_rows,
     make_cyclic,
     subword_identity_certificate,
@@ -63,11 +67,11 @@ def test_degree_of_unit(gr_z2, gr_z6, z2, z6):
 
 def test_d_and_im_sets(gr_z2, gr_z6, z2, z6):
     a = z2.index_of("a")
-    assert gr_z2.d_set(a) == {0, 1}
+    assert gr_z2.hat(a).domain() == (0, 1)
     a6 = z6.index_of("a")
-    assert gr_z6.d_set(a6) == {0, 1}
-    assert gr_z6.im_set(a6) == {1, 2}
-    assert gr_z6.d_set(z6.index_of("a3")) == frozenset()
+    assert gr_z6.hat(a6).domain() == (0, 1)
+    assert gr_z6.hat(a6).image() == (1, 2)
+    assert gr_z6.hat(z6.index_of("a3")).domain() == ()
 
 
 def test_hat_maps(gr_z2, gr_z6, z2, z6):
@@ -100,6 +104,7 @@ def test_compose_signed(gr_z6, z6):
 def test_letters_outside_the_group_rejected(gr_z6, z6, element, star):
     # the hat maps sit in a sequence indexed by element, where -1 would
     # silently read the last one; each entry point must refuse it instead
+    live = (GVar(1, z6.identity),)
     for word in ((GVar(1, element, star),), (GVar(1, z6.identity), GVar(2, element, star))):
         with pytest.raises(GradingError):
             gr_z6.compose_signed(word)
@@ -111,6 +116,16 @@ def test_letters_outside_the_group_rejected(gr_z6, z6, element, star):
             subword_identity_certificate(word, gr_z6)
         with pytest.raises(GradingError):
             block_certificate(word, gr_z6)
+        with pytest.raises(GradingError):
+            is_monomial_identity(word, gr_z6)
+        with pytest.raises(GradingError):
+            basis_reduce(GPolynomial({word: 1}), gr_z6)
+        # the walk of either word of a pair range-checks it
+        for pair in ((word, live), (live, word)):
+            with pytest.raises(GradingError):
+                congruent_mod_neutral(*pair, gr_z6)
+            with pytest.raises(GradingError):
+                derivation_mod_neutral(*pair, gr_z6)
 
 
 @pytest.mark.parametrize("star", [False, True], ids=["plain", "starred"])
@@ -126,6 +141,16 @@ def test_letters_after_a_dead_walk_rejected(gr_z6, z6, element, star):
         evaluate(GPolynomial({mono: 1}), gr_z6)
     with pytest.raises(GradingError):
         evaluation_key(mono, gr_z6)
+    with pytest.raises(GradingError):
+        is_monomial_identity(mono, gr_z6)
+    with pytest.raises(GradingError):
+        basis_reduce(GPolynomial({mono: 1}), gr_z6)
+    live = (GVar(1, z6.identity),)
+    for pair in ((mono, live), (live, mono)):
+        with pytest.raises(GradingError):
+            congruent_mod_neutral(*pair, gr_z6)
+        with pytest.raises(GradingError):
+            derivation_mod_neutral(*pair, gr_z6)
     alive = (GVar(1, a), GVar(2, a), GVar(3, a), GVar(4, a, star))
     assert evaluation_key(alive, gr_z6) == ()
 
@@ -135,7 +160,7 @@ def test_compose_plain_then_star_restricts_identity(gradings):
         for g in grading.support_sorted():
             word = [(1, g, False), (2, g, True)]
             composed = gr = grading.compose_signed(word)
-            assert set(gr.domain()) == grading.d_set(g)
+            assert gr.domain() == grading.hat(g).domain()
             for i in gr.domain():
                 assert composed(i) == i
 

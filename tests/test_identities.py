@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gstar import (
     GVar,
     IdentityListing,
+    InternalCheckError,
     PreconditionError,
     ResourceCapError,
     basis_reduce,
@@ -32,14 +33,14 @@ from gstar import (
     parse_poly,
     sandwich_commutator,
     subword_identity_certificate,
+    iter_rows,
     verify_basis,
-    witness_for_word,
     word_monomial,
 )
 from gstar.freealg import GPolynomial, multidegree, render_word, star_polynomial, variable
 from gstar.gradings import signed_degree
 from gstar.identities import ENUM_DEGREE_CAP, _profile_moves, _rewrites, block_certificate
-from gstar.genmat import evaluation_key
+from gstar.genmat import evaluation_key, word_rows
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import (
     congruent_partner,
@@ -65,40 +66,40 @@ def letters(group, text):
 
 def test_dead_word_is_identity(gr_z6, z6, mono):
     m = mono("x1:a x2:a x3:a", z6)
-    assert is_monomial_identity(m, gr_z6).is_identity
+    assert is_monomial_identity(m, gr_z6)
     assert evaluate_monomial(m, gr_z6).is_zero
 
 
 def test_off_support_variable_is_identity(gr_z6, z6, mono):
     m = mono("x1:a3", z6)
-    v = is_monomial_identity(m, gr_z6)
-    assert v.is_identity and v.witness is None
+    assert is_monomial_identity(m, gr_z6)
+    assert next(iter_rows(m, gr_z6), None) is None
 
 
 def test_witness_z2(gr_z2, z2, mono):
     m = mono("x1:a x2:a", z2)
-    v = is_monomial_identity(m, gr_z2)
-    assert not v.is_identity
-    assert v.witness.start == 0
-    assert v.witness.units == ((0, 1), (1, 0))
-    assert v.witness.result == (0, 0)
+    assert not is_monomial_identity(m, gr_z2)
+    start, end, variables = next(iter_rows(m, gr_z2))
+    assert start == 0
+    assert tuple((a, b) for _, a, b in variables) == ((0, 1), (1, 0))
+    assert (start, end) == (0, 0)
 
 
 def test_witness_with_star(gr_z6, z6):
-    w = witness_for_word(word_monomial(letters(z6, "a a*")), gr_z6)
-    assert w.start == 0
+    start, end, variables = next(iter_rows(word_monomial(letters(z6, "a a*")), gr_z6))
+    assert start == 0
     # the starred position is assigned the transposed unit
-    assert w.units == ((0, 1), (0, 1))
-    assert w.result == (0, 0)
+    assert tuple((a, b) for _, a, b in variables) == ((0, 1), (0, 1))
+    assert (start, end) == (0, 0)
 
 
 def test_verdict_independent_of_indices(gr_z6, z6, mono):
     dead = ("x1:a x2:a x3:a", "x1:a x1:a x1:a", "x7:a x2:a x7:a")
     for text in dead:
-        assert is_monomial_identity(mono(text, z6), gr_z6).is_identity
+        assert is_monomial_identity(mono(text, z6), gr_z6)
     alive = ("x1:a x2:a", "x1:a x1:a")
     for text in alive:
-        assert not is_monomial_identity(mono(text, z6), gr_z6).is_identity
+        assert not is_monomial_identity(mono(text, z6), gr_z6)
 
 
 def test_threeway_agreement_small_exhaustive(gr_z2, z2):
@@ -111,7 +112,7 @@ def test_threeway_agreement_small_exhaustive(gr_z2, z2):
         dead = gr_z2.compose_signed(word).is_empty
         m = word_monomial(word)
         assert evaluate_monomial(m, gr_z2).is_zero == dead
-        assert (witness_for_word(m, gr_z2) is None) == dead
+        assert is_monomial_identity(m, gr_z2) == dead
 
 
 # ---------------------------------------------------------------------------
@@ -121,23 +122,23 @@ def test_threeway_agreement_small_exhaustive(gr_z2, z2):
 def test_neutral_commutator_is_identity(gradings):
     for grading in gradings.values():
         f = neutral_commutator(grading.group)
-        assert is_identity(f, grading).is_identity
+        assert is_identity(f, grading)
 
 
 def test_sandwich_is_identity(gr_z6, z6):
     for g in gr_z6.support_sorted():
         if g == z6.identity:
             continue
-        assert is_identity(sandwich_commutator(z6, g), gr_z6).is_identity
+        assert is_identity(sandwich_commutator(z6, g), gr_z6)
 
 
 def test_non_identity_reports_offending_entries(gr_z2, z2):
     f = parse_poly("x1:a x1:a* - x1:a* x1:a", z2)
-    v = is_identity(f, gr_z2)
-    assert not v.is_identity
-    positions = [pos for pos, _ in v.offending]
+    assert not is_identity(f, gr_z2)
+    offending = evaluate(f, gr_z2).nonzero_items()
+    positions = [pos for pos, _ in offending]
     assert (0, 0) in positions
-    entry = dict(v.offending)[(0, 0)]
+    entry = dict(offending)[(0, 0)]
     assert entry.render() == "y[1,0,1]^2 - y[1,1,0]^2"
 
 
@@ -174,7 +175,7 @@ def test_congruent_monomials_share_letter_multiset(gr_z4, z4):
     rng = random.Random(7)
     for _ in range(60):
         m = random_monomial(rng, gr_z4, rng.randint(1, 4))
-        if is_monomial_identity(m, gr_z4).is_identity:
+        if is_monomial_identity(m, gr_z4):
             continue
         partner = congruent_partner(rng, m, gr_z4)
         if partner is None:
@@ -191,7 +192,7 @@ def test_congruence_is_equivalence_on_samples(gr_z6, z6):
     monos = []
     while len(monos) < 8:
         m = random_monomial(rng, gr_z6, rng.randint(1, 3))
-        if not is_monomial_identity(m, gr_z6).is_identity:
+        if not is_monomial_identity(m, gr_z6):
             monos.append(m)
     for a in monos:
         assert congruent_mod_neutral(a, a, gr_z6)
@@ -265,6 +266,20 @@ def test_derivation_precondition(gr_z2, z2, gr_z6, z6, mono):
         with pytest.raises(PreconditionError) as derived:
             derivation_mod_neutral(m1, m2, gr_z6)
         assert str(derived.value) == str(raised.value)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("x1:e x2:e", "x1:e x2:a"),  # m1's variable is not on m2's trail
+    ("x1:a x2:e", "x2:e x1:a"),  # no row repeats around the crossing
+], ids=["missing-variable", "no-crossing"])
+def test_derivation_on_rows_that_disagree_is_an_internal_error(
+        monkeypatch, gr_z2, z2, mono, first, second):
+    """Rows that claim congruence for words that are not congruent, as a
+    faulty kernel would give, end the derivation with InternalCheckError."""
+    monkeypatch.setattr("gstar.identities._congruent_rows",
+                        lambda m1, m2, grading: (word_rows(m1, grading), word_rows(m2, grading)))
+    with pytest.raises(InternalCheckError):
+        derivation_mod_neutral(mono(first, z2), mono(second, z2), gr_z2)
 
 
 def _reversal(degree, group, mono):
@@ -384,7 +399,7 @@ def test_congruent_partner_draws_pinned(gradings, name):
     drawn = []
     while len(drawn) < len(PINNED_PARTNERS[name]):
         m = random_monomial(rng, grading, 5)
-        if not is_monomial_identity(m, grading).is_identity:
+        if not is_monomial_identity(m, grading):
             partner = congruent_partner(rng, m, grading)
             _assert_replays(derivation_mod_neutral(m, partner, grading), m, partner, grading.group)
             drawn.append((render_word(m, grading.group), render_word(partner, grading.group)))
@@ -402,13 +417,13 @@ def test_derivation_steps_replay(seed, length):
     grading = random_grading(rng, max_n=4)
     group = grading.group
     m1 = random_monomial(rng, grading, length)
-    if is_monomial_identity(m1, grading).is_identity:
+    if is_monomial_identity(m1, grading):
         return
     walk = congruent_partner(rng, m1, grading)
     if walk is not None:
         assert derivation_mod_neutral(m1, walk, grading) is not None
     for m2 in (walk, shuffled_monomial(rng, m1)):
-        if m2 is None or is_monomial_identity(m2, grading).is_identity:
+        if m2 is None or is_monomial_identity(m2, grading):
             continue
         chain = derivation_mod_neutral(m1, m2, grading)
         if chain is not None:
@@ -470,7 +485,7 @@ def test_derivation_matches_reference_search(seed, length, walk):
     grading = random_grading(rng, max_n=5)
     group = grading.group
     m1 = random_monomial(rng, grading, length)
-    if is_monomial_identity(m1, grading).is_identity:
+    if is_monomial_identity(m1, grading):
         return
     if walk:
         m2 = congruent_partner(rng, m1, grading)
@@ -479,7 +494,7 @@ def test_derivation_matches_reference_search(seed, length, walk):
             letters = list(m1)
             rng.shuffle(letters)
             m2 = tuple([GVar(v.index, v.element, rng.random() < 0.5) for v in letters])
-            if (not is_monomial_identity(m2, grading).is_identity
+            if (not is_monomial_identity(m2, grading)
                     and congruent_mod_neutral(m1, m2, grading)):
                 break
         else:
@@ -504,10 +519,10 @@ def test_derivation_exists_exactly_for_congruent_words(seed, length):
     rng = random.Random(seed)
     grading = random_grading(rng, max_n=5)
     m1 = random_monomial(rng, grading, length)
-    if is_monomial_identity(m1, grading).is_identity:
+    if is_monomial_identity(m1, grading):
         return
     for m2 in (congruent_partner(rng, m1, grading), shuffled_monomial(rng, m1)):
-        if m2 is None or is_monomial_identity(m2, grading).is_identity:
+        if m2 is None or is_monomial_identity(m2, grading):
             continue
         chain = derivation_mod_neutral(m1, m2, grading)
         assert (chain is not None) == congruent_mod_neutral(m1, m2, grading)
@@ -552,7 +567,7 @@ def test_padded_identity_is_flagged_not_certified(gr_z4, z4, mono):
     # neutral padding defeats the contiguous-subword certificate: the word
     # is an identity, stays in the reduction, and is flagged as uncertified
     m = mono("x1:a x2:e x3:e x4:e x5:a x6:a", z4)
-    assert is_monomial_identity(m, gr_z4).is_identity
+    assert is_monomial_identity(m, gr_z4)
     red = basis_reduce(GPolynomial({m: RATIONALS.one}), gr_z4)
     assert red.is_identity
     assert red.identity_terms[0].certificate is None
@@ -584,7 +599,7 @@ def test_reduce_needs_no_multihomogeneous_split():
         mixed += len(components) > 1
         red = basis_reduce(f, grading)
         parts = [basis_reduce(c, grading) for c in components]
-        assert red.is_identity == is_identity(f, grading).is_identity
+        assert red.is_identity == is_identity(f, grading)
         assert red.is_identity == all(p.is_identity for p in parts)
         for field in ("classes", "identity_terms"):
             whole = getattr(red, field)
@@ -608,7 +623,7 @@ def test_reduction_agrees_with_evaluation(gradings):
                 continue
             produced += 1
             red = basis_reduce(f, grading)
-            assert red.is_identity == is_identity(f, grading).is_identity
+            assert red.is_identity == is_identity(f, grading)
 
 
 def test_subword_certificate(gr_z6, z6, mono):
@@ -714,9 +729,7 @@ def test_components_then_reduce_matches_direct(gr_klein, klein):
     comps = multihomogeneous_components(f)
     assert len(comps) == 2
     verdicts = [basis_reduce(c, gr_klein).is_identity for c in comps]
-    assert verdicts == [
-        is_identity(c, gr_klein).is_identity for c in comps
-    ]
+    assert verdicts == [is_identity(c, gr_klein) for c in comps]
     assert evaluate(f, gr_klein).is_zero == all(verdicts)
 
 
