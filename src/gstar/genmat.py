@@ -80,32 +80,13 @@ class SparseMatrix:
         self.n = n
         self.entries = {pos: p for pos, p in entries.items() if p}
 
-    @classmethod
-    def zero(cls, n: int) -> "SparseMatrix":
-        return cls(n, {})
-
-    @classmethod
-    def identity(cls, n: int, one) -> "SparseMatrix":
-        p = CPolynomial({(): one})
-        return cls(n, {(i, i): p for i in range(n)})
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
 
-    def _check(self, other: "SparseMatrix") -> None:
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.n != other.n:
             raise ShapeError(f"size mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check(other)
-        out = dict(self.entries)
-        for pos, p in other.entries.items():
-            add_term(out, pos, p)
-        return SparseMatrix(self.n, out)
-
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check(other)
         by_row: dict[int, list] = {}
         for (r, c), p in other.entries.items():
             by_row.setdefault(r, []).append((c, p))

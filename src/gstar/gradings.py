@@ -82,7 +82,8 @@ class PartialInjection:
 
     def then(self, other: "PartialInjection") -> "PartialInjection":
         """Composition with ``self`` applied first."""
-        return PartialInjection._trusted(compose_targets(self.targets, other.targets))
+        then = other.targets
+        return PartialInjection._trusted(tuple(x if x is None else then[x] for x in self.targets))
 
     def inverse(self) -> "PartialInjection":
         t: list[Optional[int]] = [None] * self.n
@@ -102,13 +103,6 @@ class PartialInjection:
 
     def __repr__(self) -> str:
         return f"PartialInjection({self.as_dict()})"
-
-
-def compose_targets(
-    first: tuple[Optional[int], ...], then: tuple[Optional[int], ...]
-) -> tuple[Optional[int], ...]:
-    """Raw-tuple composition (first applied first); hot path for enumeration."""
-    return tuple(then[x] if x is not None else None for x in first)
 
 
 class CompositionGraph:
@@ -141,8 +135,9 @@ class CompositionGraph:
         return sid
 
     def _compose_row(self, s: int) -> tuple[int, ...]:
-        state = self.states[s]
-        return tuple(self._intern(compose_targets(state, hat)) for hat in self.hats)
+        state, intern = self.states[s], self._intern
+        return tuple(intern(tuple(hat[x] if x is not None else None for x in state))
+                     for hat in self.hats)
 
 
 class _LazyRows(dict):

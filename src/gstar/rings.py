@@ -39,20 +39,27 @@ class Fp:
     def p(self) -> int:
         return self._p
 
-    def _check(self, other: "Fp") -> None:
+    def _same_field(self, other: object) -> bool:
+        """Whether ``other`` is an Fp of this modulus; FieldError for another modulus."""
+        if not isinstance(other, Fp):
+            return False
         if self._p != other._p:
             raise FieldError(f"mixed moduli {self._p} and {other._p}")
+        return True
 
     def __add__(self, other: "Fp") -> "Fp":
-        self._check(other)
+        if not self._same_field(other):
+            return NotImplemented
         return Fp(self._value + other._value, self._p)
 
     def __sub__(self, other: "Fp") -> "Fp":
-        self._check(other)
+        if not self._same_field(other):
+            return NotImplemented
         return Fp(self._value - other._value, self._p)
 
     def __mul__(self, other: "Fp") -> "Fp":
-        self._check(other)
+        if not self._same_field(other):
+            return NotImplemented
         return Fp(self._value * other._value, self._p)
 
     def __neg__(self) -> "Fp":

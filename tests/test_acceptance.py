@@ -142,9 +142,11 @@ def test_criterion_3_closed_form_oracle():
 
 
 def test_criterion_4_monomial_threeway_exhaustive():
-    """Exhaustive three-way agreement at degree <= 6: composition emptiness,
-    zero evaluation and witness existence coincide, and every surviving row's
-    unit fold lands on the predicted matrix unit."""
+    """Exhaustive three-way agreement at degree <= 6: each word's state in
+    the composition graph maps exactly the rows that survive a walk through
+    the hat table, a word with no surviving row is counted an identity, and
+    strided words' kernel products equal their honest products, with the
+    first kernel row's units folding to its matrix unit."""
     t0 = time.perf_counter()
     total = identities = 0
     for name, grading in SMALL.items():

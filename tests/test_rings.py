@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -54,6 +55,16 @@ def test_fp_mixed_moduli_rejected():
         Fp(1, 2) + Fp(1, 3)
     with pytest.raises(FieldError):
         PrimeField(3).coerce(Fp(1, 5))
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1)], ids=["int", "Fraction"])
+def test_fp_arithmetic_with_a_foreign_operand_is_a_type_error(other):
+    x = Fp(1, 5)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
 
 
 def test_fp_is_a_frozen_normalised_value():

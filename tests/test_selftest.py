@@ -1,7 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from gstar import IdentityListing, build_grading, grading_from_json
 from gstar.errors import PreconditionError
 from gstar.freealg import multidegree
 from gstar.rings import PrimeField, RATIONALS
@@ -11,6 +14,8 @@ from gstar.sampling import (
     random_multihomogeneous_poly,
 )
 from gstar.selftest import exhaustive_word_scan, run_selftest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_selftest_passes_on_family(gradings):
@@ -50,6 +55,35 @@ def test_scan_finds_identities(gr_z6):
     assert scan.passed
     # 105 minimal words minus the off-support singleton, plus non-minimal ones
     assert scan.identities > 100
+
+
+@pytest.mark.parametrize(
+    "path, max_degree",
+    [(path, 4) for path in sorted((ROOT / "configs").glob("*.json"))]
+    + [(path, 3) for path in sorted((ROOT / "bench" / "configs").glob("*.json"))],
+    ids=lambda x: getattr(x, "stem", x),
+)
+def test_scan_identities_match_transfer_matrix_count(path, max_degree):
+    """The walk's identities are the listing's support words: its count less
+    the off-support variables, which the scan's alphabet leaves out."""
+    grading = grading_from_json(json.loads(path.read_text(encoding="utf-8")))
+    scan = exhaustive_word_scan(grading, max_degree)
+    assert scan.passed
+    listing = IdentityListing(grading, max_degree)
+    assert scan.identities == listing.count - len(grading.off_support())
+
+
+def test_scan_fails_a_corrupted_composition_graph(z4):
+    """One wrong successor in the graph (hat(a) from the identity state sent
+    to the empty state) must be caught by the row walk."""
+    grading = build_grading(z4, ["e", "a", "a2"])  # fresh: the graph is cached per grading
+    graph = grading.composition_graph
+    row = list(graph.step[0])
+    row[z4.index_of("a")] = graph.empty
+    graph.step[0] = tuple(row)
+    scan = exhaustive_word_scan(grading, 3)
+    assert not scan.passed
+    assert scan.failures[0].startswith("route disagreement")
 
 
 def test_generator_respects_bounds(gradings):
