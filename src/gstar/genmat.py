@@ -16,7 +16,9 @@ variables, and a word the tuple of its letters.
 compare the kernel against: it multiplies the generic matrices of the
 factors with ``SparseMatrix.__matmul__``.  It follows the definition rather
 than the kernel: a starred factor is the plain generic matrix transposed, so
-the oracle never reads the hat table at an inverse element.
+the oracle never reads the hat table at an inverse element.  Each generic
+matrix is built once per grading and field, from ``Grading.hat``, and kept
+in a memo that dies with the grading.
 
 (row, col) pairs are 0-based.  Every in-range pair hosts a variable, because
 (row, col) determines the unique group element g_row^{-1} g_col whose pattern
@@ -29,8 +31,9 @@ from functools import reduce
 from itertools import groupby
 from operator import matmul
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
-from .errors import GradingError, ShapeError
+from .errors import GradingError, PreconditionError, ShapeError
 from .gradings import Grading
 from .rings import RATIONALS, SparseSum, add_term, format_coeff, signed_sum
 
@@ -80,6 +83,13 @@ class SparseMatrix:
         self.n = n
         self.entries = {pos: p for pos, p in entries.items() if p}
 
+    @classmethod
+    def _trusted(cls, n: int, entries: dict) -> "SparseMatrix":
+        """Wrap entries that hold no zero polynomial by construction, unfiltered."""
+        m = object.__new__(cls)
+        m.n, m.entries = n, entries
+        return m
+
     @property
     def is_zero(self) -> bool:
         return not self.entries
@@ -94,7 +104,7 @@ class SparseMatrix:
         for (i, k), p in self.entries.items():
             for j, q in by_row.get(k, ()):
                 add_term(out, (i, j), p * q)
-        return SparseMatrix(self.n, out)
+        return SparseMatrix._trusted(self.n, out)  # add_term stores no zero
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.n, {(c, r): p for (r, c), p in self.entries.items()})
@@ -135,10 +145,32 @@ def generic_matrix_signed(letter: tuple, grading: Grading, field=RATIONALS) -> S
     return SparseMatrix(grading.n, entries)
 
 
+# grading -> {(slot, element, star, field): generic matrix}, each entry
+# built on first use and dropped with its grading
+_GENERIC_MATRICES: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def honest_product(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> SparseMatrix:
     """The product of the generic matrices of a nonempty word's (slot,
-    element, star) letters, by sparse matrix multiplication."""
-    return reduce(matmul, (generic_matrix_signed(letter, grading, field) for letter in word))
+    element, star) letters, by sparse matrix multiplication.
+
+    The factors come from the grading's memo of generic matrices; a product
+    of two or more shares no object with them, and a one-letter word gets a
+    matrix built afresh.
+    """
+    if not word:
+        raise PreconditionError("cannot evaluate the empty word")
+    if len(word) == 1:
+        return generic_matrix_signed(word[0], grading, field)
+    memo = _GENERIC_MATRICES.setdefault(grading, {})
+    factors = []
+    for letter in word:
+        key = (*letter, field)
+        matrix = memo.get(key)
+        if matrix is None:
+            matrix = memo[key] = generic_matrix_signed(letter, grading, field)
+        factors.append(matrix)
+    return reduce(matmul, factors)
 
 
 def iter_rows(word: Sequence[tuple], grading: Grading):
@@ -201,4 +233,6 @@ def closed_form_product(word: Sequence[tuple], grading: Grading, field=RATIONALS
     ``word`` holds (slot, element, star) letters, one per factor; the
     entries are the word kernel's rows.
     """
+    if not word:
+        raise PreconditionError("cannot evaluate the empty word")
     return rows_matrix(word_rows(word, grading), grading.n, field.one)

@@ -155,9 +155,12 @@ class _LazyRows(dict):
 class Grading:
     """An elementary grading, with support and hat maps precomputed.
 
-    Immutable after construction, except that the composition graph,
-    created on first use and cached, grows as compositions and searches
-    read it; share a grading across threads only behind a lock.
+    Immutable after construction, except that two memos grow as they are
+    read: the composition graph, created on first use and cached, as
+    compositions and searches step it, and ``genmat``'s generic matrices of
+    the grading, one per letter and field that ``honest_product`` has
+    multiplied, which are dropped with the grading.  Share a grading across
+    threads only behind a lock.
     """
 
     def __init__(self, group: Group, defining_tuple: tuple[int, ...]):

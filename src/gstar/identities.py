@@ -101,10 +101,10 @@ class DerivationStep(NamedTuple):
                 "result": render_word(self.result, group)}
 
 
-def _rewrites(letters: tuple, group: Group):
-    """Every single-step rewrite of a letter tuple by the star relation, as
-    (i, j, rewritten letters): the star of each neutral factor [i,j), over
-    i, then j."""
+def neutral_factors(letters: tuple, group: Group):
+    """The (i, j) of each neutral factor [i,j) of a letter tuple, over i,
+    then j: the factors whose star is a single-step rewrite by the star
+    relation."""
     pref = [group.identity]
     for _, element, star in letters:
         pref.append(group.mul(pref[-1], signed_degree(element, star, group)))
@@ -113,7 +113,15 @@ def _rewrites(letters: tuple, group: Group):
         g = pref[i]
         for j in range(i + 1, n):
             if pref[j] == g:  # [i,j) is neutral exactly when the prefix degrees agree
-                yield i, j, letters[:i] + star_word(letters[i:j]) + letters[j:]
+                yield i, j
+
+
+def _rewrites(letters: tuple, group: Group):
+    """Every single-step rewrite of a letter tuple by the star relation, as
+    (i, j, rewritten letters): the star of each neutral factor [i,j), over
+    i, then j."""
+    for i, j in neutral_factors(letters, group):
+        yield i, j, letters[:i] + star_word(letters[i:j]) + letters[j:]
 
 
 def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading

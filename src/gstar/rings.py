@@ -242,6 +242,13 @@ class SparseSum:
         self.terms = {m: c for m, c in terms.items() if c}
 
     @classmethod
+    def _trusted(cls, terms: dict):
+        """Wrap terms that hold no zero coefficient by construction, unfiltered."""
+        s = object.__new__(cls)
+        s.terms = terms
+        return s
+
+    @classmethod
     def zero(cls):
         return cls({})
 
@@ -256,10 +263,10 @@ class SparseSum:
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
-        return type(self)(out)
+        return self._trusted(out)  # add_term stores no zero
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return self._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -269,7 +276,7 @@ class SparseSum:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 add_term(out, product(m1, m2), c1 * c2)
-        return type(self)(out)
+        return self._trusted(out)
 
     def terms_sorted(self) -> list:
         terms = self.terms

@@ -9,11 +9,11 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .freealg import GPolynomial, GVar, multidegree
+from .freealg import GPolynomial, GVar, multidegree, star_word
 from .gradings import Grading, build_grading
 from .groups import Group, make_cyclic, make_from_table
 from .genmat import evaluation_key
-from .identities import _rewrites
+from .identities import neutral_factors
 
 
 def klein_group() -> Group:
@@ -118,17 +118,18 @@ def congruent_partner(
     """A monomial provably congruent to ``mono``: a random rewrite walk of
     up to four steps.
 
-    Each step stars one neutral factor (``identities._rewrites``), so the
-    result has the same generic evaluation by construction.  None when the
-    word admits no move at all.
+    Each step stars one neutral factor (``identities.neutral_factors``),
+    drawn uniformly, so the result has the same generic evaluation by
+    construction.  None when the word admits no move at all.
     """
     cur = mono
     moved = False
     for _ in range(4):
-        steps = list(_rewrites(cur, grading.group))
-        if not steps:
+        factors = list(neutral_factors(cur, grading.group))
+        if not factors:
             break
-        cur = rng.choice(steps)[2]
+        i, j = rng.choice(factors)
+        cur = cur[:i] + star_word(cur[i:j]) + cur[j:]
         moved = True
     return cur if moved else None
 

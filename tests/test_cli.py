@@ -669,29 +669,46 @@ def test_deep_derivation_bytes_pinned(case, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the selftest --json stdout: (config, seed).  The report holds
-# suite names, verdicts and counts, not the pairs the congruence suite
-# draws; test_identities pins those draws.
+BENCH_CONFIGS = CONFIGS.parent / "bench" / "configs"
+
+# sha256 of the selftest --json stdout: (config path, seed, ring).  The
+# report holds suite names, verdicts and counts, not the pairs the
+# congruence suite draws; test_identities pins those draws.  Both rings,
+# and n = 4 from the bench configs.
 GOLDEN_SELFTESTS = [
-    (("z2.json", "3"), "659b205b684bf8cb99456e4a9596f2c8d77dc23e7fe664b912b29b7d65feb716"),
-    (("z2.json", "11"), "645a0b8b2c4ecc9e3b595fd6ca4a9065f898236cc61d2a6a776e51259176b093"),
-    (("z6_3tuple.json", "3"), "4d2ab2971d61891f703a237c7e870423232e1184f88164b4d1674b90765fbb1d"),
-    (("z6_3tuple.json", "11"), "57202ba8aa0f867acdde6b446a833c10a8c833f97fc5356e3d6e6302e2b3ffe3"),
+    ((CONFIGS / "z2.json", "3", "q"),
+     "659b205b684bf8cb99456e4a9596f2c8d77dc23e7fe664b912b29b7d65feb716"),
+    ((CONFIGS / "z2.json", "11", "q"),
+     "645a0b8b2c4ecc9e3b595fd6ca4a9065f898236cc61d2a6a776e51259176b093"),
+    ((CONFIGS / "z6_3tuple.json", "3", "q"),
+     "4d2ab2971d61891f703a237c7e870423232e1184f88164b4d1674b90765fbb1d"),
+    ((CONFIGS / "z6_3tuple.json", "11", "q"),
+     "57202ba8aa0f867acdde6b446a833c10a8c833f97fc5356e3d6e6302e2b3ffe3"),
+    ((CONFIGS / "z2.json", "3", "modp:5"),
+     "659b205b684bf8cb99456e4a9596f2c8d77dc23e7fe664b912b29b7d65feb716"),
+    ((CONFIGS / "z6_3tuple.json", "11", "modp:5"),
+     "57202ba8aa0f867acdde6b446a833c10a8c833f97fc5356e3d6e6302e2b3ffe3"),
+    ((CONFIGS / "s3_mixed.json", "3", "modp:5"),
+     "518c5aa199cd881f27d82b0c059acd76200c51ffa6908af9db5addd9dd501a6b"),
+    ((BENCH_CONFIGS / "s3_4tuple.json", "3", "q"),
+     "d1665bfaeac6a7c608e9711ee7b1953a49450d35a741351ff4c734310997b5d5"),
+    ((BENCH_CONFIGS / "s3_4tuple.json", "5", "modp:5"),
+     "8e9ad3e848cdc52e70971249824d19ae6bc40efe9413a4b026b3006e69edd423"),
 ]
 
 
 @pytest.mark.parametrize(
-    "case, digest", GOLDEN_SELFTESTS, ids=[f"{c[:-5]}-{s}" for (c, s), _ in GOLDEN_SELFTESTS]
+    "case, digest", GOLDEN_SELFTESTS,
+    ids=[f"{c.stem}-{s}" + ("" if r == "q" else f"-{r.replace(':', '')}")
+         for (c, s, r), _ in GOLDEN_SELFTESTS],
 )
 def test_selftest_bytes_pinned(case, digest, capsys):
-    config, seed = case
-    code, out, _ = run(["selftest", "--config", str(CONFIGS / config), "--seed", seed, "--json"],
-                       capsys)
+    config, seed, ring = case
+    code, out, _ = run(["selftest", "--config", str(config), "--seed", seed, "--coeff", ring,
+                        "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-
-BENCH_CONFIGS = CONFIGS.parent / "bench" / "configs"
 
 # sha256 of the enumerate stdout: (config path, flags...).  Full and minimal
 # listings, off-support letters, a grading without identities at the

@@ -1,4 +1,9 @@
+import functools
+import gc
+import operator
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,19 +12,24 @@ from hypothesis import strategies as st
 from gstar import (
     CPolynomial,
     GVar,
+    PreconditionError,
     SparseMatrix,
     basis_reduce,
+    build_grading,
     closed_form_product,
     evaluate,
     evaluate_monomial,
     generic_matrix_signed,
     honest_product,
     is_monomial_identity,
+    make_cyclic,
     render_entry_monomial,
 )
+from gstar import genmat
 from gstar.errors import ShapeError
 from gstar.genmat import evaluation_key, iter_rows, word_rows
-from gstar.rings import RATIONALS, PrimeField
+from gstar.gradings import Grading
+from gstar.rings import RATIONALS, Fp, PrimeField
 from gstar.sampling import random_grading, random_multihomogeneous_poly, random_slotted_word
 from gstar.selftest import unit_product
 
@@ -386,3 +396,99 @@ def test_word_rows_walk_every_start_row(seed):
         rows = word_rows(word, grading)
         assert rows == _walk_all_rows(word, grading)
         assert list(iter_rows(word, grading)) == rows
+
+
+# ---------------------------------------------------------------------------
+# the honest product: empty words and the memo of generic matrices
+
+
+def test_empty_word_is_refused_alike(gr_z2):
+    for product in (honest_product, closed_form_product, evaluate_monomial):
+        with pytest.raises(PreconditionError, match="^cannot evaluate the empty word$"):
+            product((), gr_z2)
+
+
+def _fresh_fold(word, grading, field=RATIONALS):
+    """The product of freshly built generic matrices, bypassing the memo."""
+    return functools.reduce(
+        operator.matmul, [generic_matrix_signed(letter, grading, field) for letter in word])
+
+
+def _memo_words(grading, rng):
+    return [random_slotted_word(rng, grading, rng.randint(1, 6), repeat_slots=True)
+            for _ in range(12)]
+
+
+def test_memo_keeps_each_field_apart():
+    """On one grading, products over Q and then over F_5 read different
+    generic matrices: Fraction coefficients, then Fp ones, each product
+    equal to a fold of freshly built matrices."""
+    rng = random.Random(4)
+    z4 = build_grading(make_cyclic(4), ["e", "a", "a2"])
+    words = _memo_words(z4, rng) + [[GVar(1, 1), GVar(2, 0, True), GVar(1, 3)]]
+    for field, kind in ((RATIONALS, Fraction), (PrimeField(5), Fp)):
+        for word in words:
+            product = honest_product(word, z4, field)
+            assert product == _fresh_fold(word, z4, field)
+            assert {type(c) for p in product.entries.values() for c in p.terms.values()} <= {kind}
+        assert not honest_product(words[-1], z4, field).is_zero
+
+
+def test_gradings_never_share_generic_matrices():
+    """Gradings on one group with the same letters get their own matrices,
+    read off their own hat tables; equal gradings built twice share none."""
+    rng = random.Random(6)
+    z4 = make_cyclic(4)
+    first, second, twin = (build_grading(z4, t) for t in
+                           (["e", "a", "a2"], ["e", "a2", "a"], ["e", "a", "a2"]))
+    words = _memo_words(first, rng)
+    for _ in range(2):
+        for grading in (first, second, twin):
+            for word in words:
+                assert honest_product(word, grading) == _fresh_fold(word, grading)
+    memos = [genmat._GENERIC_MATRICES[g] for g in (first, second, twin)]
+    seen = [{id(m) for m in memo.values()} for memo in memos]
+    assert all(seen) and not (seen[0] & seen[1] or seen[0] & seen[2] or seen[1] & seen[2])
+    gc.collect()
+    count, dead = len(genmat._GENERIC_MATRICES), weakref.ref(first)
+    del first
+    gc.collect()  # the memo dies with its grading
+    assert dead() is None and len(genmat._GENERIC_MATRICES) == count - 1
+
+
+def test_one_letter_product_cannot_corrupt_the_memo():
+    """A one-letter product is built afresh: emptying it, or its entries,
+    leaves later products unchanged."""
+    z4 = build_grading(make_cyclic(4), ["e", "a", "a2"])
+    letter, other = GVar(1, 1), GVar(2, 3)
+    for _ in range(2):
+        single = honest_product([letter], z4)
+        assert single == _fresh_fold([letter], z4)
+        for p in single.entries.values():
+            p.terms.clear()
+        single.entries.clear()
+    assert honest_product([letter, other], z4) == _fresh_fold([letter, other], z4)
+    assert honest_product([letter], z4) == _fresh_fold([letter], z4)
+    assert not honest_product([letter], z4).is_zero
+
+
+def test_honest_product_reads_neither_kernel_nor_graph(monkeypatch):
+    """The oracle shares no code with the kernel or the composition graph:
+    with both made to raise, it still multiplies, and agrees with the
+    closed form computed before."""
+    rng = random.Random(10)
+    grading = random_grading(rng, max_n=4)
+    words = _memo_words(grading, rng)
+    closed = [closed_form_product(word, grading) for word in words]
+    fresh = random_grading(random.Random(10), max_n=4)  # no graph read yet
+
+    def refuse(*_):
+        raise AssertionError("the oracle read the fast path")
+
+    monkeypatch.setattr(genmat, "iter_rows", refuse)
+    monkeypatch.setattr(Grading, "composition_graph", property(refuse))
+    with pytest.raises(AssertionError):
+        closed_form_product(words[0], grading)
+    for g in (grading, fresh):
+        for word, expected in zip(words, closed):
+            assert honest_product(word, g) == expected

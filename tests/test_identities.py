@@ -406,6 +406,37 @@ def test_congruent_partner_draws_pinned(gradings, name):
     assert drawn == PINNED_PARTNERS[name]
 
 
+def _reference_partner(rng, mono, grading):
+    """The rewrite walk drawn from the list of whole rewrites."""
+    cur, moved = mono, False
+    for _ in range(4):
+        steps = list(_rewrites(cur, grading.group))
+        if not steps:
+            break
+        cur = rng.choice(steps)[2]
+        moved = True
+    return cur if moved else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=100_000),
+       st.integers(min_value=1, max_value=7))
+def test_congruent_partner_draws_as_from_every_rewrite(grading_seed, seed, length):
+    """Drawing a neutral factor and starring only it gives the walk, and
+    leaves the generator in the state, of drawing from the list of every
+    rewrite, identities and off-support letters included."""
+    grading = random_grading(random.Random(grading_seed), max_n=4)
+    rng = random.Random(seed)
+    for _ in range(3):
+        mono = random_monomial(rng, grading, length, allow_off_support=True)
+        state = rng.getstate()
+        partner = congruent_partner(rng, mono, grading)
+        after = rng.getstate()
+        rng.setstate(state)
+        assert _reference_partner(rng, mono, grading) == partner
+        assert rng.getstate() == after
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=5))
 def test_derivation_steps_replay(seed, length):

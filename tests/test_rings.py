@@ -173,3 +173,48 @@ def test_is_prime_past_trial_division():
     assert not _is_prime(10**18 + 1) and not _is_prime((10**9 + 7) * (10**9 + 9))
     with pytest.raises(FieldError, match="3,317,044,064,679,887,385,961,981"):
         _is_prime(PRIME_TEST_LIMIT)  # the least strong pseudoprime to all 13 bases
+
+
+
+def _filtered(cls, pairs):
+    """The sum of (monomial, coefficient) pairs, accumulated plainly and then
+    passed through the filtering constructor."""
+    total = {}
+    for m, c in pairs:
+        total[m] = total[m] + c if m in total else c
+    return cls(total)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(2), PrimeField(5)],
+                         ids=["q", "modp2", "modp5"])
+@given(raw=TERM_DICTS, other=TERM_DICTS)
+def test_arithmetic_stores_no_zero_unfiltered(field, raw, other):
+    """Sums, differences, negations and products skip the constructor's
+    zero filter, yet none stores a zero coefficient, and each equals the
+    filtering constructor's result on the plainly accumulated terms, with
+    cancellations such as (p-1) + 1 among them."""
+    last = field.coerce(field.characteristic - 1)  # p - 1 in F_p, -1 in Q
+    for cls, monomials, product, _ in RINGS:
+        p = cls({monomials[k]: field.coerce(c) for k, c in raw.items()})
+        q = cls({monomials[k]: field.coerce(c) for k, c in other.items()})
+
+        def products(a, b):
+            return [(product(m1, m2), c1 * c2)
+                    for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()]
+
+        def negated(a):
+            return [(m, -c) for m, c in a.terms.items()]
+
+        cases = [
+            (p + q, _filtered(cls, [*p.terms.items(), *q.terms.items()])),
+            (p - q, _filtered(cls, [*p.terms.items(), *negated(q)])),
+            (-p, _filtered(cls, negated(p))),
+            (p * q, _filtered(cls, products(p, q))),
+            (cls({m: last for m in p.terms}) + cls({m: field.one for m in p.terms}), cls({})),
+            (p - p, cls({})),
+            ((p + q) * (p - q), _filtered(cls, products(p + q, p - q))),
+        ]
+        for result, expected in cases:
+            assert type(result) is cls
+            assert all(result.terms.values())
+            assert result == expected and result.terms == expected.terms
