@@ -10,7 +10,9 @@ by default, which between them run check, eval, congruent, enumerate and
 selftest), ``info --json`` on every config in ``configs/`` and
 ``bench/configs/``, the degree-6 listings of z4 and Klein (147,888 words
 each), the minimal listings of z8_4tuple to degree 6 and z10_5tuple to
-degree 5 (the minimal search's largest node spaces on the bench configs),
+degree 5 (the minimal search's largest node spaces on the bench configs)
+and of Klein to degree 8 (19 MB of JSON, whose blocks reuse each node's
+rendered suffixes under many prefixes),
 ``info`` and ``enumerate --max-deg 4`` on a grading whose element
 names need escaping, ``selftest`` over both rings and the three
 ``SELFTEST_SEEDS`` on that grading and on ``configs/s3_rot.json`` (the
@@ -251,6 +253,7 @@ def requests(workloads, seeds, tmp: str) -> tuple[list, int]:
          "--minimal"],
         ["enumerate", "--config", "bench/configs/z10_5tuple.json", "--json", "--max-deg", "5",
          "--minimal"],
+        ["enumerate", "--config", "configs/klein.json", "--json", "--max-deg", "8", "--minimal"],
         ["info", "--config", str(escaped), "--json"],
         ["enumerate", "--config", str(escaped), "--json", "--max-deg", "4"],
     ):

@@ -219,7 +219,8 @@ def cmd_enumerate(args, grading, field, out) -> int:
     ``IdentityListing``, which charges the whole budget before the first
     byte is written.  Each letter's name and its token ``x<p>:<name>`` at
     each position are rendered (in JSON, also escaped) once, and each
-    section is written one first-letter subtree at a time.
+    section is written one block of ``IdentityListing.blocks`` at a time:
+    the block's suffixes joined under its prefix, with no string per word.
     """
     max_deg = args.max_deg if args.max_deg is not None else 2 * grading.n - 1
     listing = IdentityListing(grading, max_deg, minimal_only=args.minimal)
@@ -268,8 +269,8 @@ def cmd_enumerate(args, grading, field, out) -> int:
     for key, tables, joiner, start, end in sections:
         lead, between = key + first + start, end + sep + start
         for length in range(1, top + 1):
-            for items in listing.subtrees(length, tables, joiner):
-                out.write(lead + between.join(items))
+            for prefix, suffixes in listing.blocks(length, tables, joiner):
+                out.write(lead + prefix + (between + prefix).join(suffixes))
                 lead = between
         out.write(end + last if top else key + empty)
     out.write(closing)

@@ -16,7 +16,7 @@ partition the rest by generic evaluation; the polynomial is an identity
 precisely when every class sums to zero.  The monomial identities up to a
 degree are counted per composition state and remaining length, then
 streamed by a depth-first walk that enters only states with words left to
-give (``IdentityListing``).
+give, in blocks that share a prefix (``IdentityListing.blocks``).
 """
 
 from __future__ import annotations
@@ -114,14 +114,6 @@ def neutral_factors(letters: tuple, group: Group):
         for j in range(i + 1, n):
             if pref[j] == g:  # [i,j) is neutral exactly when the prefix degrees agree
                 yield i, j
-
-
-def _rewrites(letters: tuple, group: Group):
-    """Every single-step rewrite of a letter tuple by the star relation, as
-    (i, j, rewritten letters): the star of each neutral factor [i,j), over
-    i, then j."""
-    for i, j in neutral_factors(letters, group):
-        yield i, j, letters[:i] + star_word(letters[i:j]) + letters[j:]
 
 
 def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading
@@ -334,13 +326,15 @@ def block_certificate(
     """
     max_blocks = 2 * grading.n - 1
     group = grading.group
+    table = group.table
     graph = grading.composition_graph
     step, empty = graph.step, graph.empty
     degrees = letter_degrees(mono, group)
     length = len(degrees)
     for start in range(length):
         # state: (position, composition state after the blocks closed so
-        #         far, blocks closed); an open block accumulates a degree
+        #         far, blocks closed); an open block accumulates a degree.
+        # Every key of a round closes one block more than those before it.
         frontier = {(start, 0, 0): (start,)}
         while frontier:
             nxt: dict = {}
@@ -350,13 +344,13 @@ def block_certificate(
                 row = step[comp]
                 acc = group.identity
                 for end in range(pos + 1, length + 1):
-                    acc = group.mul(acc, degrees[end - 1])
+                    acc = table[acc][degrees[end - 1]]
                     new_comp = row[acc]
                     new_bounds = bounds + (end,)
                     if new_comp == empty:
                         return new_bounds
                     key = (end, new_comp, blocks + 1)
-                    if key not in nxt and key not in frontier:
+                    if key not in nxt:
                         nxt[key] = new_bounds
             frontier = nxt
     return None
@@ -509,10 +503,10 @@ class IdentityListing:
     per count entry, per composition state the pass adds to the graph (at
     every charge) and per support word to be listed.
 
-    ``subtrees`` then lists the words of one length by a depth-first walk
-    that enters a node only when it still has words to give, so the time is
-    linear in the output and nothing beyond the memo and one first-letter
-    subtree is held.
+    ``blocks`` then lists the words of one length by a depth-first walk
+    that enters a node only when it still has words to give, in blocks that
+    share a prefix, so the time is linear in the output and nothing beyond
+    the memos and one block is held.
     """
 
     def __init__(
@@ -599,45 +593,56 @@ class IdentityListing:
         """The largest length with an identity, or 0 when there is none."""
         return max((k for k, words in enumerate(self.lengths, 1) if words), default=0)
 
-    def subtrees(self, length: int, tables: Sequence, joiner) -> Iterator[list]:
-        """The identities of one length, in alphabet order, one list for each
-        first letter that begins one (one list in all for length 1).
+    def blocks(self, length: int, tables: Sequence, joiner) -> Iterator[tuple]:
+        """The identities of one length, in alphabet order, as (prefix,
+        suffixes) pairs whose words are ``prefix + s`` for each s in
+        suffixes; no pair is empty.
 
-        The word with codes c_1 ... c_k comes out as ``tables[0][c_1] +
-        joiner + ... + joiner + tables[k - 1][c_k]``: with tables of 1-tuples
-        of letters and joiner ``()`` it is the word itself, and with string
-        tables it is the word's text.  A node is entered only when it still
-        has words of the remaining length, and the last letter comes from
-        the node's list of final letters.
+        The word with codes c_1 ... c_k is ``tables[0][c_1] + joiner + ... +
+        joiner + tables[k - 1][c_k]``: with tables of 1-tuples of letters and
+        joiner ``()`` it is the word itself, and with string tables it is the
+        word's text.  The walk enters a node only when it still has words of
+        the remaining length, and stops two positions from the end: each
+        node's words over the last two positions are rendered once into a
+        memo that lives for one first-letter subtree, so a pair holds at most
+        the square of the alphabet.
         """
         successors, finals, counts = self._successors, self._finals, self._counts
+        empty = joiner[:0]
         if length == 1:
             table = tables[0]
             words = [table[code] for code in sorted(self._off_support + finals[0])]
             if words:
-                yield words
+                yield empty, words
             return
-        last = tables[length - 1]
-        rendered: dict = {}  # node id -> its final letters, rendered at the last position
+        mid, last = tables[length - 2], tables[length - 1]
+        memo: dict = {}  # node id -> its words over the last two positions
 
-        def walk(node: int, k: int, prefix, out: list) -> None:
-            if k == 1:
-                ends = rendered.get(node)
-                if ends is None:
-                    ends = rendered[node] = [last[code] for code in finals[node]]
-                out += map(prefix.__add__, ends)
-                return
+        def block(node: int, prefix) -> tuple:
+            ends = memo.get(node)
+            if ends is None:
+                ends = memo[node] = []
+                for code, child in successors[node]:
+                    head = mid[code] + joiner
+                    ends += [head + last[end] for end in finals[child]]
+            return prefix, ends
+
+        def walk(node: int, k: int, prefix) -> Iterator[tuple]:
+            # more than two positions remain
             table = tables[length - k]
             for code, child in successors[node]:
                 if counts[child][k - 1]:
-                    walk(child, k - 1, prefix + table[code] + joiner, out)
+                    if k == length:  # a new first-letter subtree
+                        memo.clear()
+                    if k == 3:
+                        yield block(child, prefix + table[code] + joiner)
+                    else:
+                        yield from walk(child, k - 1, prefix + table[code] + joiner)
 
-        table = tables[0]
-        for code, child in successors[0]:
-            if counts[child][length - 1]:
-                out: list = []
-                walk(child, length - 1, table[code] + joiner, out)
-                yield out
+        if length > 2:
+            yield from walk(0, length, empty)
+        elif counts[0][2]:
+            yield block(0, empty)
 
 
 def enumerate_monomial_identities(
@@ -655,8 +660,11 @@ def enumerate_monomial_identities(
     """
     listing = IdentityListing(grading, max_degree, minimal_only, node_budget)
     tables = [_position_letters(grading.group, p) for p in range(1, max_degree + 1)]
-    return [word for k in range(1, max_degree + 1)
-            for part in listing.subtrees(k, tables, ()) for word in part]
+    words: list = []
+    for k in range(1, max_degree + 1):
+        for prefix, suffixes in listing.blocks(k, tables, ()):
+            words += map(prefix.__add__, suffixes)
+    return words
 
 
 def minimal_identities_up_to(

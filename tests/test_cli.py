@@ -712,7 +712,9 @@ def test_selftest_bytes_pinned(case, digest, capsys):
 
 # sha256 of the enumerate stdout: (config path, flags...).  Full and minimal
 # listings, off-support letters, a grading without identities at the
-# default degree, n = 4, 5 gradings and one text-mode report.
+# default degree, n = 4, 5 gradings and text-mode reports.  The last two
+# are deep enough that each node's rendered two-letter suffixes are written
+# under many prefixes.
 GOLDEN_ENUMERATIONS = [
     ([CONFIGS / "z4_3tuple.json", "--max-deg", "5", "--json"],
      "bdcb2810cbd7aa54db4eb63a3cae8f06e6cf229b92b2b138830e6c985f668f59"),
@@ -736,6 +738,10 @@ GOLDEN_ENUMERATIONS = [
      "284d6ec9b16824fac2eeb75023fb22474b9416f7b4d71bce568ec2d91db1dc70"),
     ([CONFIGS / "z2.json"],
      "d52a5f813f3aabcbed02a63e4f0ec7f6f63330201cdaaa835fe92ec38959d0c4"),
+    ([CONFIGS / "z4_3tuple.json", "--max-deg", "6"],
+     "71caf96527cc305d2e456e3e134c95777c6fa81f10bc4294696093be8dac639b"),
+    ([CONFIGS / "klein.json", "--max-deg", "8", "--minimal", "--json"],
+     "1b4b77d4ae3b73be5c25131585ea72ba132ebfdbe5bdad9fb93aa818e04b9eb0"),
 ]
 
 
@@ -805,6 +811,25 @@ def test_enumerate_streams_a_large_listing_in_bounded_memory():
     assert (code, size) == ("0", "197926173")
     assert digest == "770d60af477a893495db7d7ac2e822a109a28966ed4d1d2090535f31b84e160a"
     assert int(peak_kb) < 150 * 1024
+
+
+def test_enumerate_writes_are_bounded(monkeypatch):
+    # Klein minimal to degree 8: 19,149,883 characters in 32,008 writes.
+    # A write is one block of words sharing a prefix, at most 856
+    # characters here; a whole first-letter subtree would be 1,685,376.
+    sizes: list = []
+
+    class Sink:
+        def write(self, text):
+            sizes.append(len(text))
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    code = main(["enumerate", "--config", str(CONFIGS / "klein.json"), "--max-deg", "8",
+                 "--minimal", "--json"])
+    monkeypatch.undo()
+    assert code == 0
+    assert sum(sizes) == 19_149_883
+    assert max(sizes) <= 64 * 1024
 
 
 def write_escaped_config(directory: Path) -> Path:
@@ -898,7 +923,7 @@ RANDOM_GRADING_SEEDS = (1, 5, 21, 28)
 )
 def test_enumerate_matches_dumped_payload(config, max_deg, minimal, tmp_path, capsys):
     # json.dumps and _print_text of the whole payload are the reference
-    # for the report that cmd_enumerate streams subtree by subtree.
+    # for the report that cmd_enumerate streams block by block.
     if config == "escaped":
         config = write_escaped_config(tmp_path)
     elif isinstance(config, str):

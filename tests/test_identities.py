@@ -37,9 +37,10 @@ from gstar import (
     verify_basis,
     word_monomial,
 )
-from gstar.freealg import GPolynomial, multidegree, render_word, star_polynomial, variable
+from gstar.freealg import (GPolynomial, multidegree, render_word, star_polynomial, star_word,
+                           variable)
 from gstar.gradings import signed_degree
-from gstar.identities import ENUM_DEGREE_CAP, _profile_moves, _rewrites, block_certificate
+from gstar.identities import ENUM_DEGREE_CAP, _profile_moves, block_certificate, neutral_factors
 from gstar.genmat import evaluation_key, word_rows
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import (
@@ -351,6 +352,14 @@ def test_derivation_case(case, mono):
     chain = derivation_mod_neutral(m1, m2, grading)
     assert [(step.i, step.j) for step in chain] == steps
     _assert_replays(chain, m1, m2, grading.group)
+
+
+def _rewrites(letters, group):
+    """Every single-step rewrite of a letter tuple by the star relation, as
+    (i, j, rewritten letters): the star of each neutral factor [i,j), in the
+    order of ``neutral_factors``."""
+    for i, j in neutral_factors(letters, group):
+        yield i, j, letters[:i] + star_word(letters[i:j]) + letters[j:]
 
 
 @settings(max_examples=80, deadline=None)
