@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstar import (
+    BASIS_FAMILIES,
     GVar,
     IdentityListing,
     InternalCheckError,
     PreconditionError,
     ResourceCapError,
+    basis_polynomials,
     basis_reduce,
     congruent_mod_neutral,
     derivation_mod_neutral,
@@ -29,9 +31,7 @@ from gstar import (
     make_cyclic,
     minimal_identities_up_to,
     multihomogeneous_components,
-    neutral_commutator,
     parse_poly,
-    sandwich_commutator,
     subword_identity_certificate,
     iter_rows,
     verify_basis,
@@ -122,15 +122,16 @@ def test_threeway_agreement_small_exhaustive(gr_z2, z2):
 
 def test_neutral_commutator_is_identity(gradings):
     for grading in gradings.values():
-        f = neutral_commutator(grading.group)
+        (family, _, f), *_ = basis_polynomials(grading)
+        assert family == "neutral-commutator"
         assert is_identity(f, grading)
 
 
-def test_sandwich_is_identity(gr_z6, z6):
-    for g in gr_z6.support_sorted():
-        if g == z6.identity:
-            continue
-        assert is_identity(sandwich_commutator(z6, g), gr_z6)
+def test_sandwich_is_identity(gr_z6):
+    sandwiches = [f for family, _, f in basis_polynomials(gr_z6) if family == "sandwich"]
+    assert len(sandwiches) == 4
+    for f in sandwiches:
+        assert is_identity(f, gr_z6)
 
 
 def test_non_identity_reports_offending_entries(gr_z2, z2):
@@ -229,7 +230,7 @@ def test_derivation_step_is_a_star(gr_z2, z2, mono):
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(2), PrimeField(5)],
                          ids=["q", "modp:2", "modp:5"])
-def test_neutral_commutator_follows_from_star_relation(z2, field):
+def test_neutral_commutator_follows_from_star_relation(gr_z2, z2, field):
     """[x, y] = (xy - (xy)*) + (y* - y)x* + y(x* - x) for neutral x and y, in
     every characteristic: each summand is a multiple of the star relation at
     a neutral argument, so the commutator needs no generator of its own."""
@@ -238,7 +239,7 @@ def test_neutral_commutator_follows_from_star_relation(z2, field):
     xs, ys = star_polynomial(x), star_polynomial(y)
     assert {v.element for m in (x * y).terms for v in m} == {e}
     rhs = (x * y - star_polynomial(x * y)) + (ys - y) * xs + y * (xs - x)
-    assert rhs == neutral_commutator(z2, field=field)
+    assert basis_polynomials(gr_z2, field)[0] == ("neutral-commutator", "e", rhs)
 
 
 def test_reversal_derivation(gr_z2, z2, mono):
@@ -575,7 +576,7 @@ def test_derivation_exists_exactly_for_congruent_words(seed, length):
 
 
 def test_sandwich_reduces_to_one_cancelling_class(gr_z6, z6):
-    f = sandwich_commutator(z6, z6.index_of("a"))
+    f = parse_poly("x1:a x2:a5 x3:a - x3:a x2:a5 x1:a", z6)
     red = basis_reduce(f, gr_z6)
     assert red.is_identity
     assert len(red.classes) == 1
@@ -617,6 +618,27 @@ def test_padded_identity_is_flagged_not_certified(gr_z4, z4, mono):
 
     bounds = block_certificate(m, gr_z4)
     assert bounds is not None and len(bounds) - 1 <= 2 * gr_z4.n - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_identity_verdict_is_blind_to_slot_names(seed):
+    """Renaming the slots of a polynomial by an injective map keeps its
+    identity verdict: a generic evaluation gives each slot its own entry
+    variables and no more, so one naming of the slots decides them all."""
+    rng = random.Random(seed)
+    grading = random_grading(rng, max_n=4)
+    for field in (RATIONALS, PrimeField(5)):
+        f = random_multihomogeneous_poly(rng, grading, field,
+                                         force_identity=rng.random() < 0.5)
+        if f is None:
+            continue
+        slots = sorted({v.index for m in f.terms for v in m})
+        rename = dict(zip(slots, rng.sample(range(1, 20), len(slots))))
+        renamed = GPolynomial({tuple(GVar(rename[v.index], v.element, v.star) for v in m): c
+                               for m, c in f.terms.items()})
+        assert len(renamed.terms) == len(f.terms)
+        assert is_identity(renamed, grading, field) == is_identity(f, grading, field)
 
 
 def test_reduce_needs_no_multihomogeneous_split():
@@ -680,21 +702,67 @@ def test_subword_certificate(gr_z6, z6, mono):
 
 
 def test_verify_basis_z2(gr_z2):
-    report = verify_basis(gr_z2, samples=2, seed=3)
+    report = verify_basis(gr_z2)
     assert report["pass"]
     assert report["off-support"]["cases"] == []
 
 
 def test_verify_basis_z6(gr_z6):
-    report = verify_basis(gr_z6, samples=2, seed=3)
+    report = verify_basis(gr_z6)
     assert report["pass"]
     off = {c["element"] for c in report["off-support"]["cases"]}
     assert off == {"a3"}
+    # every family reports its cases in one shape
+    assert report["neutral-star"] == {"pass": True, "cases": [{"element": "e", "pass": True}]}
+    assert [c["element"] for c in report["sandwich"]["cases"]] == ["a", "a2", "a4", "a5"]
 
 
 def test_verify_basis_s3(gradings):
     for name in ("S3:(e,r,rr)", "S3:(e,r,a)"):
-        assert verify_basis(gradings[name], samples=1, seed=5)["pass"]
+        assert verify_basis(gradings[name])["pass"]
+
+
+# The basis texts per grading: the neutral commutator, the star relation,
+# each off-support variable, and the sandwich of each non-neutral support
+# element around its inverse.
+BASIS_TEXTS = {
+    "Z6:(e,a,a2)": [
+        ("neutral-commutator", "e", "x1:e x2:e - x2:e x1:e"),
+        ("neutral-star", "e", "x1:e - x1:e*"),
+        ("off-support", "a3", "x1:a3"),
+        ("sandwich", "a", "x1:a x2:a5 x3:a - x3:a x2:a5 x1:a"),
+        ("sandwich", "a2", "x1:a2 x2:a4 x3:a2 - x3:a2 x2:a4 x1:a2"),
+        ("sandwich", "a4", "x1:a4 x2:a2 x3:a4 - x3:a4 x2:a2 x1:a4"),
+        ("sandwich", "a5", "x1:a5 x2:a x3:a5 - x3:a5 x2:a x1:a5"),
+    ],
+    "Klein:(e,a,b)": [
+        ("neutral-commutator", "e", "x1:e x2:e - x2:e x1:e"),
+        ("neutral-star", "e", "x1:e - x1:e*"),
+        ("sandwich", "a", "x1:a x2:a x3:a - x3:a x2:a x1:a"),
+        ("sandwich", "b", "x1:b x2:b x3:b - x3:b x2:b x1:b"),
+        ("sandwich", "c", "x1:c x2:c x3:c - x3:c x2:c x1:c"),
+    ],
+    "S3:(e,r,a)": [
+        ("neutral-commutator", "e", "x1:e x2:e - x2:e x1:e"),
+        ("neutral-star", "e", "x1:e - x1:e*"),
+        ("off-support", "b", "x1:b"),
+        ("sandwich", "r", "x1:r x2:rr x3:r - x3:r x2:rr x1:r"),
+        ("sandwich", "rr", "x1:rr x2:r x3:rr - x3:rr x2:r x1:rr"),
+        ("sandwich", "a", "x1:a x2:a x3:a - x3:a x2:a x1:a"),
+        ("sandwich", "c", "x1:c x2:c x3:c - x3:c x2:c x1:c"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_TEXTS))
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(5)], ids=["q", "modp:5"])
+def test_basis_polynomials_list_the_four_families_in_order(gradings, name, field):
+    grading = gradings[name]
+    assert BASIS_FAMILIES == ("neutral-commutator", "neutral-star", "off-support", "sandwich")
+    assert basis_polynomials(grading, field) == [
+        (family, element, parse_poly(text, grading.group, field))
+        for family, element, text in BASIS_TEXTS[name]
+    ]
 
 
 # ---------------------------------------------------------------------------
