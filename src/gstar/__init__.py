@@ -43,7 +43,6 @@ from .genmat import (
     honest_product,
     iter_rows,
     render_entry_monomial,
-    word_rows,
 )
 from .gradings import (
     Grading,

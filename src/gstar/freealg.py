@@ -32,7 +32,7 @@ from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import GroupError, ParseError, PreconditionError
-from .genmat import CPolynomial, SparseMatrix, rows_matrix, word_rows
+from .genmat import CPolynomial, SparseMatrix, closed_form_product, iter_rows
 from .gradings import Grading
 from .groups import Group
 from .rings import RATIONALS, SparseSum, add_term, format_coeff, signed_sum
@@ -126,10 +126,9 @@ def _pair_counts(multidegree: tuple) -> tuple:
 
 
 def evaluate_monomial(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> SparseMatrix:
-    """The product of generic matrices substituted for the word's letters."""
-    if not word:
-        raise PreconditionError("cannot evaluate the empty word")
-    return rows_matrix(word_rows(word, grading), grading.n, field.one)
+    """The product of generic matrices substituted for the word's letters:
+    ``genmat.closed_form_product``, under the name the benchmark spans use."""
+    return closed_form_product(word, grading, field)
 
 
 def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
@@ -140,7 +139,7 @@ def evaluate(f: GPolynomial, grading: Grading, field=RATIONALS) -> SparseMatrix:
     sums: dict = {}  # position -> {monomial: coefficient}, summed in place
     for mono, coeff in f.terms.items():
         coeff = field.one * coeff
-        for start, end, variables in word_rows(mono, grading):
+        for start, end, variables in iter_rows(mono, grading):
             add_term(sums.setdefault((start, end), {}), tuple(sorted(variables)), coeff)
     return SparseMatrix(grading.n, {pos: CPolynomial(terms) for pos, terms in sums.items()})
 

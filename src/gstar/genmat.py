@@ -6,7 +6,7 @@ of the grading's pattern for g.  Its starred companion is the transpose.
 Products of generic matrices are extremely sparse: at most one nonzero entry
 per row, always a single monomial with coefficient one.  The word kernel
 ``iter_rows`` reads them off the grading's hat table one start row at a
-time, and every evaluation goes through it (``word_rows`` lists its rows).
+time, and every evaluation iterates it directly.
 An entry variable is the plain (slot, row, col) triple, and a letter the
 plain (slot, element, star) triple, such as a :class:`~gstar.freealg.GVar`,
 on every path; an entry monomial is the sorted tuple of its entry
@@ -203,20 +203,6 @@ def iter_rows(word: Sequence[tuple], grading: Grading):
             yield start, row, tuple(variables)
 
 
-def word_rows(word: Sequence[tuple], grading: Grading) -> list:
-    """Every row of :func:`iter_rows`: empty exactly for identities, linear
-    in the length of the word."""
-    return list(iter_rows(word, grading))
-
-
-def rows_matrix(rows: list, n: int, one) -> SparseMatrix:
-    """The sparse matrix of kernel rows: one monic monomial per surviving row."""
-    return SparseMatrix(n, {
-        (start, end): CPolynomial({tuple(sorted(variables)): one})
-        for start, end, variables in rows
-    })
-
-
 def evaluation_key(word: Sequence[tuple], grading: Grading) -> tuple:
     """The generic evaluation of a slotted word as a hashable key.
 
@@ -224,15 +210,19 @@ def evaluation_key(word: Sequence[tuple], grading: Grading) -> tuple:
     alike exactly when their keys agree, and the key is empty exactly for
     identities.  Every entry is monic, so no coefficient field is involved.
     """
-    return tuple((start, end, tuple(sorted(v))) for start, end, v in word_rows(word, grading))
+    return tuple((start, end, tuple(sorted(v))) for start, end, v in iter_rows(word, grading))
 
 
 def closed_form_product(word: Sequence[tuple], grading: Grading, field=RATIONALS) -> SparseMatrix:
     """Product of generic matrices computed without matrix multiplication.
 
-    ``word`` holds (slot, element, star) letters, one per factor; the
-    entries are the word kernel's rows.
+    ``word`` holds (slot, element, star) letters, one per factor; each row
+    of the word kernel is one monic monomial entry.
     """
     if not word:
         raise PreconditionError("cannot evaluate the empty word")
-    return rows_matrix(word_rows(word, grading), grading.n, field.one)
+    one = field.one
+    return SparseMatrix(grading.n, {
+        (start, end): CPolynomial({tuple(sorted(variables)): one})
+        for start, end, variables in iter_rows(word, grading)
+    })

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceCapError
 from .freealg import GPolynomial, GVar, evaluate, render_word, star_word, variable
-from .genmat import iter_rows, word_rows
+from .genmat import iter_rows
 from .gradings import CompositionGraph, Grading, letter_degrees, signed_degree
 from .groups import Group
 from .rings import RATIONALS, format_coeff
@@ -71,7 +71,7 @@ def _congruent_rows(m1: Sequence[tuple], m2: Sequence[tuple], grading: Grading
     formulations are computed from the two evaluation keys and
     cross-checked here.
     """
-    rows1, rows2 = word_rows(m1, grading), word_rows(m2, grading)
+    rows1, rows2 = list(iter_rows(m1, grading)), list(iter_rows(m2, grading))
     if not rows1 or not rows2:
         raise PreconditionError(_NON_IDENTITY)
     e1, e2 = ([(s, t, tuple(sorted(v))) for s, t, v in rows] for rows in (rows1, rows2))
@@ -104,9 +104,10 @@ def neutral_factors(letters: tuple, group: Group):
     """The (i, j) of each neutral factor [i,j) of a letter tuple, over i,
     then j: the factors whose star is a single-step rewrite by the star
     relation."""
+    table = group.table
     pref = [group.identity]
-    for _, element, star in letters:
-        pref.append(group.mul(pref[-1], signed_degree(element, star, group)))
+    for degree in letter_degrees(letters, group):
+        pref.append(table[pref[-1]][degree])
     n = len(pref)
     for i in range(n - 1):
         g = pref[i]
@@ -122,7 +123,7 @@ def derivation_mod_neutral(m1: tuple, m2: tuple, grading: Grading
 
     Every step stars one neutral factor, an instance of the star relation,
     so each step preserves the generic evaluation.  Both words are read as
-    trails from the first start row of m1's evaluation (``word_rows``):
+    trails from the first start row of m1's evaluation (``iter_rows``):
     letter p crosses the entry variable y[index, a, b], from row a to row b
     when plain and from b to a when starred; a factor [i,j) is neutral
     exactly when the walk is at the same row at i and at j; and congruent
@@ -291,14 +292,12 @@ def block_certificate(
     length = len(degrees)
     for start in range(length):
         # state: (position, composition state after the blocks closed so
-        #         far, blocks closed); an open block accumulates a degree.
-        # Every key of a round closes one block more than those before it.
-        frontier = {(start, 0, 0): (start,)}
-        while frontier:
+        #         far); an open block accumulates a degree.  Round r closes
+        #         block r, so every key of a round has the same block count.
+        frontier = {(start, 0): (start,)}
+        for _ in range(max_blocks):
             nxt: dict = {}
-            for (pos, comp, blocks), bounds in frontier.items():
-                if pos == length or blocks == max_blocks:
-                    continue
+            for (pos, comp), bounds in frontier.items():
                 row = step[comp]
                 acc = group.identity
                 for end in range(pos + 1, length + 1):
@@ -307,9 +306,7 @@ def block_certificate(
                     new_bounds = bounds + (end,)
                     if new_comp == empty:
                         return new_bounds
-                    key = (end, new_comp, blocks + 1)
-                    if key not in nxt:
-                        nxt[key] = new_bounds
+                    nxt.setdefault((end, new_comp), new_bounds)
             frontier = nxt
     return None
 

@@ -22,8 +22,13 @@ def _load_spans():
 
 def test_bench_span_targets_resolve():
     spans = _load_spans()
+    targets = {}
     for name, (module, attr) in spans.SPANS.items():
-        assert callable(getattr(importlib.import_module(module), attr, None)), name
+        target = getattr(importlib.import_module(module), attr, None)
+        assert callable(target), name
+        targets[name] = target
+    # an alias would be wrapped twice, and one of its two spans would read 0
+    assert len({id(t) for t in targets.values()}) == len(targets), "two spans share a function"
     for name, (module, cls, attr) in spans.METHOD_SPANS.items():
         # wrapped through the class dict, so the method must be defined on the class itself
         assert attr in vars(getattr(importlib.import_module(module), cls)), name

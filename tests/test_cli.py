@@ -231,7 +231,7 @@ def test_congruent_identity_inputs_yield_note(first, second, as_json, capsys):
         assert not any(line.startswith("derivation") for line in lines)
 
 
-# word_rows walks per request: congruence is decided from one walk of each
+# iter_rows walks per request: congruence is decided from one walk of each
 # word, and a congruent pair's derivation reuses those walks
 @pytest.mark.parametrize("first, second, congruent, walks",
                          [("x1:e x2:e x3:a", "x2:e x1:e x3:a", True, 2),
@@ -244,12 +244,12 @@ def test_congruent_walks_each_word_no_more_than_the_library_does(
 
     calls = []
 
-    def counting(word, grading, _inner=gstar.genmat.word_rows):
+    def counting(word, grading, _inner=gstar.genmat.iter_rows):
         calls.append(word)
         return _inner(word, grading)
 
     for module in (gstar.genmat, gstar.identities):
-        monkeypatch.setattr(module, "word_rows", counting)
+        monkeypatch.setattr(module, "iter_rows", counting)
     code, payload, _ = run_json(
         ["congruent", "--config", str(CONFIGS / "z2.json"), first, second], capsys)
     assert code == 0 and payload["congruent"] is congruent

@@ -27,7 +27,7 @@ from gstar import (
 )
 from gstar import genmat
 from gstar.errors import ShapeError
-from gstar.genmat import evaluation_key, iter_rows, word_rows
+from gstar.genmat import evaluation_key, iter_rows
 from gstar.gradings import Grading
 from gstar.rings import RATIONALS, Fp, PrimeField
 from gstar.sampling import random_grading, random_multihomogeneous_poly, random_slotted_word
@@ -328,7 +328,7 @@ def test_every_kernel_row_is_a_witness(seed):
     for word in (surviving_word(rng, grading, rng.randint(1, 12)),
                  random_slotted_word(rng, grading, rng.randint(1, 12), repeat_slots=True)):
         honest = honest_product(word, grading)
-        rows = word_rows(word, grading)
+        rows = list(iter_rows(word, grading))
         for start, end, variables in rows:
             units = [(b, a) if star else (a, b)
                      for (_, a, b), (_, _, star) in zip(variables, word)]
@@ -386,16 +386,16 @@ def _walk_all_rows(word, grading):
 def test_word_rows_walk_every_start_row(seed):
     """The kernel, which walks one start row at a time, gives the rows of
     a walk of all start rows at once, in start order, on surviving and
-    dead words; its lazy form yields the same rows."""
+    dead words; its first row, read lazily, is the first of them."""
     rng = random.Random(seed)
     grading = random_grading(rng, max_n=5)
     for word in (surviving_word(rng, grading, rng.randint(1, 30)),
                  random_slotted_word(rng, grading, rng.randint(1, 6), repeat_slots=True),
                  [GVar(rng.randint(1, 3), rng.randrange(grading.group.order), rng.random() < 0.5)
                   for _ in range(rng.randint(1, 8))]):
-        rows = word_rows(word, grading)
+        rows = list(iter_rows(word, grading))
         assert rows == _walk_all_rows(word, grading)
-        assert list(iter_rows(word, grading)) == rows
+        assert next(iter_rows(word, grading), None) == (rows[0] if rows else None)
 
 
 # ---------------------------------------------------------------------------

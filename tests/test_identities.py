@@ -41,7 +41,7 @@ from gstar.freealg import (GPolynomial, multidegree, render_word, star_polynomia
                            variable)
 from gstar.gradings import signed_degree
 from gstar.identities import ENUM_DEGREE_CAP, _profile_moves, block_certificate, neutral_factors
-from gstar.genmat import evaluation_key, word_rows
+from gstar.genmat import evaluation_key
 from gstar.rings import RATIONALS, PrimeField
 from gstar.sampling import (
     congruent_partner,
@@ -279,7 +279,8 @@ def test_derivation_on_rows_that_disagree_is_an_internal_error(
     """Rows that claim congruence for words that are not congruent, as a
     faulty kernel would give, end the derivation with InternalCheckError."""
     monkeypatch.setattr("gstar.identities._congruent_rows",
-                        lambda m1, m2, grading: (word_rows(m1, grading), word_rows(m2, grading)))
+                        lambda m1, m2, grading: (list(iter_rows(m1, grading)),
+                                                 list(iter_rows(m2, grading))))
     with pytest.raises(InternalCheckError):
         derivation_mod_neutral(mono(first, z2), mono(second, z2), gr_z2)
 

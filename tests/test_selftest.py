@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,19 +21,42 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_selftest_passes_on_family(gradings):
     for name, grading in gradings.items():
-        report = run_selftest(grading, seed=1, words=40, pairs=10, polys=12)
+        report = run_selftest(grading, seed=1)
         assert report.passed, f"{name}: {[r.detail for r in report.results if not r.passed]}"
 
 
 def test_selftest_deterministic(gr_z6):
-    a = run_selftest(gr_z6, seed=9, words=30, pairs=8, polys=10)
-    b = run_selftest(gr_z6, seed=9, words=30, pairs=8, polys=10)
+    a = run_selftest(gr_z6, seed=9)
+    b = run_selftest(gr_z6, seed=9)
     assert a.to_json() == b.to_json()
 
 
 def test_selftest_modp(gr_z4):
-    report = run_selftest(gr_z4, PrimeField(2), seed=2, words=30, pairs=8, polys=10)
+    report = run_selftest(gr_z4, PrimeField(2), seed=2)
     assert report.passed
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(5)], ids=["q", "modp:5"])
+def test_selftest_never_calls_evaluate_monomial(gr_klein, field, monkeypatch):
+    """``evaluate_monomial`` is only a name for the closed form: with every
+    gstar binding of it refusing, as the benchmark's spans wrap them, the
+    selftest still passes."""
+    import gstar.freealg
+
+    original = gstar.freealg.evaluate_monomial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_monomial called")
+
+    bound = 0
+    for name, module in sorted(sys.modules.items()):
+        if name == "gstar" or name.startswith("gstar."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+                    bound += 1
+    assert bound >= 2, "the patch does not reach the package's bindings"
+    assert run_selftest(gr_klein, field, seed=1).passed
 
 
 def test_scan_counts_z2(gr_z2):
