@@ -34,22 +34,8 @@ from .freealg import (
     star_word,
     variable,
 )
-from .genmat import (
-    CPolynomial,
-    SparseMatrix,
-    closed_form_product,
-    evaluation_key,
-    generic_matrix_signed,
-    honest_product,
-    iter_rows,
-    render_entry_monomial,
-)
-from .gradings import (
-    Grading,
-    PartialInjection,
-    build_grading,
-    grading_from_json,
-)
+from .genmat import closed_form_product, evaluation_key, iter_rows
+from .gradings import Grading, build_grading, grading_from_json
 from .groups import Group, group_from_json, make_cyclic, make_from_table
 from .identities import (
     BASIS_FAMILIES,
@@ -69,6 +55,14 @@ from .identities import (
     subword_identity_certificate,
     verify_basis,
     word_monomial,
+)
+from .reference import (
+    CPolynomial,
+    PartialInjection,
+    SparseMatrix,
+    generic_matrix_signed,
+    honest_product,
+    render_entry_monomial,
 )
 from .rings import RATIONALS, Fp, PrimeField, Rationals, parse_field
 from .selftest import exhaustive_word_scan, run_selftest

@@ -5,7 +5,7 @@ words in them are noncommutative, and a word is the plain tuple of its
 (index, element, star) letters.  The involution reverses a word and
 toggles every star.  Evaluation substitutes the generic matrix for the
 slot/element pair of each plain variable and its transpose for each starred
-one, landing in the sparse exact matrices of :mod:`gstar.genmat`.
+one, landing in the sparse exact matrices of :mod:`gstar.reference`.
 
 The expression grammar accepted by :func:`parse_poly` (a lone '0' is zero):
 
@@ -32,9 +32,10 @@ from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import GroupError, ParseError, PreconditionError
-from .genmat import CPolynomial, SparseMatrix, closed_form_product, iter_rows
+from .genmat import closed_form_product, iter_rows
 from .gradings import Grading
 from .groups import Group
+from .reference import CPolynomial, SparseMatrix
 from .rings import RATIONALS, SparseSum, add_term, format_coeff, signed_sum
 
 

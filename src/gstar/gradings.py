@@ -9,17 +9,18 @@ For a group element g, sending each row i whose label g_i stays inside the
 tuple after right multiplication by g to the unique j with g_i g = g_j
 defines an injective partial self-map of the rows, ``hat(g)``.  Products
 of homogeneous matrix units are governed by composition of these maps, so
-the identity tests reduce to partial injection arithmetic.  Rows and
-columns are 0-based throughout.
+the identity tests reduce to partial injection arithmetic, checked against
+the definitions in :mod:`gstar.reference`.  Rows and columns are 0-based.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import GradingError, PreconditionError
 from .groups import Group, group_from_json, is_plain_int
+from .reference import PartialInjection
 
 
 def signed_degree(element: int, star: bool, group: Group) -> int:
@@ -36,73 +37,6 @@ def letter_degrees(word: Sequence[tuple], group: Group) -> list[int]:
             raise GradingError(f"element index {element} outside the group")
         degrees.append(inverse[element] if star else element)
     return degrees
-
-
-class PartialInjection:
-    """An injective partial self-map of {0..n-1}, stored as a target tuple."""
-
-    __slots__ = ("targets",)
-
-    def __init__(self, targets: Iterable[Optional[int]]):
-        t = tuple(targets)
-        hit = [x for x in t if x is not None]
-        if len(hit) != len(set(hit)):
-            raise PreconditionError(f"targets {t} are not injective")
-        if any(not 0 <= x < len(t) for x in hit):
-            raise PreconditionError(f"targets {t} leave the index range")
-        self.targets = t
-
-    @classmethod
-    def _trusted(cls, targets: tuple[Optional[int], ...]) -> "PartialInjection":
-        """Wrap a target tuple that is injective by construction, unchecked."""
-        pi = object.__new__(cls)
-        pi.targets = targets
-        return pi
-
-    @classmethod
-    def identity(cls, n: int) -> "PartialInjection":
-        return cls(range(n))
-
-    @property
-    def n(self) -> int:
-        return len(self.targets)
-
-    def __call__(self, i: int) -> Optional[int]:
-        return self.targets[i]
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.targets) if x is not None)
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(x for x in self.targets if x is not None))
-
-    @property
-    def is_empty(self) -> bool:
-        return all(x is None for x in self.targets)
-
-    def then(self, other: "PartialInjection") -> "PartialInjection":
-        """Composition with ``self`` applied first."""
-        then = other.targets
-        return PartialInjection._trusted(tuple(x if x is None else then[x] for x in self.targets))
-
-    def inverse(self) -> "PartialInjection":
-        t: list[Optional[int]] = [None] * self.n
-        for i, x in enumerate(self.targets):
-            if x is not None:
-                t[x] = i
-        return PartialInjection._trusted(tuple(t))
-
-    def as_dict(self) -> dict[int, int]:
-        return {i: x for i, x in enumerate(self.targets) if x is not None}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PartialInjection) and self.targets == other.targets
-
-    def __hash__(self) -> int:
-        return hash(self.targets)
-
-    def __repr__(self) -> str:
-        return f"PartialInjection({self.as_dict()})"
 
 
 class CompositionGraph:
@@ -157,10 +91,10 @@ class Grading:
 
     Immutable after construction, except that two memos grow as they are
     read: the composition graph, created on first use and cached, as
-    compositions and searches step it, and ``genmat``'s generic matrices of
-    the grading, one per letter and field that ``honest_product`` has
-    multiplied, which are dropped with the grading.  Share a grading across
-    threads only behind a lock.
+    compositions and searches step it, and the generic matrices of the
+    grading in :mod:`gstar.reference`, one per letter and field that
+    ``honest_product`` has multiplied, which are dropped with the grading.
+    Share a grading across threads only behind a lock.
     """
 
     def __init__(self, group: Group, defining_tuple: tuple[int, ...]):
@@ -183,13 +117,6 @@ class Grading:
 
     def off_support(self) -> list[int]:
         return [g for g in self.group.elements() if g not in self.support]
-
-    def degree_of_unit(self, row: int, col: int) -> int:
-        """Degree of the matrix unit e_{row,col}: g_row^{-1} g_col."""
-        if not (0 <= row < self.n and 0 <= col < self.n):
-            raise PreconditionError(f"unit position ({row},{col}) outside 0..{self.n - 1}")
-        g = self.group
-        return g.mul(g.inv(self.defining_tuple[row]), self.defining_tuple[col])
 
     def hat(self, g: int) -> PartialInjection:
         """The partial injection i -> j with g_i g = g_j; empty off support."""

@@ -3,15 +3,16 @@
 These are the checks behind the ``selftest`` CLI subcommand.  They are
 deterministic given a seed, and they are also reused by the pytest suite,
 where the heavier exhaustive variants back the acceptance criteria.  The
-references stay apart from the fast paths they check: the exhaustive scan
-compares the composition graph with its own walk of the hat table, and
-the word kernel with ``honest_product``.
+references stay apart from the fast paths they check: they come from
+:mod:`gstar.reference`, built from the unit degrees g_i^{-1} g_j alone.  The
+exhaustive scan compares the composition graph with a walk along the
+reference's row steps, and the word kernel with ``honest_product``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .freealg import (
     GPolynomial,
@@ -21,7 +22,7 @@ from .freealg import (
     star_polynomial,
 )
 from .errors import PreconditionError
-from .genmat import closed_form_product, honest_product, iter_rows
+from .genmat import closed_form_product, iter_rows
 from .gradings import Grading, signed_degree
 from .identities import (
     BASIS_FAMILIES,
@@ -31,6 +32,7 @@ from .identities import (
     is_monomial_identity,
     verify_basis,
 )
+from .reference import honest_product, row_steps, unit_degree, unit_product
 from .rings import RATIONALS
 from .sampling import (
     congruent_partner,
@@ -38,18 +40,6 @@ from .sampling import (
     random_multihomogeneous_poly,
     random_slotted_word,
 )
-
-
-def unit_product(units: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
-    """Multiply matrix units e_{ab}; None when a middle index mismatches."""
-    if not units:
-        raise PreconditionError("empty unit product")
-    a, b = units[0]
-    for c, d in units[1:]:
-        if b != c:
-            return None
-        b = d
-    return (a, b)
 
 
 class SuiteResult(NamedTuple):
@@ -86,7 +76,8 @@ def exhaustive_word_scan(
     For each word the scan keeps, along the search tree, (a) its state in
     the grading's composition graph, stepped by each letter's degree, and
     (b) an independent row walk: the (start row, current row) pairs that
-    survive, stepped through the hat table.  The tree starts at the empty
+    survive, stepped along the reference's row steps of the letter's
+    degree.  The tree starts at the empty
     word (graph state 0, every row alive at itself).  It asserts that the
     state maps exactly the surviving start rows to their current rows, and
     counts a word as an identity when no row survives.  Every
@@ -98,6 +89,7 @@ def exhaustive_word_scan(
     if max_degree < 1:
         raise PreconditionError("max_degree must be at least 1")
     graph, n = grading.composition_graph, grading.n
+    steps = [row_steps(grading, g) for g in grading.group.elements()]
     # per position p, each support letter as (GVar(p, g, star),) with its degree
     alphabets = [[((GVar(p, g, star),), signed_degree(g, star, grading.group))
                   for g, star in grading.signed_alphabet()] for p in range(1, max_degree + 1)]
@@ -135,10 +127,10 @@ def exhaustive_word_scan(
         if len(word) == max_degree:
             return
         for letter, degree in alphabets[len(word)]:
-            hat = grading.hats[degree]
+            step = steps[degree]
             new_word = word + letter
             new_state = graph.step[state][degree]
-            new_alive = tuple((s, hat[r]) for s, r in alive if hat[r] is not None)
+            new_alive = tuple((s, step[r]) for s, r in alive if r in step)
             visit(new_word, new_state, new_alive)
             rec(new_word, new_state, new_alive)
 
@@ -173,15 +165,11 @@ def _suite_group_axioms(grading: Grading, rng: random.Random) -> SuiteResult:
 
 def _suite_hat_maps(grading: Grading, rng: random.Random) -> SuiteResult:
     g = grading.group
-    labels = grading.defining_tuple
     problems = []
     for x in grading.support_sorted():
-        h = grading.hat(x)
-        # by definition from the tuple: i in the domain iff g_i x is a label,
-        # j in the image iff g_j x^{-1} is one
-        domain = {i for i, gi in enumerate(labels) if g.mul(gi, x) in labels}
-        image = {j for j, gj in enumerate(labels) if g.mul(gj, g.inv(x)) in labels}
-        if set(h.domain()) != domain or set(h.image()) != image:
+        h, steps = grading.hat(x), row_steps(grading, x)
+        # by definition: i in the domain and j in the image iff e_ij has degree x
+        if set(h.domain()) != set(steps) or set(h.image()) != set(steps.values()):
             problems.append(f"domain/image mismatch for {g.name_of(x)}")
         if grading.hat(g.inv(x)) != h.inverse():
             problems.append(f"inverse law fails for {g.name_of(x)}")
@@ -232,7 +220,7 @@ def _suite_product_oracle(grading: Grading, rng: random.Random, field) -> SuiteR
             terms = poly.terms_sorted()
             if len(terms) != 1 or terms[0][1] != field.one:
                 problems.append(f"entry not a monic monomial on word {k}")
-            if grading.degree_of_unit(r, c) != deg:
+            if unit_degree(grading, r, c) != deg:
                 problems.append(f"homogeneity fails on word {k} at ({r},{c})")
     return SuiteResult(
         "product-oracle", not problems, "; ".join(problems[:3]) or f"{words} random words"

@@ -9,6 +9,9 @@ import importlib.util
 from pathlib import Path
 
 import gstar.cli  # noqa: F401  (the instrumentation wraps bindings in every gstar module)
+import gstar.genmat
+import gstar.reference
+from gstar import GVar, build_grading, make_cyclic
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -35,3 +38,18 @@ def test_bench_span_targets_resolve():
     # building the wrappers resolves every target, plus the counted matrix product
     instrumentation = spans.Instrumentation(spans.Tracer())
     assert len(instrumentation.bindings) > len(spans.SPANS) + len(spans.METHOD_SPANS)
+
+
+def test_matmul_counter_sees_the_honest_product():
+    """The counter patches ``gstar.genmat.SparseMatrix``: it must be the
+    class the honest product multiplies, or the counter silently reads 0."""
+    assert gstar.genmat.SparseMatrix is gstar.reference.SparseMatrix
+    spans = _load_spans()
+    instrumentation = spans.Instrumentation(spans.Tracer())
+    grading = build_grading(make_cyclic(4), ["e", "a", "a2"])
+    instrumentation.install()
+    try:
+        gstar.reference.honest_product([GVar(1, 0), GVar(2, 1), GVar(3, 3, True)], grading)
+    finally:
+        instrumentation.remove()
+    assert instrumentation.tracer.counts["genmat.matmul.calls"] == 2

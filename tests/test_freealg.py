@@ -24,6 +24,7 @@ from gstar import freealg
 from gstar.errors import GroupError
 from gstar.freealg import GPolynomial
 from gstar.groups import make_from_table
+from gstar.reference import unit_degree
 from gstar.rings import RATIONALS, Fp, PrimeField, add_term
 from gstar.sampling import random_grading, random_monomial
 
@@ -128,7 +129,7 @@ def test_evaluate_graded_component(gr_z6, z6):
     m = evaluate(f, gr_z6)
     d = z6.index_of("a2")
     for (r, c), _p in m.entries.items():
-        assert gr_z6.degree_of_unit(r, c) == d
+        assert unit_degree(gr_z6, r, c) == d
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,13 @@ from gstar import (
     make_cyclic,
     render_entry_monomial,
 )
-from gstar import genmat
+from gstar import genmat, reference
 from gstar.errors import ShapeError
 from gstar.genmat import evaluation_key, iter_rows
 from gstar.gradings import Grading
+from gstar.reference import row_steps, unit_degree, unit_product
 from gstar.rings import RATIONALS, Fp, PrimeField
 from gstar.sampling import random_grading, random_multihomogeneous_poly, random_slotted_word
-from gstar.selftest import unit_product
 
 
 def var_poly(slot, row, col, one=None):
@@ -220,7 +220,7 @@ def test_product_entries_are_homogeneous():
             deg = group.mul(deg, d)
         product = closed_form_product(word, grading)
         for (r, c), _p in product.entries.items():
-            assert grading.degree_of_unit(r, c) == deg
+            assert unit_degree(grading, r, c) == deg
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +368,11 @@ def test_fast_paths_never_multiply_matrices(monkeypatch):
 
 def _walk_all_rows(word, grading):
     """Every start row walked through the word at once, one letter at a
-    time, along the letter's hat as a dict, inverted when starred."""
+    time, along the reference's row steps of the letter's element,
+    inverted when starred."""
     walks = [(row, row, ()) for row in range(grading.n)]
     for slot, element, star in word:
-        step = grading.hat(element).as_dict()
+        step = row_steps(grading, element)
         if star:
             step = {col: row for row, col in step.items()}
         walks = [
@@ -436,7 +437,7 @@ def test_memo_keeps_each_field_apart():
 
 def test_gradings_never_share_generic_matrices():
     """Gradings on one group with the same letters get their own matrices,
-    read off their own hat tables; equal gradings built twice share none."""
+    built from their own tuples; equal gradings built twice share none."""
     rng = random.Random(6)
     z4 = make_cyclic(4)
     first, second, twin = (build_grading(z4, t) for t in
@@ -446,14 +447,14 @@ def test_gradings_never_share_generic_matrices():
         for grading in (first, second, twin):
             for word in words:
                 assert honest_product(word, grading) == _fresh_fold(word, grading)
-    memos = [genmat._GENERIC_MATRICES[g] for g in (first, second, twin)]
+    memos = [reference._GENERIC_MATRICES[g] for g in (first, second, twin)]
     seen = [{id(m) for m in memo.values()} for memo in memos]
     assert all(seen) and not (seen[0] & seen[1] or seen[0] & seen[2] or seen[1] & seen[2])
     gc.collect()
-    count, dead = len(genmat._GENERIC_MATRICES), weakref.ref(first)
+    count, dead = len(reference._GENERIC_MATRICES), weakref.ref(first)
     del first
     gc.collect()  # the memo dies with its grading
-    assert dead() is None and len(genmat._GENERIC_MATRICES) == count - 1
+    assert dead() is None and len(reference._GENERIC_MATRICES) == count - 1
 
 
 def test_one_letter_product_cannot_corrupt_the_memo():

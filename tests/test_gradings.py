@@ -14,7 +14,9 @@ from gstar import (
     evaluate,
     evaluate_monomial,
     evaluation_key,
+    generic_matrix_signed,
     grading_from_json,
+    honest_product,
     is_monomial_identity,
     iter_rows,
     make_cyclic,
@@ -23,6 +25,7 @@ from gstar import (
 from gstar.freealg import GPolynomial
 from gstar.gradings import signed_degree
 from gstar.identities import block_certificate
+from gstar.reference import unit_degree
 from gstar.sampling import random_grading
 
 import random
@@ -57,12 +60,12 @@ def test_empty_tuple_rejected(z2):
 
 
 def test_degree_of_unit(gr_z2, gr_z6, z2, z6):
-    assert gr_z2.degree_of_unit(0, 1) == z2.index_of("a")
+    assert unit_degree(gr_z2, 0, 1) == z2.index_of("a")
     for i in range(gr_z6.n):
-        assert gr_z6.degree_of_unit(i, i) == z6.identity
-    assert gr_z6.degree_of_unit(2, 0) == z6.index_of("a4")
+        assert unit_degree(gr_z6, i, i) == z6.identity
+    assert unit_degree(gr_z6, 2, 0) == z6.index_of("a4")
     with pytest.raises(PreconditionError):
-        gr_z6.degree_of_unit(0, 3)
+        unit_degree(gr_z6, 0, 3)
 
 
 def test_d_and_im_sets(gr_z2, gr_z6, z2, z6):
@@ -102,12 +105,17 @@ def test_compose_signed(gr_z6, z6):
 @pytest.mark.parametrize("star", [False, True], ids=["plain", "starred"])
 @pytest.mark.parametrize("element", [-1, 6], ids=["minus-one", "order"])
 def test_letters_outside_the_group_rejected(gr_z6, z6, element, star):
-    # the hat maps sit in a sequence indexed by element, where -1 would
-    # silently read the last one; each entry point must refuse it instead
+    # the hat maps and the reference's row steps sit in sequences indexed by
+    # element, where -1 would silently read the last one; each entry point,
+    # the oracle's included, must refuse it instead
     live = (GVar(1, z6.identity),)
+    with pytest.raises(GradingError):
+        generic_matrix_signed(GVar(1, element, star), gr_z6)
     for word in ((GVar(1, element, star),), (GVar(1, z6.identity), GVar(2, element, star))):
         with pytest.raises(GradingError):
             gr_z6.compose_signed(word)
+        with pytest.raises(GradingError):
+            honest_product(word, gr_z6)
         with pytest.raises(GradingError):
             evaluate_monomial(word, gr_z6)
         with pytest.raises(GradingError):
@@ -141,6 +149,8 @@ def test_letters_after_a_dead_walk_rejected(gr_z6, z6, element, star):
         evaluate(GPolynomial({mono: 1}), gr_z6)
     with pytest.raises(GradingError):
         evaluation_key(mono, gr_z6)
+    with pytest.raises(GradingError):
+        honest_product(mono, gr_z6)
     with pytest.raises(GradingError):
         is_monomial_identity(mono, gr_z6)
     with pytest.raises(GradingError):

@@ -1,5 +1,7 @@
-"""Package-level contracts: the public names, and what importing the CLI loads."""
+"""Package-level contracts: the public names, what importing the CLI loads,
+and what the reference module may import."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +66,19 @@ def test_cli_import_loads_no_dataclass_machinery():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.split() == []
+
+
+def test_reference_imports_only_groups_rings_and_errors():
+    """The independent references stay apart from the fast path: their
+    module imports no gstar module but the group, ring and error ones, and
+    never names the hat table, the composition graph or the word kernel."""
+    source = (SRC / "gstar" / "reference.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gstar")):
+            imported.add((node.module or "").removeprefix("gstar").lstrip("."))
+        elif isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("gstar")]
+    assert imported and imported <= {"groups", "rings", "errors"}
+    for name in ("hats", ".hat(", "composition_graph", "iter_rows"):
+        assert name not in source, name

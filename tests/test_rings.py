@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gstar.freealg import GPolynomial, GVar
-from gstar.genmat import CPolynomial
+from gstar.reference import CPolynomial
 from gstar.rings import (
     PRIME_TEST_LIMIT,
     RATIONALS,

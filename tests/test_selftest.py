@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from gstar import IdentityListing, build_grading, grading_from_json
+from gstar import GVar, IdentityListing, build_grading, grading_from_json
+from gstar import selftest
 from gstar.errors import PreconditionError
 from gstar.freealg import multidegree
+from gstar.genmat import closed_form_product
+from gstar.reference import honest_product
 from gstar.rings import PrimeField, RATIONALS
 from gstar.sampling import (
     congruent_partner,
@@ -108,6 +111,49 @@ def test_scan_fails_a_corrupted_composition_graph(z4):
     scan = exhaustive_word_scan(grading, 3)
     assert not scan.passed
     assert scan.failures[0].startswith("route disagreement")
+
+
+def _corrupt_one_hat(grading):
+    """Swap two targets of the first non-neutral support hat with two or
+    more, give its inverse's hat the inverse map and drop the cached
+    composition graph: the tables the fast path reads stay consistent with
+    each other, but not with the unit degrees.  Returns the element."""
+    group = grading.group
+    g = next(x for x in grading.support_sorted()
+             if x != group.identity and sum(t is not None for t in grading.hats[x]) >= 2)
+    targets = list(grading.hats[g])
+    i, j = [k for k, t in enumerate(targets) if t is not None][:2]
+    targets[i], targets[j] = targets[j], targets[i]
+    inverse = [None] * grading.n
+    for k, t in enumerate(targets):
+        if t is not None:
+            inverse[t] = k
+    hats = list(grading.hats)
+    hats[g], hats[group.inv(g)] = tuple(targets), tuple(inverse)
+    grading.hats = tuple(hats)
+    del grading.composition_graph
+    return g
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_references_catch_a_consistent_hat_corruption(path):
+    """The scan's row walk and the honest product are built from the unit
+    degrees, so a hat table corrupted consistently with its inverses turns
+    both suites red, while the honest product is that of a clean twin."""
+    config = json.loads(path.read_text(encoding="utf-8"))
+    grading, twin = grading_from_json(config), grading_from_json(config)
+    grading.composition_graph  # built, so that the corruption must drop it
+    g = _corrupt_one_hat(grading)
+    assert closed_form_product([GVar(1, g)], grading) != closed_form_product([GVar(1, g)], twin)
+    threeway = selftest._suite_monomial_threeway(grading, RATIONALS)
+    assert not threeway.passed and threeway.detail.startswith("route disagreement")
+    oracle = selftest._suite_product_oracle(grading, random.Random(1), RATIONALS)
+    assert not oracle.passed and "closed form mismatch" in oracle.detail
+    letters = grading.signed_alphabet()
+    for x, s in letters:
+        for y, t in letters:
+            word = [GVar(1, x, s), GVar(2, y, t)]
+            assert honest_product(word, grading) == honest_product(word, twin)
 
 
 def test_generator_respects_bounds(gradings):
