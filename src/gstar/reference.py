@@ -7,7 +7,8 @@ steps i -> j; the generic matrices put y[slot,i,j] there, ``honest_product``
 multiplies them, and ``selftest`` walks rows along them.  A grading is read
 only through its group, size and defining tuple, never through the tables
 that the word kernel and the composition graph step.  The module imports
-nothing of gstar but ``groups``, ``rings`` and ``errors``.
+nothing of gstar but ``groups``, ``rings`` and ``errors``.  Each grading's
+row steps are computed once, from its n^2 unit degrees, and memoised.
 """
 
 from __future__ import annotations
@@ -35,8 +36,13 @@ def row_steps(grading, element: int) -> dict[int, int]:
     g_i^{-1} g_j is the element, in increasing order of i."""
     if not 0 <= element < grading.group.order:
         raise GradingError(f"element index {element} outside the group")
-    n = grading.n
-    return {i: j for i in range(n) for j in range(n) if unit_degree(grading, i, j) == element}
+    table = _ROW_STEPS.get(grading)
+    if table is None:
+        table = _ROW_STEPS[grading] = [{} for _ in range(grading.group.order)]
+        for i in range(grading.n):
+            for j in range(grading.n):
+                table[unit_degree(grading, i, j)][i] = j
+    return dict(table[element])  # a copy: the table stays the grading's
 
 
 def unit_product(units: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
@@ -224,8 +230,10 @@ def generic_matrix_signed(letter: tuple, grading, field=RATIONALS) -> SparseMatr
 
 
 # grading -> {(slot, element, star, field): generic matrix}, each entry
-# built on first use and dropped with its grading
+# built on first use, and grading -> every element's row steps, built on the
+# first call of ``row_steps``; both are dropped with their grading
 _GENERIC_MATRICES: WeakKeyDictionary = WeakKeyDictionary()
+_ROW_STEPS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def honest_product(word: Sequence[tuple], grading, field=RATIONALS) -> SparseMatrix:

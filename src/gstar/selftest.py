@@ -1,9 +1,13 @@
 """Cross-checking suites: every module's invariants run against one grading.
 
-These are the checks behind the ``selftest`` CLI subcommand.  They are
-deterministic given a seed, and they are also reused by the pytest suite,
-where the heavier exhaustive variants back the acceptance criteria.  The
-references stay apart from the fast paths they check: they come from
+These are the checks behind the ``selftest`` CLI subcommand, deterministic
+given a seed; the pytest suite reuses them.  Each suite in ``SUITES`` is a
+function ``(grading, rng, field) -> (problems, summary)``; ``run_selftest``
+runs them in order on one seeded generator and builds every result: a suite
+passes when it lists no problem.  A suite that raises a ``GstarError`` (an
+``InternalCheckError`` of the code under test, say) is a red result naming
+the error, so the report survives the faults it exists to show; any other
+exception is a bug in the suite and propagates.  The references come from
 :mod:`gstar.reference`, built from the unit degrees g_i^{-1} g_j alone.  The
 exhaustive scan compares the composition graph with a walk along the
 reference's row steps, and the word kernel with ``honest_product``.
@@ -21,7 +25,7 @@ from .freealg import (
     render_word,
     star_polynomial,
 )
-from .errors import PreconditionError
+from .errors import GstarError, PreconditionError
 from .genmat import closed_form_product, iter_rows
 from .gradings import Grading, signed_degree
 from .identities import (
@@ -140,11 +144,10 @@ def exhaustive_word_scan(
     )
 
 
-def _suite_group_axioms(grading: Grading, rng: random.Random) -> SuiteResult:
+def _group_axioms(grading: Grading, rng: random.Random, field) -> tuple[list, str]:
     g = grading.group
     n = g.order
-    ok = True
-    detail = []
+    problems = []
     triples = (
         [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
         if n <= 12
@@ -152,21 +155,20 @@ def _suite_group_axioms(grading: Grading, rng: random.Random) -> SuiteResult:
     )
     for a, b, c in triples:
         if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
-            ok = False
-            detail.append(f"associativity fails at ({a},{b},{c})")
+            problems.append(f"associativity fails at ({a},{b},{c})")
             break
     for a in range(n):
         if g.mul(a, g.inv(a)) != g.identity or g.mul(g.identity, a) != a:
-            ok = False
-            detail.append(f"identity/inverse law fails at {a}")
+            problems.append(f"identity/inverse law fails at {a}")
             break
-    return SuiteResult("group-axioms", ok, "; ".join(detail) or f"{len(triples)} triples")
+    return problems, f"{len(triples)} triples"
 
 
-def _suite_hat_maps(grading: Grading, rng: random.Random) -> SuiteResult:
+def _hat_maps(grading: Grading, rng: random.Random, field) -> tuple[list, str]:
     g = grading.group
     problems = []
-    for x in grading.support_sorted():
+    support = grading.support_sorted()
+    for x in support:
         h, steps = grading.hat(x), row_steps(grading, x)
         # by definition: i in the domain and j in the image iff e_ij has degree x
         if set(h.domain()) != set(steps) or set(h.image()) != set(steps.values()):
@@ -175,7 +177,6 @@ def _suite_hat_maps(grading: Grading, rng: random.Random) -> SuiteResult:
             problems.append(f"inverse law fails for {g.name_of(x)}")
         if len(h.domain()) != len(h.image()):
             problems.append(f"injectivity fails for {g.name_of(x)}")
-    support = grading.support_sorted()
     for x in support:
         for y in support:
             hx, hy = grading.hat(x), grading.hat(y)
@@ -195,12 +196,10 @@ def _suite_hat_maps(grading: Grading, rng: random.Random) -> SuiteResult:
     off = [x for x in grading.off_support() if not grading.hat(x).is_empty]
     if off:
         problems.append(f"nonempty hat off support: {off}")
-    return SuiteResult(
-        "hat-maps", not problems, "; ".join(problems) or f"{len(support)} support elements"
-    )
+    return problems, f"{len(support)} support elements"
 
 
-def _suite_product_oracle(grading: Grading, rng: random.Random, field) -> SuiteResult:
+def _product_oracle(grading: Grading, rng: random.Random, field) -> tuple[list, str]:
     problems = []
     words = 120
     for k in range(words):
@@ -222,25 +221,17 @@ def _suite_product_oracle(grading: Grading, rng: random.Random, field) -> SuiteR
                 problems.append(f"entry not a monic monomial on word {k}")
             if unit_degree(grading, r, c) != deg:
                 problems.append(f"homogeneity fails on word {k} at ({r},{c})")
-    return SuiteResult(
-        "product-oracle", not problems, "; ".join(problems[:3]) or f"{words} random words"
-    )
+    return problems, f"{words} random words"
 
 
-def _suite_monomial_threeway(grading: Grading, field) -> SuiteResult:
+def _monomial_threeway(grading: Grading, rng: random.Random, field) -> tuple[list, str]:
     depth = 4 if len(grading.support) <= 4 else 3
-    stride = 17
-    report = exhaustive_word_scan(grading, depth, field, crosscheck_stride=stride)
-    detail = (
-        f"{report.words} words, {report.identities} identities, "
-        f"{report.crosschecks} crosschecked"
-    )
-    return SuiteResult(
-        "monomial-threeway", report.passed, "; ".join(report.failures[:3]) or detail
-    )
+    report = exhaustive_word_scan(grading, depth, field, crosscheck_stride=17)
+    return report.failures, (f"{report.words} words, {report.identities} identities, "
+                             f"{report.crosschecks} crosschecked")
 
 
-def _suite_congruence(grading: Grading, rng: random.Random, field) -> SuiteResult:
+def _congruence(grading: Grading, rng: random.Random, field) -> tuple[list, str]:
     problems = []
     pairs = 40
     done = 0
@@ -266,12 +257,10 @@ def _suite_congruence(grading: Grading, rng: random.Random, field) -> SuiteResul
                 break
         if chain and chain[-1].result != mono:
             problems.append("derivation does not land on the target")
-    return SuiteResult(
-        "congruence", not problems, "; ".join(problems[:3]) or f"{done} engineered pairs"
-    )
+    return problems, f"{done} engineered pairs"
 
 
-def _suite_star_involution(grading: Grading, rng: random.Random, field) -> SuiteResult:
+def _star_involution(grading: Grading, rng: random.Random, field) -> tuple[list, str]:
     problems = []
     polys = 20
     for _ in range(polys):
@@ -286,20 +275,15 @@ def _suite_star_involution(grading: Grading, rng: random.Random, field) -> Suite
         if evaluate(star_polynomial(f), grading, field) != evaluate(f, grading, field).transpose():
             problems.append("star does not match transposition under evaluation")
             break
-    return SuiteResult(
-        "star-involution", not problems, "; ".join(problems) or f"{polys} random polynomials"
-    )
+    return problems, f"{polys} random polynomials"
 
 
-def _suite_basis_identities(grading: Grading, field) -> SuiteResult:
+def _basis_identities(grading: Grading, rng: random.Random, field) -> tuple[list, str]:
     report = verify_basis(grading, field)
-    failing = [k for k in BASIS_FAMILIES if not report[k]["pass"]]
-    return SuiteResult(
-        "basis-identities", report["pass"], "; ".join(failing) or "all four families hold"
-    )
+    return [k for k in BASIS_FAMILIES if not report[k]["pass"]], "all four families hold"
 
 
-def _suite_basis_reduce(grading: Grading, rng: random.Random, field) -> SuiteResult:
+def _basis_reduce(grading: Grading, rng: random.Random, field) -> tuple[list, str]:
     problems = []
     polys = 40
     produced = 0
@@ -313,9 +297,19 @@ def _suite_basis_reduce(grading: Grading, rng: random.Random, field) -> SuiteRes
         if red.is_identity != direct:
             problems.append("reduction verdict disagrees with evaluation")
             break
-    return SuiteResult(
-        "basis-reduce", not problems, "; ".join(problems) or f"{produced} random polynomials"
-    )
+    return problems, f"{produced} random polynomials"
+
+
+SUITES = (
+    ("group-axioms", _group_axioms),
+    ("hat-maps", _hat_maps),
+    ("product-oracle", _product_oracle),
+    ("monomial-threeway", _monomial_threeway),
+    ("congruence", _congruence),
+    ("star-involution", _star_involution),
+    ("basis-identities", _basis_identities),
+    ("basis-reduce", _basis_reduce),
+)
 
 
 class SelftestReport(NamedTuple):
@@ -337,16 +331,14 @@ class SelftestReport(NamedTuple):
 
 
 def run_selftest(grading: Grading, field=RATIONALS, seed: int = 1) -> SelftestReport:
-    """Run every suite against one grading; deterministic given the seed."""
+    """Run every suite of ``SUITES`` in order on one seeded generator;
+    deterministic given the seed.  A suite that raises a GstarError is red."""
     rng = random.Random(seed)
-    results = [
-        _suite_group_axioms(grading, rng),
-        _suite_hat_maps(grading, rng),
-        _suite_product_oracle(grading, rng, field),
-        _suite_monomial_threeway(grading, field),
-        _suite_congruence(grading, rng, field),
-        _suite_star_involution(grading, rng, field),
-        _suite_basis_identities(grading, field),
-        _suite_basis_reduce(grading, rng, field),
-    ]
+    results = []
+    for name, suite in SUITES:
+        try:
+            problems, summary = suite(grading, rng, field)
+        except GstarError as err:
+            problems, summary = [f"{type(err).__name__}: {err}"], ""
+        results.append(SuiteResult(name, not problems, "; ".join(problems[:3]) or summary))
     return SelftestReport(repr(grading), seed, results)

@@ -1,6 +1,6 @@
 import pytest
 
-from gstar import build_grading, make_cyclic, parse_poly
+from gstar import build_grading, grading_from_json, make_cyclic, parse_poly
 from gstar.sampling import klein_group, standard_gradings, symmetric_group3
 
 
@@ -62,5 +62,37 @@ def mono():
         terms = parse_poly(text, group).terms_sorted()
         assert len(terms) == 1 and terms[0][1] == 1
         return terms[0][0]
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def corrupted():
+    """Build a grading from config data and corrupt one hat consistently.
+
+    Swap two targets of the first non-neutral support hat with two or more,
+    give its inverse's hat the inverse map and drop the composition graph,
+    built first: the tables the fast path reads stay consistent with each
+    other, but not with the unit degrees.  Returns (grading, element).
+    """
+
+    def build(config):
+        grading = grading_from_json(config)
+        grading.composition_graph  # built, so that the corruption must drop it
+        group = grading.group
+        g = next(x for x in grading.support_sorted()
+                 if x != group.identity and sum(t is not None for t in grading.hats[x]) >= 2)
+        targets = list(grading.hats[g])
+        i, j = [k for k, t in enumerate(targets) if t is not None][:2]
+        targets[i], targets[j] = targets[j], targets[i]
+        inverse = [None] * grading.n
+        for k, t in enumerate(targets):
+            if t is not None:
+                inverse[t] = k
+        hats = list(grading.hats)
+        hats[g], hats[group.inv(g)] = tuple(targets), tuple(inverse)
+        grading.hats = tuple(hats)
+        del grading.composition_graph
+        return grading, g
 
     return build

@@ -710,6 +710,20 @@ def test_selftest_bytes_pinned(case, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+
+def test_selftest_reports_a_suite_that_raises(corrupted, monkeypatch, capsys):
+    """On a grading whose hat table is corrupted, the derivation raises an
+    InternalCheckError inside the congruence suite: the report is still
+    printed, red, and the exit code is 4 with nothing on stderr."""
+    config = json.loads((CONFIGS / "z2.json").read_text(encoding="utf-8"))
+    grading, _ = corrupted(config)
+    monkeypatch.setattr("gstar.cli.grading_from_json", lambda data: grading)
+    code, payload, err = run_json(["selftest", "--config", str(CONFIGS / "z2.json")], capsys)
+    assert code == 4 and err == ""
+    assert payload["pass"] is False
+    congruence = next(s for s in payload["suites"] if s["suite"] == "congruence")
+    assert not congruence["pass"] and congruence["detail"].startswith("InternalCheckError: ")
+
 # sha256 of the enumerate stdout: (config path, flags...).  Full and minimal
 # listings, off-support letters, a grading without identities at the
 # default degree, n = 4, 5 gradings and text-mode reports.  The last two

@@ -473,6 +473,29 @@ def test_one_letter_product_cannot_corrupt_the_memo():
     assert not honest_product([letter], z4).is_zero
 
 
+def test_row_steps_cost_n_squared_unit_degrees_per_grading(monkeypatch):
+    """The first row steps of a fresh grading fill its table from the n^2
+    unit degrees; later generic matrices read the table, and a caller that
+    alters a returned dict leaves the table as it was."""
+    z4 = build_grading(make_cyclic(4), ["e", "a", "a2"])
+    calls = []
+
+    def counting(grading, row, col):
+        calls.append((row, col))
+        return unit_degree(grading, row, col)
+
+    monkeypatch.setattr(reference, "unit_degree", counting)
+    assert z4 not in reference._ROW_STEPS
+    generic_matrix_signed(GVar(1, 1), z4)
+    generic_matrix_signed(GVar(2, 3, True), z4)
+    assert len(calls) == z4.n ** 2 and z4 in reference._ROW_STEPS
+    steps = row_steps(z4, 1)
+    assert steps == {0: 1, 1: 2}
+    steps.clear()
+    steps[2] = 0
+    assert row_steps(z4, 1) == {0: 1, 1: 2} and len(calls) == z4.n ** 2
+
+
 def test_honest_product_reads_neither_kernel_nor_graph(monkeypatch):
     """The oracle shares no code with the kernel or the composition graph:
     with both made to raise, it still multiplies, and agrees with the

@@ -7,7 +7,7 @@ import pytest
 
 from gstar import GVar, IdentityListing, build_grading, grading_from_json
 from gstar import selftest
-from gstar.errors import PreconditionError
+from gstar.errors import PreconditionError, ResourceCapError
 from gstar.freealg import multidegree
 from gstar.genmat import closed_form_product
 from gstar.reference import honest_product
@@ -113,47 +113,64 @@ def test_scan_fails_a_corrupted_composition_graph(z4):
     assert scan.failures[0].startswith("route disagreement")
 
 
-def _corrupt_one_hat(grading):
-    """Swap two targets of the first non-neutral support hat with two or
-    more, give its inverse's hat the inverse map and drop the cached
-    composition graph: the tables the fast path reads stay consistent with
-    each other, but not with the unit degrees.  Returns the element."""
-    group = grading.group
-    g = next(x for x in grading.support_sorted()
-             if x != group.identity and sum(t is not None for t in grading.hats[x]) >= 2)
-    targets = list(grading.hats[g])
-    i, j = [k for k, t in enumerate(targets) if t is not None][:2]
-    targets[i], targets[j] = targets[j], targets[i]
-    inverse = [None] * grading.n
-    for k, t in enumerate(targets):
-        if t is not None:
-            inverse[t] = k
-    hats = list(grading.hats)
-    hats[g], hats[group.inv(g)] = tuple(targets), tuple(inverse)
-    grading.hats = tuple(hats)
-    del grading.composition_graph
-    return g
+# the fast path raises on the derivation of these gradings once corrupted
+DERIVATION_RAISES = {"z2", "z4_3tuple", "z6_3tuple"}
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
-def test_references_catch_a_consistent_hat_corruption(path):
-    """The scan's row walk and the honest product are built from the unit
-    degrees, so a hat table corrupted consistently with its inverses turns
-    both suites red, while the honest product is that of a clean twin."""
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "bench" / "configs").glob("*.json")),
+    ids=lambda p: p.stem,
+)
+def test_references_catch_a_consistent_hat_corruption(path, corrupted):
+    """The hat-map check, the scan's row walk and the honest product are
+    built from the unit degrees, so a hat table corrupted consistently with
+    its inverses turns their suites red over both rings, while the honest
+    product is that of a clean twin.  Where the derivation raises an
+    InternalCheckError, the report still comes back, its congruence suite
+    red and naming the error."""
     config = json.loads(path.read_text(encoding="utf-8"))
-    grading, twin = grading_from_json(config), grading_from_json(config)
-    grading.composition_graph  # built, so that the corruption must drop it
-    g = _corrupt_one_hat(grading)
-    assert closed_form_product([GVar(1, g)], grading) != closed_form_product([GVar(1, g)], twin)
-    threeway = selftest._suite_monomial_threeway(grading, RATIONALS)
-    assert not threeway.passed and threeway.detail.startswith("route disagreement")
-    oracle = selftest._suite_product_oracle(grading, random.Random(1), RATIONALS)
-    assert not oracle.passed and "closed form mismatch" in oracle.detail
+    twin = grading_from_json(config)
+    for field in (RATIONALS, PrimeField(5)):
+        grading, g = corrupted(config)
+        letter = [GVar(1, g)]
+        assert closed_form_product(letter, grading, field) != closed_form_product(letter, twin, field)
+        red = {r.name: r.detail for r in run_selftest(grading, field, seed=1).results
+               if not r.passed}
+        assert "hat-maps" in red
+        assert red["monomial-threeway"].startswith("route disagreement")
+        assert "closed form mismatch" in red["product-oracle"]
+        if path.stem in DERIVATION_RAISES:
+            assert red["congruence"].startswith("InternalCheckError: ")
     letters = grading.signed_alphabet()
     for x, s in letters:
         for y, t in letters:
             word = [GVar(1, x, s), GVar(2, y, t)]
             assert honest_product(word, grading) == honest_product(word, twin)
+
+
+def test_only_a_gstar_error_turns_a_suite_red(gr_z2, monkeypatch):
+    """A suite raising a GstarError is a red result naming the error, and the
+    later suites still run; any other exception is a bug in the suite and
+    leaves run_selftest."""
+    def raising(error):
+        def suite(grading, rng, field):
+            raise error("boom")
+        return suite
+
+    clean = selftest.SUITES
+    for error in (ResourceCapError, TypeError):
+        suites = list(clean)
+        suites[4] = (suites[4][0], raising(error))
+        monkeypatch.setattr(selftest, "SUITES", tuple(suites))
+        if error is TypeError:
+            with pytest.raises(TypeError, match="^boom$"):
+                run_selftest(gr_z2)
+            continue
+        report = run_selftest(gr_z2)
+        assert [r.name for r in report.results] == [name for name, _ in clean]
+        assert not report.passed
+        assert [r.detail for r in report.results if not r.passed] == ["ResourceCapError: boom"]
 
 
 def test_generator_respects_bounds(gradings):
