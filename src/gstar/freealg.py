@@ -88,9 +88,6 @@ class GPolynomial(SparseSum):
     product = staticmethod(add)  # concatenation
     order = staticmethod(lambda word: (len(word), word))  # by length, then by letters
 
-    def render(self, group: Group) -> str:
-        return format_poly(self, group)
-
     def __repr__(self) -> str:
         return f"GPolynomial({len(self.terms)} terms)"
 

@@ -96,3 +96,28 @@ def corrupted():
         return grading, g
 
     return build
+
+
+@pytest.fixture(scope="session")
+def conjugated():
+    """Build a grading from config data and conjugate every hat by a row
+    permutation sigma: each hat sends sigma(i) to sigma(j) where it sent i
+    to j.  The composition graph, built first, is dropped.  The hats keep
+    their inverse and composition laws, and where sigma maps each domain
+    and image onto itself, those too."""
+
+    def build(config, sigma):
+        grading = grading_from_json(config)
+        grading.composition_graph  # built, so that the conjugation must drop it
+        hats = []
+        for targets in grading.hats:
+            moved = [None] * grading.n
+            for i, t in enumerate(targets):
+                if t is not None:
+                    moved[sigma[i]] = sigma[t]
+            hats.append(tuple(moved))
+        grading.hats = tuple(hats)
+        del grading.composition_graph
+        return grading
+
+    return build

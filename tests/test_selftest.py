@@ -10,7 +10,7 @@ from gstar import selftest
 from gstar.errors import PreconditionError, ResourceCapError
 from gstar.freealg import multidegree
 from gstar.genmat import closed_form_product
-from gstar.reference import honest_product
+from gstar.reference import honest_product, row_steps
 from gstar.rings import PrimeField, RATIONALS
 from gstar.sampling import (
     congruent_partner,
@@ -138,6 +138,7 @@ def test_references_catch_a_consistent_hat_corruption(path, corrupted):
         red = {r.name: r.detail for r in run_selftest(grading, field, seed=1).results
                if not r.passed}
         assert "hat-maps" in red
+        assert f"hat({grading.group.name_of(g)}) differs from its row steps" in red["hat-maps"]
         assert red["monomial-threeway"].startswith("route disagreement")
         assert "closed form mismatch" in red["product-oracle"]
         if path.stem in DERIVATION_RAISES:
@@ -147,6 +148,29 @@ def test_references_catch_a_consistent_hat_corruption(path, corrupted):
         for y, t in letters:
             word = [GVar(1, x, s), GVar(2, y, t)]
             assert honest_product(word, grading) == honest_product(word, twin)
+
+
+@pytest.mark.parametrize("path, sigma", [
+    (ROOT / "bench" / "configs" / "z5_full.json", (0, 1, 2, 4, 3)),
+    (ROOT / "configs" / "s3_rot.json", (0, 2, 1)),
+], ids=["z5_full", "s3_rot"])
+def test_hat_maps_catch_a_conjugated_hat_table(path, sigma, conjugated):
+    """Conjugating every hat by a row permutation keeps each domain and
+    image and every inverse and composition law, but not the unit degrees:
+    hat-maps compares each hat with its row steps and turns red, as do the
+    suites that evaluate words."""
+    config = json.loads(path.read_text(encoding="utf-8"))
+    for field in (RATIONALS, PrimeField(5)):
+        grading = conjugated(config, sigma)
+        for x in grading.group.elements():
+            steps = row_steps(grading, x)
+            assert set(grading.hat(x).domain()) == set(steps)
+            assert set(grading.hat(x).image()) == set(steps.values())
+        red = {r.name: r.detail for r in run_selftest(grading, field, seed=1).results
+               if not r.passed}
+        assert red["hat-maps"].endswith("differs from its row steps")
+        assert "closed form mismatch" in red["product-oracle"]
+        assert "monomial-threeway" in red
 
 
 def test_only_a_gstar_error_turns_a_suite_red(gr_z2, monkeypatch):
